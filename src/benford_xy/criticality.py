@@ -16,7 +16,8 @@ the temperature and refined by a parabolic fit - three-point interpolation
 for the smooth magnetization derivative, a least-squares parabola over a
 wider neighbourhood for violation ridges, whose digit-count staircase makes
 pointwise interpolation noisy - and each branch's (lambda, T) points are
-fitted with a straight line.
+fitted with a straight line. The violation windows of one temperature are
+slices of one shared lambda lattice, evaluated once.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ import numpy as np
 from . import numerics, xy_exact
 from .errors import (
     ConfigurationError,
+    DegenerateWindowError,
     InsufficientRidgeError,
     MixedSideError,
     NoTransitionError,
 )
-from .firstdigit import DistKind, ReferenceDistribution, histogram, rescale_unit
+from .firstdigit import DistKind, ReferenceDistribution
 from .numerics import LineFit, PolyFit
 from .violation import Metric, violation
-from .windowscan import ScanResult
+from .windowscan import ScanResult, window_histogram
 
 LAMBDA_C = 1.0
 
@@ -47,7 +49,8 @@ FIT_HALF_WIDTH = 0.05
 SMOOTH_HALF_WIDTH = 0.03
 
 # Crossover-ridge defaults. Lambda grids are expressed in units of t_tilde
-# around lambda = 1; the violation window width is window_ratio * t_tilde.
+# around lambda = 1; a violation window spans about window_ratio * t_tilde
+# (see RidgeGrid.lattice).
 RIDGE_SPAN = 3.0
 RIDGE_STEP = 0.025
 RIDGE_WINDOW_RATIO = 1.0
@@ -263,22 +266,48 @@ class RidgeGrid:
         u = np.arange(-self.span, self.span + 1e-12, self.step)
         return 1.0 + t_tilde * u
 
+    def stride(self, samples: int, window_ratio: float) -> int:
+        """Lattice points per grid step: the m that makes samples points of
+        spacing step * t_tilde / m span about window_ratio * t_tilde.
+
+        At least 1, so windows of fewer than window_ratio / (2 * step)
+        samples are narrower than asked.
+        """
+        return max(1, round(samples * self.step / window_ratio))
+
+    def lattice(self, t_tilde: float, samples: int, window_ratio: float) -> np.ndarray:
+        """One lambda lattice holding every violation window of a temperature.
+
+        Window i is lattice[i * m : i * m + samples], m = stride(samples,
+        window_ratio), centred on centers(t_tilde)[i]. It spans
+        (samples - 1) * step * t_tilde / m, which is (1 - 1/samples) *
+        t_tilde at the defaults.
+        """
+        m = self.stride(samples, window_ratio)
+        n = self.centers(t_tilde).size
+        k = np.arange((n - 1) * m + samples) - 0.5 * (samples - 1)
+        return 1.0 + t_tilde * (-self.span + k * (self.step / m))
+
 
 def _bvp_deltas(
-    centers: np.ndarray,
     gamma: float,
     t_tilde: float,
-    eps: float,
+    grid: RidgeGrid,
+    window_ratio: float,
     samples: int,
     dist: ReferenceDistribution,
     metric: Metric,
 ) -> np.ndarray:
-    beta = 1.0 / t_tilde
-    offsets = np.linspace(-eps / 2.0, eps / 2.0, samples)
-    out = np.empty(centers.size)
-    for i, c in enumerate(centers):
-        values = xy_exact.mz_infinite_many(c + offsets, gamma, beta)
-        out[i] = violation(histogram(rescale_unit(values)), dist, metric)
+    """Violation parameter of each window centred on grid.centers(t_tilde)."""
+    lattice = grid.lattice(t_tilde, samples, window_ratio)
+    values = xy_exact.mz_infinite_many(lattice, gamma, 1.0 / t_tilde)
+    m = grid.stride(samples, window_ratio)
+    out = np.empty(grid.centers(t_tilde).size)
+    for i in range(out.size):
+        hist = window_histogram(values[i * m : i * m + samples])
+        if hist is None:
+            raise DegenerateWindowError(f"flat violation window at t_tilde={t_tilde:g}")
+        out[i] = violation(hist, dist, metric)
     return out
 
 
@@ -343,7 +372,7 @@ def _ridge_slice(
         left = _branch_extremum(centers, values, "left", want_max=True)
         right = _branch_extremum(centers, values, "right", want_max=False)
     else:
-        values = _bvp_deltas(centers, gamma, t, window_ratio * t, samples, dist, metric)
+        values = _bvp_deltas(gamma, t, grid, window_ratio, samples, dist, metric)
         # the violation curve dips left of the transition and peaks right of it
         left = _branch_extremum(
             centers, values, "left", want_max=False, refine_points=RIDGE_REFINE_POINTS

@@ -2,6 +2,9 @@
 small window around each grid point, rescale to [0, 1], histogram first
 digits, and score against a reference law.
 
+The stages (window_samples, evaluate, window_histogram) are public; the
+crossover violation ridges reuse window_histogram on their own windows.
+
 Windows are independent, so they can be evaluated by a thread pool; results
 are merged in grid order and are bit-identical for any worker count. The n
 samples inside a window are equally spaced including both window edges; no
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import xy_exact
 from .errors import ConfigurationError, DegenerateWindowError
-from .firstdigit import ReferenceDistribution, histogram, rescale_unit
+from .firstdigit import DigitHistogram, ReferenceDistribution, histogram, rescale_unit
 from .violation import Metric, violation
 
 
@@ -99,7 +102,8 @@ def _check_regime(config: ScanConfig) -> None:
             )
 
 
-def _evaluate(config: ScanConfig, lams: np.ndarray) -> np.ndarray:
+def evaluate(config: ScanConfig, lams: np.ndarray) -> np.ndarray:
+    """The configured observable at each lambda in lams."""
     obs = config.observable
     if obs is Observable.MZ:
         if config.n_sites is not None:
@@ -119,18 +123,30 @@ def window_centers(config: ScanConfig) -> np.ndarray:
     return a + config.lambda_step * np.arange(m + 1)
 
 
-def _one_window(config: ScanConfig, center: float) -> tuple[float, float | None]:
+def window_samples(config: ScanConfig, center: float) -> tuple[float, np.ndarray]:
+    """Midpoint and sample points of the window around center, clipped to
+    the scan range."""
     a, b = config.lambda_range
     lo = float(max(a, center - config.window_width / 2.0))
     hi = float(min(b, center + config.window_width / 2.0))
-    mid = 0.5 * (lo + hi)
-    samples = np.linspace(lo, hi, config.samples_per_window)
-    values = _evaluate(config, samples)
+    return 0.5 * (lo + hi), np.linspace(lo, hi, config.samples_per_window)
+
+
+def window_histogram(values: np.ndarray) -> DigitHistogram | None:
+    """First-digit histogram of a window's values rescaled to [0, 1], or None
+    for a flat (degenerate) window. It is free of the law and the metric."""
     try:
-        rescaled = rescale_unit(values)
+        return histogram(rescale_unit(values))
     except DegenerateWindowError:
+        return None
+
+
+def _one_window(config: ScanConfig, center: float) -> tuple[float, float | None]:
+    mid, lams = window_samples(config, center)
+    hist = window_histogram(evaluate(config, lams))
+    if hist is None:
         return mid, None
-    return mid, violation(histogram(rescaled), config.dist, config.metric)
+    return mid, violation(hist, config.dist, config.metric)
 
 
 def scan(config: ScanConfig, workers: int = 1) -> ScanResult:

@@ -231,6 +231,20 @@ class TestCrossover:
     def test_bad_t_list(self, tmp_path):
         assert run_cli(["crossover", "--t-list", "a,b", "--out", str(tmp_path)]) == 3
 
+    def test_bvp_quick_and_worker_independent(self, tmp_path):
+        csvs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            code = run_cli([
+                "crossover", "--quantity", "bvp", "--t-list", "1e-4,2e-4,5e-4",
+                "--samples", "600", "--workers", workers, "--out", str(out),
+            ])
+            assert code == 0
+            csvs.append((out / "crossover_bvp.csv").read_bytes())
+        rows = csvs[0].decode().splitlines()[1:]
+        assert sorted(r.rsplit(",", 1)[1] for r in rows) == ["left"] * 3 + ["right"] * 3
+        assert csvs[0] == csvs[1]
+
 
 class TestOutputPlumbing:
     def test_out_path_collides_with_file(self, tmp_path):

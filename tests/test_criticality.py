@@ -24,7 +24,9 @@ from benford_xy.errors import (
 )
 from benford_xy.firstdigit import ReferenceDistribution
 from benford_xy.numerics import PolyFit
-from benford_xy.windowscan import Observable, ScanConfig, ScanResult
+from benford_xy.violation import violation
+from benford_xy.windowscan import Observable, ScanConfig, ScanResult, window_histogram
+from benford_xy.xy_exact import mz_infinite_many
 
 
 def synthetic_result(mids, f, lambda_range=(0.9, 1.06)):
@@ -297,14 +299,53 @@ class TestCrossoverLines:
             crossover_lines(CrossoverQuantity.DMZDT, 1.0, (0.0, 1e-4, 2e-4))
 
     def test_bvp_window_deltas_finite(self):
-        deltas = criticality._bvp_deltas(
-            centers=np.array([0.9996, 0.9998, 1.0002]),
-            gamma=1.0,
-            t_tilde=2e-4,
-            eps=1e-4,
-            samples=600,
-            dist=ReferenceDistribution.benford(),
-            metric=criticality.Metric.MEAN_DEVIATION,
+        # 600 samples per window still give finite deltas that bracket both
+        # ridge extrema on the correct side of lambda = 1
+        lines = crossover_lines(
+            CrossoverQuantity.BVP, 1.0, (1e-4, 2e-4, 5e-4), samples=600
         )
-        assert deltas.shape == (3,)
+        assert lines.warnings == ()
+        assert len(lines.ridge_points) == 6
+        for lam, _, branch in lines.ridge_points:
+            assert np.isfinite(lam)
+            assert (lam < 1.0) == (branch == "left")
+
+
+class TestViolationLattice:
+    T = 2e-4
+    SAMPLES = 600
+    GRID = RidgeGrid()
+
+    def test_stride(self):
+        grid = RidgeGrid(step=0.025)
+        assert grid.stride(12_000, 1.0) == 300
+        assert grid.stride(3000, 1.0) == 75
+        assert grid.stride(10, 1.0) == 1
+
+    def test_windows_are_symmetric_slices_around_centers(self):
+        lattice = self.GRID.lattice(self.T, self.SAMPLES, 1.0)
+        m = self.GRID.stride(self.SAMPLES, 1.0)
+        centers = self.GRID.centers(self.T)
+        assert lattice.size == (centers.size - 1) * m + self.SAMPLES
+        assert np.allclose(np.diff(lattice), self.GRID.step * self.T / m, rtol=1e-9, atol=0)
+        for i, c in enumerate(centers):
+            window = lattice[i * m : i * m + self.SAMPLES]
+            assert np.allclose(window - c, (c - window)[::-1], rtol=0, atol=1e-15)
+        # a window spans (samples - 1) lattice steps, (1 - 1/samples) t here
+        span = lattice[self.SAMPLES - 1] - lattice[0]
+        assert span == pytest.approx((1 - 1 / self.SAMPLES) * self.T, rel=1e-9)
+
+    def test_lattice_deltas_match_per_window_evaluation(self):
+        benford = ReferenceDistribution.benford()
+        metric = criticality.Metric.MEAN_DEVIATION
+        deltas = criticality._bvp_deltas(
+            1.0, self.T, self.GRID, 1.0, self.SAMPLES, benford, metric
+        )
+        lattice = self.GRID.lattice(self.T, self.SAMPLES, 1.0)
+        m = self.GRID.stride(self.SAMPLES, 1.0)
+        assert deltas.shape == self.GRID.centers(self.T).shape
         assert np.all(np.isfinite(deltas)) and np.all(deltas >= 0)
+        for i, got in enumerate(deltas):
+            window = lattice[i * m : i * m + self.SAMPLES]
+            values = mz_infinite_many(window, 1.0, 1.0 / self.T)
+            assert got == violation(window_histogram(values), benford, metric)

@@ -102,7 +102,7 @@ class TestScan:
 
     def test_flat_observable_marks_windows_degenerate(self, monkeypatch):
         monkeypatch.setattr(
-            windowscan, "_evaluate", lambda config, lams: np.zeros_like(lams)
+            windowscan, "evaluate", lambda config, lams: np.zeros_like(lams)
         )
         r = scan(small_config())
         assert r.points == ()

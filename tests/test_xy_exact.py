@@ -185,3 +185,23 @@ class TestDmzDT:
         # sech^2(dispersion / 2t) is exponentially negligible when the gap
         # dwarfs the temperature
         assert abs(dmz_dT(0.5, 1.0, 1e-4)) < 1e-12
+
+
+class TestRowBlocks:
+    # more rows than one block of any kernel (at least 256 nodes a row)
+    N = 2 * (xy_exact._BLOCK_CELLS // 256) + 1
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda lams: xy_exact.mz_infinite_many(lams, 1.0, 1.0 / 3e-4),
+            lambda lams: xy_exact.correlator_g_many(-1, lams, 0.5),
+            lambda lams: xy_exact.dmz_dT_many(lams, 1.0, 3e-4),
+        ],
+        ids=["mz_infinite_many", "correlator_g_many", "dmz_dT_many"],
+    )
+    def test_one_call_equals_calls_on_halves(self, kernel):
+        lams = np.linspace(0.999, 1.001, self.N)
+        half = self.N // 2
+        whole = kernel(lams)
+        assert np.array_equal(whole, np.concatenate([kernel(lams[:half]), kernel(lams[half:])]))
