@@ -12,21 +12,12 @@ from .errors import (
     NoTransitionError,
     SingularFitError,
 )
-from .numerics import LineFit, PolyFit, integrate, linfit, polyfit
-from .xy_exact import (
-    ModelParams,
-    correlator_g,
-    diagonal_correlators,
-    dispersion,
-    dmz_dT,
-    mz_finite,
-    mz_infinite,
-)
+from .numerics import LineFit, PolyFit, linfit, polyfit
+from .xy_exact import ModelParams, diagonal_correlators, dispersion, mz_infinite
 from .firstdigit import (
     DigitHistogram,
     ReferenceDistribution,
     expected_counts,
-    first_significant_digit,
     histogram,
     probabilities,
     rescale_unit,
@@ -75,19 +66,14 @@ __all__ = [
     "SingularFitError",
     "TransitionEstimate",
     "auto_fit_range",
-    "correlator_g",
     "crossover_lines",
     "default_signature",
     "diagonal_correlators",
     "dispersion",
-    "dmz_dT",
     "expected_counts",
-    "first_significant_digit",
     "histogram",
-    "integrate",
     "linfit",
     "locate_transition",
-    "mz_finite",
     "mz_infinite",
     "polyfit",
     "probabilities",

@@ -262,6 +262,10 @@ class RidgeGrid:
     span: float = RIDGE_SPAN
     step: float = RIDGE_STEP
 
+    def __post_init__(self):
+        if not (0.0 < self.span < math.inf and 0.0 < self.step < math.inf):
+            raise ConfigurationError("ridge span and step must be positive and finite")
+
     def centers(self, t_tilde: float) -> np.ndarray:
         u = np.arange(-self.span, self.span + 1e-12, self.step)
         return 1.0 + t_tilde * u
@@ -403,8 +407,15 @@ def crossover_lines(
     """
     quantity = CrossoverQuantity(quantity)
     ts = [float(t) for t in t_grid]
-    if any(not (t > 0) for t in ts):
-        raise ConfigurationError("t_grid values must be positive")
+    if not ts:
+        raise ConfigurationError("t_grid must hold at least one temperature")
+    for t in ts:
+        # beta_tilde = 1/t; t = 0 has none and goes in as 0, which is rejected
+        xy_exact.check_model(gamma, 1.0 / t if t else 0.0)
+    if not (0.0 < window_ratio < math.inf):
+        raise ConfigurationError("window_ratio must be positive and finite")
+    if samples < 2:
+        raise ConfigurationError("samples must be at least 2")
     grid = lambda_grid or RidgeGrid()
 
     def run(t: float):

@@ -100,12 +100,6 @@ def digits_of(values) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def first_significant_digit(x: float) -> int | None:
-    """Leading nonzero decimal digit of |x|; None exactly when x = 0."""
-    d = int(digits_of([x])[0])
-    return d if d else None
-
-
 def rescale_unit(values) -> np.ndarray:
     """Affine map of the data onto [0, 1]; order preserving.
 

@@ -71,26 +71,6 @@ def composite_nodes(edges, order: int = PANEL_ORDER) -> tuple[np.ndarray, np.nda
     return x, w
 
 
-def integrate(f, a: float, b: float, nodes: int = 256) -> float:
-    """Definite integral of f over [a, b] by composite Gauss-Legendre.
-
-    f may be scalar-valued or vectorized over numpy arrays. A non-finite
-    evaluation aborts with the offending abscissa named.
-    """
-    x, w = gauss_nodes(a, b, nodes)
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        y = np.array([float(f(xi)) for xi in x])
-    bad = ~np.isfinite(y)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise DomainError(f"integrand not finite at x={x[i]!r}")
-    return float(w @ y)
-
-
 def _as_xy(points) -> tuple[np.ndarray, np.ndarray]:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:

@@ -3,9 +3,8 @@ reference digit law.
 
 Three metrics. MeanDeviation sums |O_D - E_D| / E_D over digits and is
 scale-free because each term is a ratio of counts. StandardDeviation and
-Bhattacharya are computed on relative frequencies by default so their values
-do not depend on the sample size; a counts mode reproduces the literal
-count-based formulas for comparison runs.
+Bhattacharya are computed on relative frequencies, so their values do not
+depend on the sample size either.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ class Metric(enum.Enum):
     BHATTACHARYA = "bhattacharya"
 
 
-def violation(
-    hist: DigitHistogram,
-    dist: ReferenceDistribution,
-    metric: Metric,
-    counts_mode: bool = False,
-) -> float:
+def violation(hist: DigitHistogram, dist: ReferenceDistribution, metric: Metric) -> float:
     """Nonnegative distance of hist from dist under the chosen metric."""
     if hist.total == 0:
         raise EmptyHistogramError("violation undefined for an empty histogram")
@@ -37,13 +31,8 @@ def violation(
     if metric is Metric.MEAN_DEVIATION:
         expected = expected_counts(dist, hist.total)
         return float((np.abs(observed - expected) / expected).sum())
-    p = probabilities(dist)
-    if counts_mode:
-        o = observed
-        q = expected_counts(dist, hist.total)
-    else:
-        o = observed / hist.total
-        q = p
+    o = observed / hist.total
+    q = probabilities(dist)
     if metric is Metric.STANDARD_DEVIATION:
         return float(np.sqrt(((o - q) ** 2).sum()) / 3.0)
     if metric is Metric.BHATTACHARYA:

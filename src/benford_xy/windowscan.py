@@ -62,12 +62,14 @@ class ScanConfig:
             raise ConfigurationError("window_width must be positive and smaller than the range")
         if self.samples_per_window < 2:
             raise ConfigurationError("samples_per_window must be at least 2")
-        if not (self.beta_tilde > 0):
-            raise ConfigurationError("beta_tilde must be positive (inf means T=0)")
-        if self.n_sites is not None and (self.n_sites < 4 or self.n_sites % 2):
-            raise ConfigurationError("n_sites must be an even integer >= 4")
-        if self.gamma == 0.0 or not np.isfinite(self.gamma):
-            raise ConfigurationError("gamma must be finite and nonzero")
+        xy_exact.check_model(self.gamma, self.beta_tilde, self.n_sites)
+        if self.observable in _CORRELATORS and (
+            self.n_sites is not None or not math.isinf(self.beta_tilde)
+        ):
+            raise ConfigurationError(
+                f"{self.observable.value} requires the infinite lattice (n_sites absent)"
+                " at zero temperature (t = zero)"
+            )
 
     @property
     def t_tilde(self) -> float:
@@ -88,18 +90,6 @@ class ScanResult:
 
     def deltas(self) -> np.ndarray:
         return np.array([p[1] for p in self.points])
-
-
-def _check_regime(config: ScanConfig) -> None:
-    if config.observable in _CORRELATORS:
-        if config.n_sites is not None:
-            raise ConfigurationError(
-                f"{config.observable.value} requires the infinite lattice (n_sites absent)"
-            )
-        if not math.isinf(config.beta_tilde):
-            raise ConfigurationError(
-                f"{config.observable.value} requires zero temperature (t = zero)"
-            )
 
 
 def evaluate(config: ScanConfig, lams: np.ndarray) -> np.ndarray:
@@ -155,7 +145,6 @@ def scan(config: ScanConfig, workers: int = 1) -> ScanResult:
     Degenerate windows (flat observable) are skipped and their midpoints
     recorded, never silently zeroed.
     """
-    _check_regime(config)
     centers = window_centers(config)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -2,9 +2,11 @@
 
 Everything here evaluates exact expressions: the finite-chain magnetization is
 a sum over Fourier modes, the thermodynamic-limit quantities are single
-integrals over [0, pi]. Zero temperature is the distinguished value
-beta_tilde = inf, in which case the thermal factor tanh(beta_tilde * L / 2)
-is replaced by 1 exactly rather than evaluated at a large float.
+integrals over [0, pi]. Both are one row-blocked weighted sum, over the modes
+with unit weights or over quadrature nodes. Zero temperature is the
+distinguished value beta_tilde = inf, in which case the thermal factor
+tanh(beta_tilde * L / 2) is replaced by 1 exactly rather than evaluated at a
+large float.
 
 Temperature-dependent integrands develop structure of width ~T_tilde in the
 dispersion, concentrated where the dispersion is smallest (phi = 0, phi = pi,
@@ -33,6 +35,21 @@ DEFAULT_NODES = 256
 _BLOCK_CELLS = 1 << 15
 
 
+def check_model(gamma: float, beta_tilde: float = math.inf,
+                n_sites: int | None = None) -> None:
+    """Reject model parameters outside the chain's domain: gamma must be
+    finite and nonzero, beta_tilde positive (inf means T = 0), and n_sites
+    absent (infinite lattice) or an even integer >= 4."""
+    if gamma == 0.0 or not np.isfinite(gamma):
+        raise ConfigurationError(f"gamma must be finite and nonzero, got {gamma!r}")
+    if not (beta_tilde > 0.0):
+        raise ConfigurationError(
+            f"beta_tilde must be positive (inf means T=0), got {beta_tilde!r}"
+        )
+    if n_sites is not None and (n_sites < 4 or n_sites % 2):
+        raise ConfigurationError(f"n_sites must be an even integer >= 4, got {n_sites!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical configuration: anisotropy, reduced field, reduced inverse
@@ -44,29 +61,9 @@ class ModelParams:
     n_sites: int | None = None
 
     def __post_init__(self):
-        if self.gamma == 0.0 or not np.isfinite(self.gamma):
-            raise ConfigurationError("gamma must be finite and nonzero")
+        check_model(self.gamma, self.beta_tilde, self.n_sites)
         if not np.isfinite(self.lam):
             raise ConfigurationError("lambda must be finite")
-        if not (self.beta_tilde > 0.0):
-            raise ConfigurationError("beta_tilde must be positive (inf means T=0)")
-        if self.n_sites is not None:
-            if self.n_sites < 4 or self.n_sites % 2 != 0:
-                raise ConfigurationError("n_sites must be an even integer >= 4")
-
-    @classmethod
-    def at_temperature(
-        cls, gamma: float, lam: float, t_tilde: float, n_sites: int | None = None
-    ) -> "ModelParams":
-        """Build params from a reduced temperature; t_tilde = 0 means exact T=0."""
-        if t_tilde < 0.0:
-            raise ConfigurationError("t_tilde must be >= 0")
-        beta = math.inf if t_tilde == 0.0 else 1.0 / t_tilde
-        return cls(gamma=gamma, lam=lam, beta_tilde=beta, n_sites=n_sites)
-
-    @property
-    def t_tilde(self) -> float:
-        return 0.0 if math.isinf(self.beta_tilde) else 1.0 / self.beta_tilde
 
 
 def dispersion(lam, gamma, phi):
@@ -155,6 +152,18 @@ def _row_quadrature(integrand, lams: np.ndarray, gamma: float,
     return out
 
 
+def _mz_integrand(beta_tilde: float):
+    """(cos phi - lambda) / L * tanh(beta_tilde L / 2), in place."""
+    def integrand(d, disp):
+        d /= disp
+        if not math.isinf(beta_tilde):
+            disp *= 0.5 * beta_tilde
+            d *= np.tanh(disp, out=disp)
+        return d
+
+    return integrand
+
+
 def mz_infinite_many(lams, gamma: float, beta_tilde: float = math.inf,
                      nodes: int = DEFAULT_NODES) -> np.ndarray:
     """Thermodynamic-limit transverse magnetization for an array of lambda."""
@@ -163,15 +172,7 @@ def mz_infinite_many(lams, gamma: float, beta_tilde: float = math.inf,
         phi, w = numerics.gauss_nodes(0.0, math.pi, nodes)
     else:
         phi, w = _thermal_rule(gamma, 1.0 / beta_tilde, lams.min(), lams.max())
-
-    def integrand(d, disp):
-        d /= disp
-        if not math.isinf(beta_tilde):
-            disp *= 0.5 * beta_tilde
-            d *= np.tanh(disp, out=disp)
-        return d
-
-    return -_row_quadrature(integrand, lams, gamma, phi, w) / math.pi
+    return -_row_quadrature(_mz_integrand(beta_tilde), lams, gamma, phi, w) / math.pi
 
 
 def mz_infinite(params: ModelParams, nodes: int = DEFAULT_NODES) -> float:
@@ -183,26 +184,20 @@ def mz_infinite(params: ModelParams, nodes: int = DEFAULT_NODES) -> float:
 
 def mz_finite_many(lams, gamma: float, n_sites: int,
                    beta_tilde: float = math.inf) -> np.ndarray:
-    """Finite-chain transverse magnetization for an array of lambda."""
-    p = np.arange(1, n_sites // 2 + 1)
-    phi = 2.0 * math.pi * p / n_sites
-    lam = np.atleast_1d(np.asarray(lams, dtype=float))[:, None]
-    c = np.cos(phi)[None, :]
-    disp = np.sqrt((gamma * np.sin(phi))[None, :] ** 2 + (c - lam) ** 2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        term = np.where(disp > 0.0, (c - lam) / disp, 0.0)
-    if not math.isinf(beta_tilde):
-        term = term * np.tanh(0.5 * beta_tilde * disp)
-    return -(2.0 / n_sites) * term.sum(axis=1)
+    """Finite-chain transverse magnetization for an array of lambda: the Mz
+    integrand summed over the modes phi_p = 2 pi p / N, p = 1..N/2."""
+    phi = 2.0 * math.pi * np.arange(1, n_sites // 2 + 1) / n_sites
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    mz = _mz_integrand(beta_tilde)
 
+    def integrand(d, disp):
+        # A mode of zero energy (phi = pi at lambda = -1, where d = 0 too)
+        # adds 0: d / inf is 0 and tanh(inf) is 1. Gauss nodes never reach
+        # L = 0, so the infinite lattice goes without this pass.
+        disp[disp == 0.0] = math.inf
+        return mz(d, disp)
 
-def mz_finite(params: ModelParams) -> float:
-    """Transverse magnetization of the finite chain (exact mode sum)."""
-    if params.n_sites is None:
-        raise ConfigurationError("mz_finite requires n_sites")
-    return float(
-        mz_finite_many([params.lam], params.gamma, params.n_sites, params.beta_tilde)[0]
-    )
+    return -(2.0 / n_sites) * _row_quadrature(integrand, lams, gamma, phi, np.ones(phi.size))
 
 
 def correlator_g_many(r: int, lams, gamma: float,
@@ -224,20 +219,14 @@ def correlator_g_many(r: int, lams, gamma: float,
     return _row_quadrature(integrand, lams, gamma, phi, w) / math.pi
 
 
-def correlator_g(r: int, lam: float, gamma: float, nodes: int = DEFAULT_NODES) -> float:
-    """G(r, lambda) for r in {-1, +1}; zero temperature, infinite lattice."""
-    return float(correlator_g_many(r, [lam], gamma, nodes)[0])
-
-
 def diagonal_correlators(lam: float, gamma: float,
                          nodes: int = DEFAULT_NODES) -> tuple[float, float, float]:
     """(Cxx, Cyy, Czz) nearest-neighbour correlators at T=0, infinite lattice.
 
     Cxx = G(-1), Cyy = G(+1), Czz = Mz^2 - G(-1) G(+1).
     """
-    g_minus = correlator_g(-1, lam, gamma, nodes)
-    g_plus = correlator_g(1, lam, gamma, nodes)
-    mz = mz_infinite(ModelParams(gamma=gamma, lam=lam), nodes)
+    g_minus, g_plus = (float(correlator_g_many(r, [lam], gamma, nodes)[0]) for r in (-1, 1))
+    mz = float(mz_infinite_many([lam], gamma, nodes=nodes)[0])
     return g_minus, g_plus, mz * mz - g_minus * g_plus
 
 
@@ -255,7 +244,3 @@ def dmz_dT_many(lams, gamma: float, t_tilde: float) -> np.ndarray:
 
     return _row_quadrature(integrand, lams, gamma, phi, w) / (2.0 * math.pi * t_tilde * t_tilde)
 
-
-def dmz_dT(lam: float, gamma: float, t_tilde: float) -> float:
-    """d Mz / d T_tilde from the analytically differentiated integrand."""
-    return float(dmz_dT_many([lam], gamma, t_tilde)[0])

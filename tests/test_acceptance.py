@@ -41,9 +41,9 @@ from benford_xy.violation import Metric, violation
 from benford_xy.windowscan import Observable, ScanConfig, ScanResult, scan, window_centers
 from benford_xy.xy_exact import (
     ModelParams,
-    correlator_g,
-    dmz_dT,
-    mz_finite,
+    correlator_g_many,
+    dmz_dT_many,
+    mz_finite_many,
     mz_infinite,
     mz_infinite_many,
 )
@@ -130,9 +130,9 @@ def test_cached_windows_match_public_scan():
 
 def test_criterion_01_closed_form_anchors():
     mz_c = mz_infinite(ModelParams(gamma=1.0, lam=1.0))
-    mz_4 = mz_finite(ModelParams(gamma=1.0, lam=0.0, n_sites=4))
-    cxx = correlator_g(-1, 0.0, 1.0)
-    cyy = correlator_g(1, 0.0, 1.0)
+    mz_4 = mz_finite_many([0.0], 1.0, 4)[0]
+    cxx = correlator_g_many(-1, [0.0], 1.0)[0]
+    cyy = correlator_g_many(1, [0.0], 1.0)[0]
     ok = (abs(mz_c - 2.0 / math.pi) < 1e-8 and abs(mz_4 - 0.5) < 1e-12
           and abs(cxx + 1.0) < 1e-8 and abs(cyy) < 1e-8)
     report(1, ok, f"mz_inf(1,1)-2/pi={mz_c - 2.0 / math.pi:.1e}, mz_fin(N=4)={mz_4}, "
@@ -355,7 +355,7 @@ def test_criterion_11_log_mantissa_oracle():
 def test_criterion_12_numerics_bundle():
     inf_v = mz_infinite(ModelParams(gamma=0.5, lam=0.5))
     gaps = [
-        abs(mz_finite(ModelParams(gamma=0.5, lam=0.5, n_sites=n)) - inf_v)
+        abs(mz_finite_many([0.5], 0.5, n)[0] - inf_v)
         for n in (100, 400, 1600)
     ]
     conv_ok = gaps[0] > gaps[1] > gaps[2]
@@ -366,7 +366,7 @@ def test_criterion_12_numerics_bundle():
         h = 1e-6 * t
         for u in us:
             lam = 1.0 + u * t
-            ana = dmz_dT(lam, 1.0, t)
+            ana = dmz_dT_many([lam], 1.0, t)[0]
             fd = (mz_infinite_many([lam], 1.0, 1.0 / (t + h))[0]
                   - mz_infinite_many([lam], 1.0, 1.0 / (t - h))[0]) / (2.0 * h)
             worst = max(worst, abs(fd - ana) / abs(ana))

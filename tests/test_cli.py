@@ -231,6 +231,26 @@ class TestCrossover:
     def test_bad_t_list(self, tmp_path):
         assert run_cli(["crossover", "--t-list", "a,b", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--window-ratio", "0"],
+            ["--step", "0"],
+            ["--step", "-0.025"],
+            ["--span", "0"],
+            ["--gamma", "nan"],
+            ["--gamma", "0"],
+            ["--samples", "0"],
+            ["--samples", "1"],
+            ["--t-list", ","],
+            ["--t-list", "1e-4,2e-4,inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_is_configuration_error(self, tmp_path, flags):
+        argv = ["crossover", "--t-list", "1e-4,2e-4,5e-4", "--out", str(tmp_path)]
+        assert run_cli(argv + flags) == 3
+
     def test_bvp_quick_and_worker_independent(self, tmp_path):
         csvs = []
         for workers in ("1", "2"):

@@ -9,7 +9,6 @@ from benford_xy.firstdigit import (
     DigitHistogram,
     ReferenceDistribution,
     expected_counts,
-    first_significant_digit,
     histogram,
     probabilities,
     rescale_unit,
@@ -22,15 +21,15 @@ class TestFirstSignificantDigit:
         [(0.00345, 3), (1.0, 1), (999_999.0, 9), (-273.15, 2), (7e-30, 7), (9.999e20, 9)],
     )
     def test_examples(self, x, digit):
-        assert first_significant_digit(x) == digit
+        assert firstdigit.digits_of([x])[0] == digit
 
     def test_zero_has_no_digit(self):
-        assert first_significant_digit(0.0) is None
+        assert firstdigit.digits_of([0.0])[0] == 0
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rejected(self, x):
         with pytest.raises(DomainError):
-            first_significant_digit(x)
+            firstdigit.digits_of([x])
 
     def test_decade_and_sign_invariance_sampled(self):
         rng = np.random.default_rng(7)

@@ -8,18 +8,6 @@ from benford_xy.errors import DomainError, SingularFitError
 
 
 class TestIntegrate:
-    def test_sine_over_half_period(self):
-        assert numerics.integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
-
-    def test_polynomial(self):
-        assert numerics.integrate(lambda x: x * x, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-13)
-
-    def test_scalar_only_callable(self):
-        def f(x):
-            return math.exp(float(x))
-
-        assert numerics.integrate(f, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
-
     def test_default_node_count(self):
         x, w = numerics.gauss_nodes(0.0, math.pi, 256)
         assert x.size == 256
@@ -33,20 +21,15 @@ class TestIntegrate:
         x, _ = numerics.gauss_nodes(0.0, 1.0, 64)
         assert x.min() > 0.0 and x.max() < 1.0
 
-    def test_nonfinite_integrand_names_abscissa(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(DomainError, match=r"x="):
-                numerics.integrate(lambda x: 1.0 / (x - x), 0.0, 1.0)
-
     def test_invalid_interval(self):
         with pytest.raises(DomainError):
-            numerics.integrate(np.sin, 1.0, 0.0)
+            numerics.gauss_nodes(1.0, 0.0, 256)
         with pytest.raises(DomainError):
-            numerics.integrate(np.sin, 0.0, math.inf)
+            numerics.gauss_nodes(0.0, math.inf, 256)
 
     def test_too_few_nodes(self):
         with pytest.raises(DomainError):
-            numerics.integrate(np.sin, 0.0, 1.0, nodes=1)
+            numerics.gauss_nodes(0.0, 1.0, 1)
 
 
 class TestPolyfit:

@@ -58,18 +58,6 @@ class TestScaleInvariance:
         b = ReferenceDistribution.benford()
         assert violation(h7, b, metric) == pytest.approx(violation(h1, b, metric), rel=1e-12)
 
-    def test_counts_mode_restores_sample_size_dependence(self):
-        counts = [120, 80, 64, 50, 44, 38, 33, 30, 27]
-        h = _hist(counts)
-        b = ReferenceDistribution.benford()
-        sd_freq = violation(h, b, Metric.STANDARD_DEVIATION)
-        sd_counts = violation(h, b, Metric.STANDARD_DEVIATION, counts_mode=True)
-        assert sd_counts == pytest.approx(h.total * sd_freq, rel=1e-12)
-        # mean deviation is a ratio of counts either way
-        assert violation(h, b, Metric.MEAN_DEVIATION, counts_mode=True) == pytest.approx(
-            violation(h, b, Metric.MEAN_DEVIATION), rel=1e-12
-        )
-
 
 class TestAxioms:
     @pytest.mark.parametrize("metric", list(Metric))

@@ -57,6 +57,12 @@ class TestScanConfig:
     def test_t_tilde_inverse_of_beta(self):
         assert small_config(beta_tilde=200.0).t_tilde == pytest.approx(0.005)
 
+    def test_correlator_config_rejected_when_built(self):
+        # evaluate() takes a config without going through scan()
+        with pytest.raises(ConfigurationError):
+            ScanConfig(observable=Observable.CXX, gamma=1.0, lambda_range=(0.9, 1.1),
+                       n_sites=8)
+
     @pytest.mark.parametrize("observable", [Observable.CXX, Observable.CYY, Observable.CZZ])
     def test_correlators_only_at_zero_temperature_infinite_chain(self, observable):
         with pytest.raises(ConfigurationError):

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import benford_xy
 from benford_xy import ModelParams, xy_exact
 from benford_xy.errors import ConfigurationError, DomainError
 from benford_xy.xy_exact import (
-    correlator_g,
+    correlator_g_many,
     diagonal_correlators,
     dispersion,
-    dmz_dT,
-    mz_finite,
+    dmz_dT_many,
+    mz_finite_many,
     mz_infinite,
 )
 
@@ -32,18 +33,9 @@ class TestModelParams:
         with pytest.raises(ConfigurationError):
             ModelParams(gamma=1.0, lam=1.0, n_sites=2)
 
-    def test_at_temperature_zero_is_exact_branch(self):
-        p = ModelParams.at_temperature(1.0, 0.5, 0.0)
-        assert math.isinf(p.beta_tilde)
-        assert p.t_tilde == 0.0
-
-    def test_at_temperature_roundtrip(self):
-        p = ModelParams.at_temperature(1.0, 0.5, 2.5e-4)
-        assert p.t_tilde == pytest.approx(2.5e-4, rel=1e-15)
-
     def test_negative_temperature_rejected(self):
         with pytest.raises(ConfigurationError):
-            ModelParams.at_temperature(1.0, 0.5, -1e-4)
+            ModelParams(gamma=1.0, lam=0.5, beta_tilde=1.0 / -1e-4)
 
 
 class TestDispersion:
@@ -92,64 +84,60 @@ class TestMzInfinite:
 
     def test_thermal_value_between_zero_and_ground_state(self):
         cold = mz_infinite(ModelParams(gamma=1.0, lam=1.0))
-        warm = mz_infinite(ModelParams.at_temperature(1.0, 1.0, 0.5))
+        warm = mz_infinite(ModelParams(gamma=1.0, lam=1.0, beta_tilde=1.0 / 0.5))
         assert 0.0 < warm < cold
 
 
 class TestMzFinite:
     def test_four_site_zero_field(self):
-        v = mz_finite(ModelParams(gamma=1.0, lam=0.0, n_sites=4))
+        v = mz_finite_many([0.0], 1.0, 4)[0]
         assert v == pytest.approx(0.5, abs=1e-12)
-
-    def test_requires_n_sites(self):
-        with pytest.raises(ConfigurationError):
-            mz_finite(ModelParams(gamma=1.0, lam=0.0))
 
     def test_converges_to_infinite(self):
         # the half-circle mode sum includes phi = pi but not phi = 0, so on
         # the ordered side it sits exactly 2/N above the integral
         inf_v = mz_infinite(ModelParams(gamma=0.5, lam=0.5))
-        fin_v = mz_finite(ModelParams(gamma=0.5, lam=0.5, n_sites=2000))
+        fin_v = mz_finite_many([0.5], 0.5, 2000)[0]
         assert fin_v - inf_v == pytest.approx(2.0 / 2000, abs=1e-12)
 
     def test_converges_fast_on_disordered_side(self):
         # for lambda > 1 the boundary terms cancel and the mode sum is a
         # full-period trapezoid rule: agreement at modest N is near exact
         inf_v = mz_infinite(ModelParams(gamma=0.5, lam=1.5))
-        fin_v = mz_finite(ModelParams(gamma=0.5, lam=1.5, n_sites=100))
+        fin_v = mz_finite_many([1.5], 0.5, 100)[0]
         assert abs(fin_v - inf_v) < 1e-10
 
     def test_discrepancy_decreases_monotonically(self):
         inf_v = mz_infinite(ModelParams(gamma=0.5, lam=0.5))
         gaps = [
-            abs(mz_finite(ModelParams(gamma=0.5, lam=0.5, n_sites=n)) - inf_v)
+            abs(mz_finite_many([0.5], 0.5, n)[0] - inf_v)
             for n in (100, 400, 1600)
         ]
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_zero_mode_guarded(self):
         # at lambda = -1 the phi = pi mode has zero energy; its term drops out
-        v = mz_finite(ModelParams(gamma=1.0, lam=-1.0, n_sites=8))
+        v = mz_finite_many([-1.0], 1.0, 8)[0]
         assert math.isfinite(v)
 
 
 class TestCorrelators:
     def test_cxx_zero_field_ising(self):
-        assert correlator_g(-1, 0.0, 1.0) == pytest.approx(-1.0, abs=1e-8)
+        assert correlator_g_many(-1, [0.0], 1.0)[0] == pytest.approx(-1.0, abs=1e-8)
 
     def test_cyy_zero_field_ising(self):
-        assert correlator_g(1, 0.0, 1.0) == pytest.approx(0.0, abs=1e-8)
+        assert correlator_g_many(1, [0.0], 1.0)[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_r_restricted(self):
         with pytest.raises(ConfigurationError):
-            correlator_g(0, 0.5, 1.0)
+            correlator_g_many(0, [0.5], 1.0)
 
     def test_diagonal_construction(self):
         lam, gamma = 0.7, 0.5
         cxx, cyy, czz = diagonal_correlators(lam, gamma)
         mz = mz_infinite(ModelParams(gamma=gamma, lam=lam))
-        assert cxx == pytest.approx(correlator_g(-1, lam, gamma), abs=1e-12)
-        assert cyy == pytest.approx(correlator_g(1, lam, gamma), abs=1e-12)
+        assert cxx == pytest.approx(correlator_g_many(-1, [lam], gamma)[0], abs=1e-12)
+        assert cyy == pytest.approx(correlator_g_many(1, [lam], gamma)[0], abs=1e-12)
         assert czz == pytest.approx(mz * mz - cxx * cyy, abs=1e-12)
 
     @pytest.mark.parametrize("lam", [-2.0, 0.0, 0.5, 1.0, 1.5])
@@ -164,32 +152,32 @@ class TestDmzDT:
         lam, gamma, t = 0.999, 1.0, 2e-3
         h = 1e-6 * t
         fd = (
-            mz_infinite(ModelParams.at_temperature(gamma, lam, t + h))
-            - mz_infinite(ModelParams.at_temperature(gamma, lam, t - h))
+            mz_infinite(ModelParams(gamma=gamma, lam=lam, beta_tilde=1.0 / (t + h)))
+            - mz_infinite(ModelParams(gamma=gamma, lam=lam, beta_tilde=1.0 / (t - h)))
         ) / (2 * h)
-        assert dmz_dT(lam, gamma, t) == pytest.approx(fd, rel=1e-6)
+        assert dmz_dT_many([lam], gamma, t)[0] == pytest.approx(fd, rel=1e-6)
 
     def test_requires_positive_temperature(self):
         with pytest.raises(DomainError):
-            dmz_dT(1.0, 1.0, 0.0)
+            dmz_dT_many([1.0], 1.0, 0.0)[0]
         with pytest.raises(DomainError):
-            dmz_dT(1.0, 1.0, -1e-4)
+            dmz_dT_many([1.0], 1.0, -1e-4)[0]
 
     def test_sign_flips_across_transition(self):
         t = 1e-4
-        left = dmz_dT(1.0 - 2.0 * t, 1.0, t)
-        right = dmz_dT(1.0 + 2.0 * t, 1.0, t)
+        left = dmz_dT_many([1.0 - 2.0 * t], 1.0, t)[0]
+        right = dmz_dT_many([1.0 + 2.0 * t], 1.0, t)[0]
         assert left > 0.0 > right
 
     def test_vanishes_deep_in_gapped_phase(self):
         # sech^2(dispersion / 2t) is exponentially negligible when the gap
         # dwarfs the temperature
-        assert abs(dmz_dT(0.5, 1.0, 1e-4)) < 1e-12
+        assert abs(dmz_dT_many([0.5], 1.0, 1e-4)[0]) < 1e-12
 
 
 class TestRowBlocks:
-    # more rows than one block of any kernel (at least 256 nodes a row)
-    N = 2 * (xy_exact._BLOCK_CELLS // 256) + 1
+    # more rows than one block of any kernel (at least 20 nodes or modes a row)
+    N = 2 * (xy_exact._BLOCK_CELLS // 20) + 1
 
     @pytest.mark.parametrize(
         "kernel",
@@ -197,11 +185,49 @@ class TestRowBlocks:
             lambda lams: xy_exact.mz_infinite_many(lams, 1.0, 1.0 / 3e-4),
             lambda lams: xy_exact.correlator_g_many(-1, lams, 0.5),
             lambda lams: xy_exact.dmz_dT_many(lams, 1.0, 3e-4),
+            lambda lams: xy_exact.mz_finite_many(lams, 0.5, 40),
+            lambda lams: xy_exact.mz_finite_many(lams, 0.5, 40, 1.0 / 0.02),
         ],
-        ids=["mz_infinite_many", "correlator_g_many", "dmz_dT_many"],
+        ids=["mz_infinite_many", "correlator_g_many", "dmz_dT_many",
+             "mz_finite_many_t0", "mz_finite_many_thermal"],
     )
     def test_one_call_equals_calls_on_halves(self, kernel):
         lams = np.linspace(0.999, 1.001, self.N)
         half = self.N // 2
         whole = kernel(lams)
         assert np.array_equal(whole, np.concatenate([kernel(lams[:half]), kernel(lams[half:])]))
+
+
+class TestModeSum:
+    # at gamma = 1e-170 the energy of the phi = pi mode underflows to exactly
+    # 0 at lambda = -1, the zero-dispersion mode the sum must drop
+    @pytest.mark.parametrize("gamma", [0.5, 1e-170])
+    @pytest.mark.parametrize("beta_tilde", [math.inf, 1.0 / 0.02])
+    def test_matches_plain_per_mode_sum(self, gamma, beta_tilde):
+        n = 40
+        lams = np.array([-1.0, -0.3, 0.5, 0.98, 1.0, 1.02, 2.0])
+        want = np.zeros(lams.size)
+        for p in range(1, n // 2 + 1):
+            phi = 2.0 * math.pi * p / n
+            d = math.cos(phi) - lams
+            energy = np.sqrt((gamma * math.sin(phi)) ** 2 + d * d)
+            term = np.zeros(lams.size)
+            live = energy > 0.0
+            term[live] = d[live] / energy[live]
+            if not math.isinf(beta_tilde):
+                term *= np.tanh(0.5 * beta_tilde * energy)
+            want += term
+        want *= -2.0 / n
+        got = mz_finite_many(lams, gamma, n, beta_tilde)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+class TestPackageRoot:
+    # the scalar entry points the benchmark's probes import from the package
+    @pytest.mark.parametrize("lam", [0.5, 1.0 - 1e-3, 1.0 + 1e-3])
+    def test_scalar_observables_are_floats(self, lam):
+        mz = benford_xy.mz_infinite(benford_xy.ModelParams(gamma=1.0, lam=lam))
+        cxx, cyy, czz = benford_xy.diagonal_correlators(lam, 1.0)
+        assert all(type(v) is float for v in (mz, cxx, cyy, czz))
+        assert czz == mz * mz - cxx * cyy
