@@ -98,6 +98,16 @@ def _parse_t(text: str) -> float:
     return 1.0 / t
 
 
+def _parse_workers(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
+    return workers
+
+
 def _parse_n_sites(text: str) -> int | None:
     if text.lower() == "none":
         return None
@@ -285,6 +295,9 @@ def _config_echo(config: ScanConfig) -> dict:
         "metric": config.metric,
         "t_tilde": config.t_tilde,
         "n_sites": config.n_sites,
+        "lattice_stride": config.lattice.stride,
+        "lattice_spacing": config.lattice.spacing,
+        "window_span": config.lattice.span,
     }
 
 
@@ -453,7 +466,7 @@ def cmd_crossover(args) -> int:
 def _add_common_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_parse_workers, default=1)
 
 
 def _add_dist_flags(p: argparse.ArgumentParser) -> None:

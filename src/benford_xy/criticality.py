@@ -40,7 +40,7 @@ from .errors import (
 from .firstdigit import DistKind, ReferenceDistribution
 from .numerics import LineFit, PolyFit
 from .violation import Metric, violation
-from .windowscan import ScanResult, window_histogram
+from .windowscan import ScanResult, WindowLattice, window_histogram
 
 LAMBDA_C = 1.0
 
@@ -271,13 +271,9 @@ class RidgeGrid:
         return 1.0 + t_tilde * u
 
     def stride(self, samples: int, window_ratio: float) -> int:
-        """Lattice points per grid step: the m that makes samples points of
-        spacing step * t_tilde / m span about window_ratio * t_tilde.
-
-        At least 1, so windows of fewer than window_ratio / (2 * step)
-        samples are narrower than asked.
-        """
-        return max(1, round(samples * self.step / window_ratio))
+        """Lattice points per grid step: the WindowLattice stride of samples
+        points spanning about window_ratio (300 at the defaults)."""
+        return WindowLattice(self.step, window_ratio, samples).stride
 
     def lattice(self, t_tilde: float, samples: int, window_ratio: float) -> np.ndarray:
         """One lambda lattice holding every violation window of a temperature.
@@ -287,10 +283,9 @@ class RidgeGrid:
         (samples - 1) * step * t_tilde / m, which is (1 - 1/samples) *
         t_tilde at the defaults.
         """
-        m = self.stride(samples, window_ratio)
+        windows = WindowLattice(self.step, window_ratio, samples)
         n = self.centers(t_tilde).size
-        k = np.arange((n - 1) * m + samples) - 0.5 * (samples - 1)
-        return 1.0 + t_tilde * (-self.span + k * (self.step / m))
+        return 1.0 + t_tilde * (-self.span + windows.offsets(0, (n - 1) * windows.stride + samples))
 
 
 def _bvp_deltas(

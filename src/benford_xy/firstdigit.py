@@ -36,8 +36,10 @@ class ReferenceDistribution:
 
     def __post_init__(self):
         if self.kind is DistKind.POISSON:
-            if self.kappa is None or not (self.kappa > 0):
-                raise ConfigurationError("poisson reference requires kappa > 0")
+            if self.kappa is None or not (0 < self.kappa < math.inf):
+                raise ConfigurationError(
+                    f"poisson reference requires finite kappa > 0, got {self.kappa!r}"
+                )
         elif self.kappa is not None:
             raise ConfigurationError("kappa is only meaningful for the poisson kind")
 

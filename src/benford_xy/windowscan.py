@@ -2,17 +2,21 @@
 small window around each grid point, rescale to [0, 1], histogram first
 digits, and score against a reference law.
 
-The stages (window_samples, evaluate, window_histogram) are public; the
-crossover violation ridges reuse window_histogram on their own windows.
+Every window is a slice of one lambda lattice (WindowLattice), so
+neighbouring windows share their points and each point is evaluated once; a
+window clipped by the scan range keeps only its points inside the range. The
+crossover violation ridges cut their windows from the same kind of lattice.
 
-Windows are independent, so they can be evaluated by a thread pool; results
-are merged in grid order and are bit-identical for any worker count. The n
-samples inside a window are equally spaced including both window edges; no
-randomness enters anywhere in the pipeline.
+The lattice is streamed, never held whole: it is evaluated in segments of
+`stride` points whose bounds depend only on the lattice index, and only the
+values of the windows in hand are kept. Contiguous runs of windows can go to
+a thread pool; results are merged in grid order and are bit-identical for
+any worker count. No randomness enters anywhere in the pipeline.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +38,41 @@ class Observable(enum.Enum):
 
 
 _CORRELATORS = (Observable.CXX, Observable.CYY, Observable.CZZ)
+
+
+@dataclass(frozen=True)
+class WindowLattice:
+    """A row of windows, one grid step apart, cut from one lattice.
+
+    The lattice spacing is step / stride, with stride lattice points per grid
+    step; window i is the lattice points [i * stride, i * stride + samples),
+    centred on the i-th grid point, and spans (samples - 1) * spacing, about
+    width. step and width share one unit (lambda for scans, t_tilde for the
+    crossover ridges).
+    """
+
+    step: float
+    width: float
+    samples: int
+
+    @property
+    def stride(self) -> int:
+        # at least 1, so windows of fewer than width / (2 * step) samples are
+        # narrower than width
+        return max(1, round(self.samples * self.step / self.width))
+
+    @property
+    def spacing(self) -> float:
+        return self.step / self.stride
+
+    @property
+    def span(self) -> float:
+        return (self.samples - 1) * self.spacing
+
+    def offsets(self, start: int, stop: int) -> np.ndarray:
+        """Positions of lattice points start..stop-1 relative to the first
+        window's centre."""
+        return (np.arange(start, stop) - 0.5 * (self.samples - 1)) * self.spacing
 
 
 @dataclass(frozen=True)
@@ -75,6 +114,10 @@ class ScanConfig:
     def t_tilde(self) -> float:
         return 0.0 if math.isinf(self.beta_tilde) else 1.0 / self.beta_tilde
 
+    @property
+    def lattice(self) -> WindowLattice:
+        return WindowLattice(self.lambda_step, self.window_width, self.samples_per_window)
+
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -103,23 +146,14 @@ def evaluate(config: ScanConfig, lams: np.ndarray) -> np.ndarray:
         return xy_exact.correlator_g_many(-1, lams, config.gamma)
     if obs is Observable.CYY:
         return xy_exact.correlator_g_many(1, lams, config.gamma)
-    mz = xy_exact.mz_infinite_many(lams, config.gamma)
-    return mz * mz - xy_exact.correlator_g_many(-1, lams, config.gamma) * xy_exact.correlator_g_many(1, lams, config.gamma)
+    mz, g_minus, g_plus = xy_exact.mz_and_correlators_many(lams, config.gamma)
+    return mz * mz - g_minus * g_plus
 
 
 def window_centers(config: ScanConfig) -> np.ndarray:
     a, b = config.lambda_range
     m = int(math.floor((b - a) / config.lambda_step + 1e-9))
     return a + config.lambda_step * np.arange(m + 1)
-
-
-def window_samples(config: ScanConfig, center: float) -> tuple[float, np.ndarray]:
-    """Midpoint and sample points of the window around center, clipped to
-    the scan range."""
-    a, b = config.lambda_range
-    lo = float(max(a, center - config.window_width / 2.0))
-    hi = float(min(b, center + config.window_width / 2.0))
-    return 0.5 * (lo + hi), np.linspace(lo, hi, config.samples_per_window)
 
 
 def window_histogram(values: np.ndarray) -> DigitHistogram | None:
@@ -131,26 +165,69 @@ def window_histogram(values: np.ndarray) -> DigitHistogram | None:
         return None
 
 
-def _one_window(config: ScanConfig, center: float) -> tuple[float, float | None]:
-    mid, lams = window_samples(config, center)
-    hist = window_histogram(evaluate(config, lams))
-    if hist is None:
-        return mid, None
-    return mid, violation(hist, config.dist, config.metric)
+def window_histograms(
+    config: ScanConfig, windows: range | None = None
+) -> list[tuple[float, DigitHistogram | None]]:
+    """(midpoint, window_histogram) of each window in windows (default: all),
+    in grid order: the part of scan() that is free of the law and the metric.
+
+    Window i holds the points of config.lattice that lie inside the scan
+    range; its midpoint is that of [center -+ width / 2] clipped to the range.
+    """
+    a, b = config.lambda_range
+    centers = window_centers(config)
+    lattice = config.lattice
+    m = lattice.stride
+
+    def point(k: int) -> float:
+        return a + float(lattice.offsets(k, k + 1)[0])
+
+    # lambda never decreases along the lattice, so its points inside [a, b]
+    # are the one run [k_lo, k_hi)
+    every = range((centers.size - 1) * m + lattice.samples)
+    k_lo = bisect.bisect_left(every, a, key=point)
+    k_hi = bisect.bisect_right(every, b, key=point)
+
+    rows = []
+    # values of the lattice points [first, stop), evaluated by whole segments
+    first = stop = 0
+    kept = np.empty(0)
+    for i in range(centers.size) if windows is None else windows:
+        lo, hi = max(i * m, k_lo), min(i * m + lattice.samples, k_hi)
+        if stop <= lo:
+            first = stop = max(lo - lo % m, k_lo)
+            kept = np.empty(0)
+        fresh = []
+        while stop < hi:
+            end = min(stop - stop % m + m, k_hi)
+            fresh.append(evaluate(config, a + lattice.offsets(stop, end)))
+            stop = end
+        kept = np.concatenate([kept, *fresh])[lo - first :]
+        first = lo
+        c = centers[i]
+        mid = 0.5 * (max(a, c - config.window_width / 2.0) + min(b, c + config.window_width / 2.0))
+        rows.append((float(mid), window_histogram(kept[: hi - lo])))
+    return rows
 
 
 def scan(config: ScanConfig, workers: int = 1) -> ScanResult:
     """Violation-parameter curve over the lambda grid.
 
+    With workers > 1 each worker streams one contiguous run of windows.
     Degenerate windows (flat observable) are skipped and their midpoints
     recorded, never silently zeroed.
     """
-    centers = window_centers(config)
+    n = window_centers(config).size
     if workers > 1:
+        cuts = [n * j // workers for j in range(workers + 1)]
+        runs = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _one_window(config, c), centers))
+            parts = list(pool.map(lambda run: window_histograms(config, run), runs))
+        rows = [row for part in parts for row in part]
     else:
-        rows = [_one_window(config, c) for c in centers]
-    points = tuple((mid, delta) for mid, delta in rows if delta is not None)
-    degenerate = tuple(mid for mid, delta in rows if delta is None)
+        rows = window_histograms(config)
+    points = tuple(
+        (mid, violation(hist, config.dist, config.metric)) for mid, hist in rows if hist is not None
+    )
+    degenerate = tuple(mid for mid, hist in rows if hist is None)
     return ScanResult(points=points, config=config, degenerate_windows=degenerate)

@@ -128,8 +128,10 @@ def _thermal_rule(gamma, t_tilde, lam_lo, lam_hi):
 
 
 def _row_quadrature(integrand, lams: np.ndarray, gamma: float,
-                    phi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum over the nodes phi, weights w, of integrand(d, disp) per lambda.
+                    phi: np.ndarray, w: np.ndarray, outputs: int = 1) -> np.ndarray:
+    """Sum over the nodes phi, weights w, of each of the `outputs` arrays
+    that integrand(d, disp) returns or yields, per lambda; shape (outputs,
+    lams.size). A yielded array is summed before the next is asked for.
 
     d = cos(phi) - lambda and disp is the dispersion, as (rows x nodes)
     arrays that the integrand may overwrite. Rows go in blocks of at most
@@ -141,14 +143,17 @@ def _row_quadrature(integrand, lams: np.ndarray, gamma: float,
     """
     c = np.cos(phi)
     g2s2 = (gamma * np.sin(phi)) ** 2
-    out = np.empty(lams.shape)
+    out = np.empty((outputs, lams.size))
     rows = max(1, _BLOCK_CELLS // w.size)
     for i in range(0, lams.size, rows):
         d = c - lams[i : i + rows, None]
         disp = d * d
         disp += g2s2
         np.sqrt(disp, out=disp)
-        out[i : i + rows] = np.einsum("ij,j->i", integrand(d, disp), w)
+        # no name outlives the block, so its arrays are freed before the next
+        # one is allocated; a lingering reference made the heap shrink and
+        # grow again, tenfold the page faults
+        out[:, i : i + rows] = [np.einsum("ij,j->i", cells, w) for cells in integrand(d, disp)]
     return out
 
 
@@ -159,7 +164,7 @@ def _mz_integrand(beta_tilde: float):
         if not math.isinf(beta_tilde):
             disp *= 0.5 * beta_tilde
             d *= np.tanh(disp, out=disp)
-        return d
+        return (d,)
 
     return integrand
 
@@ -172,7 +177,7 @@ def mz_infinite_many(lams, gamma: float, beta_tilde: float = math.inf,
         phi, w = numerics.gauss_nodes(0.0, math.pi, nodes)
     else:
         phi, w = _thermal_rule(gamma, 1.0 / beta_tilde, lams.min(), lams.max())
-    return -_row_quadrature(_mz_integrand(beta_tilde), lams, gamma, phi, w) / math.pi
+    return -_row_quadrature(_mz_integrand(beta_tilde), lams, gamma, phi, w)[0] / math.pi
 
 
 def mz_infinite(params: ModelParams, nodes: int = DEFAULT_NODES) -> float:
@@ -197,7 +202,7 @@ def mz_finite_many(lams, gamma: float, n_sites: int,
         disp[disp == 0.0] = math.inf
         return mz(d, disp)
 
-    return -(2.0 / n_sites) * _row_quadrature(integrand, lams, gamma, phi, np.ones(phi.size))
+    return -(2.0 / n_sites) * _row_quadrature(integrand, lams, gamma, phi, np.ones(phi.size))[0]
 
 
 def correlator_g_many(r: int, lams, gamma: float,
@@ -213,10 +218,39 @@ def correlator_g_many(r: int, lams, gamma: float,
         d *= c
         np.subtract(gsr, d, out=d)
         d /= disp
-        return d
+        return (d,)
 
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return _row_quadrature(integrand, lams, gamma, phi, w) / math.pi
+    return _row_quadrature(integrand, lams, gamma, phi, w)[0] / math.pi
+
+
+def mz_and_correlators_many(lams, gamma: float,
+                            nodes: int = DEFAULT_NODES) -> np.ndarray:
+    """Mz, G(-1) and G(+1) at T=0 on the infinite lattice, as the rows of a
+    (3, lams.size) array, from one pass that computes d and the dispersion
+    once per block. Each value equals the one mz_infinite_many or
+    correlator_g_many gives: every cell takes the same float operations."""
+    phi, w = numerics.gauss_nodes(0.0, math.pi, nodes)
+    c = np.cos(phi)
+    g_minus, g_plus = (gamma * np.sin(r * phi) * np.sin(phi) for r in (-1, 1))
+    mz = _mz_integrand(math.inf)
+
+    def integrand(d, disp):
+        # each array is summed before the next is formed, so d is free for
+        # G(-1) once Mz is done with it
+        dc = d * c
+        yield from mz(d, disp)
+        np.subtract(g_minus, dc, out=d)
+        d /= disp
+        yield d
+        np.subtract(g_plus, dc, out=dc)
+        dc /= disp
+        yield dc
+
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    out = _row_quadrature(integrand, lams, gamma, phi, w, outputs=3) / math.pi
+    out[0] *= -1.0
+    return out
 
 
 def diagonal_correlators(lam: float, gamma: float,
@@ -225,8 +259,7 @@ def diagonal_correlators(lam: float, gamma: float,
 
     Cxx = G(-1), Cyy = G(+1), Czz = Mz^2 - G(-1) G(+1).
     """
-    g_minus, g_plus = (float(correlator_g_many(r, [lam], gamma, nodes)[0]) for r in (-1, 1))
-    mz = float(mz_infinite_many([lam], gamma, nodes=nodes)[0])
+    mz, g_minus, g_plus = (float(v[0]) for v in mz_and_correlators_many([lam], gamma, nodes))
     return g_minus, g_plus, mz * mz - g_minus * g_plus
 
 
@@ -240,7 +273,7 @@ def dmz_dT_many(lams, gamma: float, t_tilde: float) -> np.ndarray:
     def integrand(d, disp):
         disp /= 2.0 * t_tilde
         d *= _sech2(disp)
-        return d
+        return (d,)
 
-    return _row_quadrature(integrand, lams, gamma, phi, w) / (2.0 * math.pi * t_tilde * t_tilde)
+    return _row_quadrature(integrand, lams, gamma, phi, w)[0] / (2.0 * math.pi * t_tilde * t_tilde)
 

@@ -81,6 +81,11 @@ class TestDigits:
         report = json.loads((tmp_path / "digits_report.json").read_text())
         assert report["distribution"] == "poisson(kappa=5)"
 
+    @pytest.mark.parametrize("kappa", ["inf", "nan"])
+    def test_infinite_kappa_is_configuration_error(self, tmp_path, kappa):
+        assert run_cli(["digits", "logmantissa:1000", "--dist", "poisson",
+                        "--kappa", kappa, "--out", str(tmp_path)]) == 3
+
     def test_output_dir_env_honoured(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "env_out"))
         assert run_cli(["digits", "logmantissa:100"]) == 0
@@ -115,6 +120,32 @@ class TestScan:
         assert (tmp_path / "a" / "scan.csv").read_bytes() == (
             tmp_path / "b" / "scan.csv"
         ).read_bytes()
+
+    def test_manifest_records_the_lattice(self, tmp_path):
+        assert run_cli(SCAN_ARGS + ["--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "scan_manifest.json").read_text())["config"]
+        assert config["lattice_stride"] == 100
+        assert config["lattice_spacing"] == pytest.approx(1e-4, rel=1e-12)
+        assert config["window_span"] == pytest.approx(0.0199, rel=1e-12)
+        assert config["window_width"] == 0.02
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--gamma", "1", "--lambda", "0.9:1.1:0.01", "--samples", "200"],
+            ["--gamma", "0.5", "--n-sites", "8", "--lambda", "0.9:1.1:0.01", "--samples", "200"],
+            ["--gamma", "1", "--t", "0.01", "--lambda", "0.9:1.1:0.01", "--samples", "200"],
+        ],
+        ids=["t0", "finite_n", "thermal"],
+    )
+    def test_worker_count_does_not_change_bytes(self, tmp_path, flags):
+        csvs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert run_cli(["scan", *flags, "--workers", workers, "--out", str(out)]) == 0
+            csvs.append((out / "scan.csv").read_bytes())
+        assert len(csvs[0].splitlines()) == 22
+        assert csvs[0] == csvs[1]
 
     def test_json_format(self, tmp_path):
         assert run_cli(SCAN_ARGS + ["--format", "json", "--out", str(tmp_path)]) == 0
@@ -264,6 +295,19 @@ class TestCrossover:
         rows = csvs[0].decode().splitlines()[1:]
         assert sorted(r.rsplit(",", 1)[1] for r in rows) == ["left"] * 3 + ["right"] * 3
         assert csvs[0] == csvs[1]
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [SCAN_ARGS, SCALE_ARGS, ["crossover", "--t-list", "1e-4,2e-4,5e-4"]],
+        ids=["scan", "scale", "crossover"],
+    )
+    def test_nonpositive_workers_rejected_before_computing(self, tmp_path, argv, workers):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--workers", workers, "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestOutputPlumbing:

@@ -150,6 +150,11 @@ class TestReferenceDistributions:
         with pytest.raises(ConfigurationError):
             ReferenceDistribution.poisson(0.0)
 
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_poisson_requires_finite_kappa(self, kappa):
+        with pytest.raises(ConfigurationError):
+            ReferenceDistribution.poisson(kappa)
+
     def test_kappa_rejected_elsewhere(self):
         with pytest.raises(ConfigurationError):
             ReferenceDistribution(firstdigit.DistKind.BENFORD, kappa=2.0)

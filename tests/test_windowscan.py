@@ -7,7 +7,14 @@ from benford_xy import windowscan
 from benford_xy.errors import ConfigurationError
 from benford_xy.firstdigit import ReferenceDistribution
 from benford_xy.violation import Metric
-from benford_xy.windowscan import Observable, ScanConfig, scan, window_centers
+from benford_xy.windowscan import (
+    Observable,
+    ScanConfig,
+    WindowLattice,
+    scan,
+    window_centers,
+    window_histograms,
+)
 
 
 def small_config(**overrides):
@@ -84,6 +91,72 @@ class TestWindowCenters:
         centers = window_centers(c)
         assert centers[-1] <= 1.1 + 1e-12
         assert np.allclose(np.diff(centers), 0.03)
+
+
+class TestWindowLattice:
+    def test_stride_spacing_and_span_at_the_defaults(self):
+        lattice = WindowLattice(step=0.002, width=0.02, samples=10_000)
+        assert lattice.stride == 1000
+        assert lattice.spacing == pytest.approx(2e-6, rel=1e-12)
+        assert lattice.span == pytest.approx(0.019998, rel=1e-12)
+
+    def test_few_samples_give_narrower_windows(self):
+        # fewer than width / (2 step) = 5 samples round to stride 0, which
+        # becomes 1: 4 samples span 3 grid steps, not the 10 of the width
+        lattice = WindowLattice(step=0.002, width=0.02, samples=4)
+        assert lattice.stride == 1
+        assert lattice.span == pytest.approx(0.006, rel=1e-12)
+
+    @staticmethod
+    def windows(monkeypatch, config, **kwargs):
+        """The lambda points of each window, in grid order, as the streamed
+        scan hands them on (with the observable replaced by lambda itself)."""
+        seen = []
+        monkeypatch.setattr(windowscan, "evaluate", lambda config, lams: lams.copy())
+        monkeypatch.setattr(windowscan, "window_histogram", lambda v: seen.append(v))
+        rows = window_histograms(config, **kwargs)
+        assert len(rows) == len(seen)
+        return seen
+
+    def test_windows_are_symmetric_about_their_centers(self, monkeypatch):
+        config = small_config()
+        h = config.lattice.spacing
+        windows = self.windows(monkeypatch, config)
+        centers = window_centers(config)
+        interior = [(c, w) for c, w in zip(centers, windows) if w.size == 200]
+        assert len(interior) == 19
+        for c, w in interior:
+            assert np.allclose(np.diff(w), h, rtol=1e-9, atol=0)
+            assert np.allclose(w - c, (c - w)[::-1], rtol=0, atol=1e-12)
+            assert w[-1] - w[0] == pytest.approx(199 * h, rel=1e-9)
+
+    def test_clipped_windows_lie_inside_the_range(self, monkeypatch):
+        # a grid whose ends fall between lattice points
+        config = small_config(lambda_range=(0.90037, 1.10037))
+        windows = self.windows(monkeypatch, config)
+        a, b = config.lambda_range
+        assert all(w.min() >= a and w.max() <= b for w in windows)
+        # the end windows keep the half of their points inside the range
+        assert windows[0].size == windows[-1].size == 100
+
+    def test_each_lattice_point_evaluated_once(self, monkeypatch):
+        config = small_config()
+        evaluated = []
+        monkeypatch.setattr(
+            windowscan, "evaluate", lambda config, lams: evaluated.append(lams) or lams
+        )
+        window_histograms(config)
+        points = np.concatenate(evaluated)
+        # 0.2 / 1e-4 lattice points lie inside the range, none twice
+        assert points.size == np.unique(points).size == 2000
+        assert all(lams.size <= config.lattice.stride for lams in evaluated)
+
+    def test_runs_of_windows_cut_the_same_windows(self, monkeypatch):
+        config = small_config()
+        whole = self.windows(monkeypatch, config)
+        parts = (self.windows(monkeypatch, config, windows=range(0, 7))
+                 + self.windows(monkeypatch, config, windows=range(7, 21)))
+        assert all(np.array_equal(w, p) for w, p in zip(whole, parts, strict=True))
 
 
 class TestScan:

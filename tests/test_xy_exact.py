@@ -187,15 +187,26 @@ class TestRowBlocks:
             lambda lams: xy_exact.dmz_dT_many(lams, 1.0, 3e-4),
             lambda lams: xy_exact.mz_finite_many(lams, 0.5, 40),
             lambda lams: xy_exact.mz_finite_many(lams, 0.5, 40, 1.0 / 0.02),
+            lambda lams: xy_exact.mz_and_correlators_many(lams, 0.5),
         ],
         ids=["mz_infinite_many", "correlator_g_many", "dmz_dT_many",
-             "mz_finite_many_t0", "mz_finite_many_thermal"],
+             "mz_finite_many_t0", "mz_finite_many_thermal", "mz_and_correlators_many"],
     )
     def test_one_call_equals_calls_on_halves(self, kernel):
         lams = np.linspace(0.999, 1.001, self.N)
         half = self.N // 2
         whole = kernel(lams)
-        assert np.array_equal(whole, np.concatenate([kernel(lams[:half]), kernel(lams[half:])]))
+        halves = [kernel(lams[:half]), kernel(lams[half:])]
+        assert np.array_equal(whole, np.concatenate(halves, axis=-1))
+
+    def test_one_pass_equals_separate_kernels(self):
+        # the Czz pass takes the same float operations per cell as the
+        # separate Mz and G(r) kernels, so its values are the same bits
+        lams = np.linspace(0.999, 1.001, self.N)
+        mz, g_minus, g_plus = xy_exact.mz_and_correlators_many(lams, 0.5)
+        assert np.array_equal(mz, xy_exact.mz_infinite_many(lams, 0.5))
+        assert np.array_equal(g_minus, xy_exact.correlator_g_many(-1, lams, 0.5))
+        assert np.array_equal(g_plus, xy_exact.correlator_g_many(1, lams, 0.5))
 
 
 class TestModeSum:
