@@ -198,7 +198,8 @@ _GENERATOR_RE = re.compile(r"^logmantissa:(\d+)$")
 
 
 def _load_values(spec: str, seed: int) -> np.ndarray:
-    """CSV column (first column, optional header) or a generator spec.
+    """CSV column (first column, optional header) or a generator spec; a
+    cell that is not a finite number is rejected with its file and line.
 
     logmantissa:N draws N values 10^u with u uniform on [0, 1); their first
     digits follow the Benford law exactly in distribution.
@@ -215,13 +216,16 @@ def _load_values(spec: str, seed: int) -> np.ndarray:
                     continue
                 cell = row[0].strip()
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     if lineno == 1:
                         continue  # header line
                     raise ConfigurationError(
                         f"{spec}:{lineno}: not a number: {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ConfigurationError(f"{spec}:{lineno}: not a finite number: {cell!r}")
+                values.append(value)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {spec}: {exc}") from exc
     if not values:

@@ -3,8 +3,14 @@ histograms, and reference digit laws (Benford, uniform, Poisson).
 
 Digit extraction is pure arithmetic: scale |x| into [1, 10) by the power of
 ten recovered from floor(log10), correct the two float boundary cases, and
-take the integer part. No string formatting is involved, so results do not
-depend on locale or repr behaviour.
+take the integer part. Subnormals are first scaled by the exact 1e22, since
+10**e underflows for them. No string formatting is involved, so results do
+not depend on locale or repr behaviour.
+
+unit_histogram is the window pipeline's digit stage. On a window that is
+monotone it counts by bisection against the digit thresholds d * 10**k and
+leaves to digits_of only the values next to a threshold, so its counts are
+those of histogram(rescale_unit(values)).
 """
 
 from __future__ import annotations
@@ -25,6 +31,11 @@ class DistKind(enum.Enum):
 
 
 _DIGITS = np.arange(1, 10)
+_SMALLEST_NORMAL = np.finfo(float).tiny
+# Relative distance from a digit threshold d * 10**k within which a value of
+# a sorted window is counted by digits_of itself. digits_of is off by a few
+# ulp at most, far inside this margin.
+_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,10 @@ def digits_of(values) -> np.ndarray:
     out = np.zeros(mag.shape, dtype=np.int64)
     nz = mag > 0.0
     m = mag[nz]
+    if m.size and m.min() < _SMALLEST_NORMAL:
+        # 10**e underflows for subnormals; 1e22 is an exact power of ten, so
+        # scaling them by it adds only one rounding
+        m = np.where(m < _SMALLEST_NORMAL, m * 1e22, m)
     e = np.floor(np.log10(m))
     m = m / np.power(10.0, e)
     m = np.where(m >= 10.0, m / 10.0, m)
@@ -127,6 +142,44 @@ def histogram(values) -> DigitHistogram:
         counts=tuple(int(c) for c in counts[1:10]),
         total=int(counts[1:10].sum()),
         skipped=int(counts[0]),
+    )
+
+
+def unit_histogram(values) -> DigitHistogram:
+    """histogram(rescale_unit(values)), counted by bisection when the values
+    are monotone.
+
+    The rescaled values of a monotone window are sorted: its exact zeros are
+    a prefix, and the values between two digit thresholds d * 10**k are one
+    run, found with np.searchsorted. Values within a relative _MARGIN of a
+    threshold are counted by digits_of, so the counts equal histogram's by
+    construction. Windows that are not monotone, or whose smallest positive
+    value is below 1e-300, are counted by histogram. Raises what
+    rescale_unit raises.
+    """
+    r = rescale_unit(values).ravel()
+    if (r[1:] < r[:-1]).any():
+        if (r[1:] > r[:-1]).any():
+            return histogram(r)
+        r = r[::-1]
+    zeros = int(np.searchsorted(r, 0.0, side="right"))
+    smallest = float(r[zeros])  # r[-1] is 1.0
+    if smallest < 1e-300:
+        # thresholds this small approach the subnormals and lose precision
+        return histogram(r)
+    # from the decade one below the smallest positive value, so that no value
+    # lies below the first threshold even if floor(log10) is one too high;
+    # the last threshold is 1.0, the largest value
+    k = np.arange(math.floor(math.log10(smallest)) - 1, 0)
+    thresholds = np.append((_DIGITS * 10.0 ** k[:, None]).ravel(), 1.0)
+    lo, hi = np.searchsorted(r, thresholds * [[1.0 - _MARGIN], [1.0 + _MARGIN]])
+    # r[hi[j]:lo[j + 1]] lies clear of thresholds j and j + 1, so its digit
+    # is that of threshold j; r[lo[j]:hi[j]] lies next to threshold j
+    counts = (lo[1:] - hi[:-1]).reshape(-1, 9).sum(axis=0)
+    near = np.concatenate([r[lo[j] : hi[j]] for j in np.flatnonzero(hi > lo)])
+    counts += np.bincount(digits_of(near), minlength=10)[1:]
+    return DigitHistogram(
+        counts=tuple(int(c) for c in counts), total=r.size - zeros, skipped=zeros
     )
 
 

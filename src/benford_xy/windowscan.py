@@ -5,7 +5,9 @@ digits, and score against a reference law.
 Every window is a slice of one lambda lattice (WindowLattice), so
 neighbouring windows share their points and each point is evaluated once; a
 window clipped by the scan range keeps only its points inside the range. The
-crossover violation ridges cut their windows from the same kind of lattice.
+crossover violation ridges cut their windows from the same kind of lattice,
+and every window is counted by firstdigit.unit_histogram, by bisection when
+its values are monotone in lambda.
 
 The lattice is streamed, never held whole: it is evaluated in segments of
 `stride` points whose bounds depend only on the lattice index, and only the
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import xy_exact
 from .errors import ConfigurationError, DegenerateWindowError
-from .firstdigit import DigitHistogram, ReferenceDistribution, histogram, rescale_unit
+from .firstdigit import DigitHistogram, ReferenceDistribution, unit_histogram
 from .violation import Metric, violation
 
 
@@ -160,7 +162,7 @@ def window_histogram(values: np.ndarray) -> DigitHistogram | None:
     """First-digit histogram of a window's values rescaled to [0, 1], or None
     for a flat (degenerate) window. It is free of the law and the metric."""
     try:
-        return histogram(rescale_unit(values))
+        return unit_histogram(values)
     except DegenerateWindowError:
         return None
 

@@ -59,6 +59,18 @@ class TestDigits:
         assert run_cli(["digits", src, "--out", str(tmp_path)]) == 3
         assert ":4: not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_nonfinite_cell_names_line(self, tmp_path, capsys, token):
+        src = write_csv(tmp_path / "in.csv", [1.0, 2.0, token] + [4.0] * 20, header="v")
+        assert run_cli(["digits", src, "--out", str(tmp_path)]) == 3
+        assert f":4: not a finite number: '{token}'" in capsys.readouterr().err
+
+    def test_subnormal_values_counted(self, tmp_path):
+        src = write_csv(tmp_path / "in.csv", ["5e-324", "1e-320"] + [2.0] * 20)
+        assert run_cli(["digits", src, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "digits_report.json").read_text())
+        assert report["counts"] == [0, 20, 0, 1, 0, 0, 0, 0, 1]  # 4.94e-324, 9.99989e-321
+
     def test_too_few_values(self, tmp_path):
         src = write_csv(tmp_path / "in.csv", [1.0, 2.0, 3.0])
         assert run_cli(["digits", src, "--out", str(tmp_path)]) == 3

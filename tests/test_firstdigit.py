@@ -1,9 +1,10 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from benford_xy import firstdigit
+from benford_xy import firstdigit, xy_exact
 from benford_xy.errors import ConfigurationError, DegenerateWindowError, DomainError
 from benford_xy.firstdigit import (
     DigitHistogram,
@@ -12,7 +13,9 @@ from benford_xy.firstdigit import (
     histogram,
     probabilities,
     rescale_unit,
+    unit_histogram,
 )
+from benford_xy.windowscan import Observable, ScanConfig, evaluate, window_histogram
 
 
 class TestFirstSignificantDigit:
@@ -22,6 +25,12 @@ class TestFirstSignificantDigit:
     )
     def test_examples(self, x, digit):
         assert firstdigit.digits_of([x])[0] == digit
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-320, 2.5e-310, 2.2250738585072014e-308])
+    def test_subnormal_and_smallest_normal(self, x):
+        # the exact binary value, not the decimal literal: 5e-324 is 4.94e-324
+        digit = Decimal(x).as_tuple().digits[0]
+        assert list(firstdigit.digits_of([x, -x])) == [digit, digit]
 
     def test_zero_has_no_digit(self):
         assert firstdigit.digits_of([0.0])[0] == 0
@@ -104,6 +113,119 @@ class TestHistogram:
             DigitHistogram(counts=(1,) * 9, total=8, skipped=0)
         with pytest.raises(ConfigurationError):
             DigitHistogram(counts=(1,) * 8, total=8, skipped=0)
+
+
+def _reference(values):
+    return histogram(rescale_unit(values))
+
+
+def _near_thresholds(k_min, ulps):
+    """Sorted values in [0, 1] holding each d * 10**k (k_min <= k < 0) and 1,
+    the points ulps either side of them, and the same around the edges of the
+    margin inside which the bisection defers to digits_of."""
+    points = {0.0, 1.0}
+    for k in range(k_min, 1):
+        for d in range(1, 10 if k < 0 else 2):
+            t = d * 10.0**k
+            for c in (t, t * (1 - firstdigit._MARGIN), t * (1 + firstdigit._MARGIN)):
+                up = down = c
+                for _ in range(ulps):
+                    up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
+                    points |= {float(up), float(down)}
+                points.add(c)
+    return np.array(sorted(p for p in points if 0.0 <= p <= 1.0))
+
+
+class TestUnitHistogram:
+    """unit_histogram(v) must equal histogram(rescale_unit(v)) exactly."""
+
+    @pytest.mark.parametrize("gamma,n_sites", [(0.1, 14), (0.5, 20), (0.5, 40), (1.0, 30)])
+    @pytest.mark.parametrize("center", [0.9, 0.99, 1.0, 1.05])
+    def test_finite_chain_windows(self, gamma, n_sites, center):
+        lams = np.linspace(center - 0.01, center + 0.01, 10_000)
+        v = xy_exact.mz_finite_many(lams, gamma, n_sites, math.inf)
+        assert unit_histogram(v) == _reference(v)
+        assert unit_histogram(v[::-1]) == _reference(v[::-1])
+
+    @pytest.mark.parametrize("center", [0.95, 1.0, 1.003])
+    def test_zero_temperature_czz_windows(self, center):
+        config = ScanConfig(Observable.CZZ, 1.0, (0.8, 1.2))
+        v = evaluate(config, np.linspace(center - 0.01, center + 0.01, 10_000))
+        assert unit_histogram(v) == _reference(v)
+
+    @pytest.mark.parametrize("center", [1.0 - 3e-4, 1.0, 1.0 + 6e-4])
+    def test_thermal_windows(self, center):
+        t = 3e-4
+        v = xy_exact.mz_infinite_many(np.linspace(center - t / 2, center + t / 2, 3000), 1.0, 1 / t)
+        assert unit_histogram(v) == _reference(v)
+
+    @pytest.mark.parametrize("ulps", [1, 2, 3])
+    def test_values_next_to_every_threshold(self, ulps):
+        v = _near_thresholds(-15, ulps)
+        for w in (v, v[::-1]):
+            assert unit_histogram(w) == _reference(w)
+        assert unit_histogram(v).total == np.count_nonzero(v)
+
+    def test_several_exact_minima(self):
+        v = np.concatenate([np.zeros(3), np.linspace(1e-6, 1.0, 997)])
+        h = unit_histogram(v)
+        assert h == _reference(v) and h.skipped == 3
+        assert unit_histogram(v[::-1]) == h
+        assert unit_histogram(5.0 - 2.0 * v) == _reference(5.0 - 2.0 * v)
+
+    @pytest.mark.parametrize("v", [[1.0, 2.0], [2.0, 1.0], [3.0, -5.0], [-1e300, 1e300]])
+    def test_two_values(self, v):
+        h = unit_histogram(v)
+        assert h == _reference(v)
+        assert h.counts[0] == 1 and h.skipped == 1
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            [0.0, 1.5e-299, 2e-150, 0.3, 1.0],  # bisected, thresholds down to 1e-300
+            [0.0, 5e-324, 1e-320, 2.5e-310, 1e-200, 0.3, 1.0],  # counted by histogram
+        ],
+    )
+    def test_tiny_positive_values(self, v):
+        assert unit_histogram(v) == _reference(v)
+        assert unit_histogram(v[::-1]) == _reference(v)
+
+    def test_non_monotone_windows(self):
+        rng = np.random.default_rng(5)
+        for v in (rng.normal(size=1000), np.sin(np.linspace(0.0, 7.0, 5000))):
+            assert unit_histogram(v) == _reference(v)
+        v = np.linspace(0.0, 1.0, 100)
+        v[50] = v[52]
+        assert unit_histogram(v) == _reference(v)
+
+    @pytest.mark.parametrize("v", [[5.0, 5.0, 5.0], [1.0], []])
+    def test_flat_or_short_window_is_degenerate(self, v):
+        with pytest.raises(DegenerateWindowError):
+            unit_histogram(v)
+        assert window_histogram(np.asarray(v, dtype=float)) is None
+
+    @pytest.mark.parametrize(
+        "v", [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [math.inf, 1.0, 0.0], [-math.inf, 0.0]]
+    )
+    def test_nonfinite_window_rejected(self, v):
+        with pytest.raises(DomainError):
+            unit_histogram(v)
+        with pytest.raises(DomainError):
+            window_histogram(np.asarray(v))
+
+    def test_monotone_window_is_bisected(self, monkeypatch):
+        seen = []
+        digits_of = firstdigit.digits_of
+
+        def spy(values):
+            seen.append(np.size(values))
+            return digits_of(values)
+
+        monkeypatch.setattr(firstdigit, "digits_of", spy)
+        v = xy_exact.mz_finite_many(np.linspace(0.99, 1.01, 10_000), 0.5, 20, math.inf)
+        h = unit_histogram(v)
+        assert h.total + h.skipped == 10_000
+        assert sum(seen) < 1000
 
 
 class TestReferenceDistributions:
