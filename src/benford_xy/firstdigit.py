@@ -176,8 +176,14 @@ def unit_histogram(values) -> DigitHistogram:
     # r[hi[j]:lo[j + 1]] lies clear of thresholds j and j + 1, so its digit
     # is that of threshold j; r[lo[j]:hi[j]] lies next to threshold j
     counts = (lo[1:] - hi[:-1]).reshape(-1, 9).sum(axis=0)
-    near = np.concatenate([r[lo[j] : hi[j]] for j in np.flatnonzero(hi > lo)])
-    counts += np.bincount(digits_of(near), minlength=10)[1:]
+    # the last near run, r[lo[-1]:], holds the exact 1.0 (digit 1) and any
+    # values within _MARGIN below it, which are >= 0.999999999999 (digit 9)
+    ones = r.size - int(np.searchsorted(r, 1.0))
+    counts[0] += ones
+    counts[8] += r.size - lo[-1] - ones
+    near = [r[lo[j] : hi[j]] for j in np.flatnonzero(hi[:-1] > lo[:-1])]
+    if near:
+        counts += np.bincount(digits_of(np.concatenate(near)), minlength=10)[1:]
     return DigitHistogram(
         counts=tuple(int(c) for c in counts), total=r.size - zeros, skipped=zeros
     )

@@ -1,7 +1,7 @@
 """Deterministic numerical kernels: quadrature and least-squares fitting.
 
-Quadrature is composite Gauss-Legendre with fixed-order panels, so node
-positions are reproducible and never touch interval endpoints. Fits are
+Quadrature is composite Gauss-Legendre with fixed-order panels between given
+edges, so node positions are reproducible and never touch a panel edge. Fits are
 solved through an orthogonal decomposition (numpy lstsq), not normal
 equations, because the cubic fits downstream live on narrow, badly scaled
 windows.
@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, SingularFitError
+from .errors import SingularFitError
 
 PANEL_ORDER = 16
 
@@ -42,21 +42,6 @@ class LineFit:
 def _panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
-
-
-def gauss_nodes(a: float, b: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [a, b].
-
-    The interval is split into equal panels of PANEL_ORDER points each; the
-    requested node count is rounded up to a whole number of panels.
-    """
-    if not (np.isfinite(a) and np.isfinite(b)) or a > b:
-        raise DomainError(f"invalid interval [{a}, {b}]")
-    if nodes < 2:
-        raise DomainError("nodes must be >= 2")
-    panels = max(1, -(-int(nodes) // PANEL_ORDER))
-    edges = np.linspace(a, b, panels + 1)
-    return composite_nodes(edges, PANEL_ORDER)
 
 
 def composite_nodes(edges, order: int = PANEL_ORDER) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,9 @@
 """Closed-form observables of the 1D anisotropic XY chain in a transverse field.
 
-Everything here evaluates exact expressions: the finite-chain magnetization is
-a sum over Fourier modes, the thermodynamic-limit quantities are single
-integrals over [0, pi]. Both are one row-blocked weighted sum, over the modes
-with unit weights or over quadrature nodes. Zero temperature is the
+Everything here evaluates exact expressions. The finite-chain magnetization
+is a sum over Fourier modes and the thermal infinite-lattice quantities are
+single integrals over [0, pi]; both are one row-blocked weighted sum, over
+the modes with unit weights or over quadrature nodes. Zero temperature is the
 distinguished value beta_tilde = inf, in which case the thermal factor
 tanh(beta_tilde * L / 2) is replaced by 1 exactly rather than evaluated at a
 large float.
@@ -12,8 +12,12 @@ Temperature-dependent integrands develop structure of width ~T_tilde in the
 dispersion, concentrated where the dispersion is smallest (phi = 0, phi = pi,
 and an interior minimum for small anisotropy). Uniform panels cannot resolve
 that at T_tilde ~ 1e-5, so the thermal path integrates on panels refined
-geometrically toward those points. The zero-temperature path sticks to the
-plain composite rule from numerics.
+geometrically toward those points.
+
+The infinite lattice at T = 0 needs no quadrature: Mz, G(-1) and G(+1) are
+complete elliptic integrals (Barouch & McCoy, Phys. Rev. A 3, 786 (1971)),
+evaluated by Bulirsch's cel iteration in a form that stays finite at
+lambda = +-1 (see mz_and_correlators_many).
 """
 
 from __future__ import annotations
@@ -26,12 +30,10 @@ import numpy as np
 from . import numerics
 from .errors import ConfigurationError, DomainError
 
-DEFAULT_NODES = 256
-
 # Cells (sample rows x quadrature nodes) per block of the work matrices. It
 # bounds their memory whatever the number of samples, and at 256 KB a
-# temporary the block stays in a core's L2 cache: 2**15 cells ran the T = 0
-# and thermal kernels about twice as fast as 2**19.
+# temporary the block stays in a core's L2 cache: 2**15 cells ran the
+# quadrature kernels about twice as fast as 2**19.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -128,10 +130,8 @@ def _thermal_rule(gamma, t_tilde, lam_lo, lam_hi):
 
 
 def _row_quadrature(integrand, lams: np.ndarray, gamma: float,
-                    phi: np.ndarray, w: np.ndarray, outputs: int = 1) -> np.ndarray:
-    """Sum over the nodes phi, weights w, of each of the `outputs` arrays
-    that integrand(d, disp) returns or yields, per lambda; shape (outputs,
-    lams.size). A yielded array is summed before the next is asked for.
+                    phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over the nodes phi, weights w, of integrand(d, disp), per lambda.
 
     d = cos(phi) - lambda and disp is the dispersion, as (rows x nodes)
     arrays that the integrand may overwrite. Rows go in blocks of at most
@@ -143,7 +143,7 @@ def _row_quadrature(integrand, lams: np.ndarray, gamma: float,
     """
     c = np.cos(phi)
     g2s2 = (gamma * np.sin(phi)) ** 2
-    out = np.empty((outputs, lams.size))
+    out = np.empty(lams.size)
     rows = max(1, _BLOCK_CELLS // w.size)
     for i in range(0, lams.size, rows):
         d = c - lams[i : i + rows, None]
@@ -153,7 +153,7 @@ def _row_quadrature(integrand, lams: np.ndarray, gamma: float,
         # no name outlives the block, so its arrays are freed before the next
         # one is allocated; a lingering reference made the heap shrink and
         # grow again, tenfold the page faults
-        out[:, i : i + rows] = [np.einsum("ij,j->i", cells, w) for cells in integrand(d, disp)]
+        out[i : i + rows] = np.einsum("ij,j->i", integrand(d, disp), w)
     return out
 
 
@@ -164,27 +164,25 @@ def _mz_integrand(beta_tilde: float):
         if not math.isinf(beta_tilde):
             disp *= 0.5 * beta_tilde
             d *= np.tanh(disp, out=disp)
-        return (d,)
+        return d
 
     return integrand
 
 
-def mz_infinite_many(lams, gamma: float, beta_tilde: float = math.inf,
-                     nodes: int = DEFAULT_NODES) -> np.ndarray:
+def mz_infinite_many(lams, gamma: float, beta_tilde: float = math.inf) -> np.ndarray:
     """Thermodynamic-limit transverse magnetization for an array of lambda."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if math.isinf(beta_tilde):
-        phi, w = numerics.gauss_nodes(0.0, math.pi, nodes)
-    else:
-        phi, w = _thermal_rule(gamma, 1.0 / beta_tilde, lams.min(), lams.max())
-    return -_row_quadrature(_mz_integrand(beta_tilde), lams, gamma, phi, w)[0] / math.pi
+        return mz_and_correlators_many(lams, gamma)[0]
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    phi, w = _thermal_rule(gamma, 1.0 / beta_tilde, lams.min(), lams.max())
+    return -_row_quadrature(_mz_integrand(beta_tilde), lams, gamma, phi, w) / math.pi
 
 
-def mz_infinite(params: ModelParams, nodes: int = DEFAULT_NODES) -> float:
+def mz_infinite(params: ModelParams) -> float:
     """Transverse magnetization in the thermodynamic limit."""
     if params.n_sites is not None:
         raise ConfigurationError("mz_infinite requires n_sites to be absent")
-    return float(mz_infinite_many([params.lam], params.gamma, params.beta_tilde, nodes)[0])
+    return float(mz_infinite_many([params.lam], params.gamma, params.beta_tilde)[0])
 
 
 def mz_finite_many(lams, gamma: float, n_sites: int,
@@ -198,68 +196,111 @@ def mz_finite_many(lams, gamma: float, n_sites: int,
     def integrand(d, disp):
         # A mode of zero energy (phi = pi at lambda = -1, where d = 0 too)
         # adds 0: d / inf is 0 and tanh(inf) is 1. Gauss nodes never reach
-        # L = 0, so the infinite lattice goes without this pass.
+        # L = 0, so the thermal infinite lattice goes without this pass.
         disp[disp == 0.0] = math.inf
         return mz(d, disp)
 
-    return -(2.0 / n_sites) * _row_quadrature(integrand, lams, gamma, phi, np.ones(phi.size))[0]
+    return -(2.0 / n_sites) * _row_quadrature(integrand, lams, gamma, phi, np.ones(phi.size))
 
 
-def correlator_g_many(r: int, lams, gamma: float,
-                      nodes: int = DEFAULT_NODES) -> np.ndarray:
+# Steps of the cel iteration and the floor on its kc. The iteration converges
+# quadratically once kc is within a few decades of 1, and ten steps reach
+# double precision for every 1e-30 <= kc <= 1e30; kc is at most 1 / |gamma|,
+# hence the least |gamma| the T = 0 kernel takes. kc = 0 (lambda = +-1)
+# would never converge; at kc = 1e-30 every term differs from its kc = 0
+# limit by about kc**2 log(1/kc), far below rounding.
+_CEL_STEPS = 10
+_KC_FLOOR = 1e-30
+
+
+def _cel(kc: np.ndarray, p: np.ndarray):
+    """X = cel(kc, p, 1, 0), its derivative dX/dp, and K(kc).
+
+    Bulirsch's complete elliptic integral is
+        cel(kc, p, a, b) = int_0^{pi/2} (a cos^2 t + b sin^2 t) dt
+                           / ((cos^2 t + p sin^2 t) sqrt(cos^2 t + kc^2 sin^2 t)),
+    here for p > 0 (Bulirsch, Numer. Math. 13, 305 (1969)). Each step is a
+    Gauss transformation of the integral, under which kc and m run through
+    the arithmetic-geometric mean of kc and 1 (scaled by 2 per step); once
+    they meet, the integral is elementary. dX/dp is carried through every
+    step by the chain rule. A fixed number of elementwise steps keeps each
+    value independent of the rest of the array.
+    """
+    s = np.sqrt(p)
+    ds = 0.5 / s
+    a, da = np.ones_like(kc), np.zeros_like(kc)
+    b, db = np.zeros_like(kc), np.zeros_like(kc)
+    m, e = np.ones_like(kc), kc
+    for _ in range(_CEL_STEPS):
+        g = e / s
+        dg = -g * ds / s
+        a, b, da, db = (a + b / s, 2.0 * (b + a * g),
+                        da + (db - b * ds / s) / s, 2.0 * (db + da * g + a * dg))
+        s, ds = s + g, ds + dg
+        m, kc = m + kc, 2.0 * np.sqrt(e)
+        e = kc * m
+    scale = 0.5 * math.pi / (m * (m + s))
+    x = (a * m + b) * scale
+    dx = (da * m + db - (a * m + b) * ds / (m + s)) * scale
+    # m is 2**_CEL_STEPS times the arithmetic-geometric mean of 1 and kc
+    return x, dx, math.pi * 2.0 ** (_CEL_STEPS - 1) / m
+
+
+def mz_and_correlators_many(lams, gamma: float) -> np.ndarray:
+    """Mz, G(-1) and G(+1) at T = 0 on the infinite lattice, as the rows of
+    a (3, lams.size) array, in closed form.
+
+    With c = cos phi and L the dispersion, pi Mz = int_0^pi (lambda - c) / L
+    and pi G(r) = r gamma S + A, where S = int sin^2 phi / L and
+    A = int c (lambda - c) / L. The substitution v = (lambda - c) / sin phi
+    (lambda^2 < 1) or v = (1 - lambda c) / sin phi (lambda^2 > 1) turns
+    dphi / L into dv / sqrt((v^2 + a)(v^2 + b)) over the real line, with
+    b = |1 - lambda^2|, a = gamma^2 + e, and e = b where lambda^2 > 1, else 0;
+    the part of c even in v is lambda / (v^2 + n), n = 1 + e. Then
+    v = sqrt(a) cot t gives cel integrals with kc^2 = b / a and p = n / a:
+        pi Mz = h lambda (X + o Y),
+        S     = h (Y + q M),
+        A     = h (o Y - X + q M),
+    where h = 2 / sqrt(a), X = cel(kc, p, 1, 0), M = -dX/dp,
+    Y = kc^2 cel(kc, p, 0, 1) = kc^2 (K(kc) - X) / p, q = 2 lambda^2 / (a n),
+    and o = 1 where lambda^2 > 1, else 0. The integrals int cos^k phi / L
+    diverge logarithmically at lambda = +-1, where kc = 0; X, M and Y stay
+    finite there, so the divergent parts have cancelled analytically. Every
+    step is elementwise: a value does not depend on the rest of the array.
+    """
+    if not abs(gamma) >= _KC_FLOOR:
+        raise DomainError(f"the T = 0 kernel needs |gamma| >= {_KC_FLOOR:g}, got {gamma!r}")
+    lam = np.atleast_1d(np.asarray(lams, dtype=float))
+    outside = np.abs(lam) > 1.0
+    b = np.abs((1.0 - lam) * (1.0 + lam))
+    e = np.where(outside, b, 0.0)
+    n = 1.0 + e
+    a = gamma * gamma + e
+    p = n / a
+    kc2 = b / a
+    x, dx, k = _cel(np.maximum(np.sqrt(kc2), _KC_FLOOR), p)
+    y = kc2 * (k - x) / p
+    oy = np.where(outside, y, 0.0)
+    qm = (-2.0 * lam * lam / (a * n)) * dx
+    h = 2.0 / (math.pi * np.sqrt(a))
+    s = h * (y + qm)
+    even = h * (oy - x + qm)
+    return np.stack([h * lam * (x + oy), even - gamma * s, even + gamma * s])
+
+
+def correlator_g_many(r: int, lams, gamma: float) -> np.ndarray:
     """Nearest-neighbour correlator kernel G(r) at T=0, infinite lattice."""
     if r not in (-1, 1):
         raise ConfigurationError("r must be -1 or +1")
-    phi, w = numerics.gauss_nodes(0.0, math.pi, nodes)
-    c = np.cos(phi)
-    gsr = gamma * np.sin(r * phi) * np.sin(phi)
-
-    def integrand(d, disp):
-        d *= c
-        np.subtract(gsr, d, out=d)
-        d /= disp
-        return (d,)
-
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return _row_quadrature(integrand, lams, gamma, phi, w)[0] / math.pi
+    return mz_and_correlators_many(lams, gamma)[1 if r == -1 else 2]
 
 
-def mz_and_correlators_many(lams, gamma: float,
-                            nodes: int = DEFAULT_NODES) -> np.ndarray:
-    """Mz, G(-1) and G(+1) at T=0 on the infinite lattice, as the rows of a
-    (3, lams.size) array, from one pass that computes d and the dispersion
-    once per block. Each value equals the one mz_infinite_many or
-    correlator_g_many gives: every cell takes the same float operations."""
-    phi, w = numerics.gauss_nodes(0.0, math.pi, nodes)
-    c = np.cos(phi)
-    g_minus, g_plus = (gamma * np.sin(r * phi) * np.sin(phi) for r in (-1, 1))
-    mz = _mz_integrand(math.inf)
-
-    def integrand(d, disp):
-        # each array is summed before the next is formed, so d is free for
-        # G(-1) once Mz is done with it
-        dc = d * c
-        yield from mz(d, disp)
-        np.subtract(g_minus, dc, out=d)
-        d /= disp
-        yield d
-        np.subtract(g_plus, dc, out=dc)
-        dc /= disp
-        yield dc
-
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    out = _row_quadrature(integrand, lams, gamma, phi, w, outputs=3) / math.pi
-    out[0] *= -1.0
-    return out
-
-
-def diagonal_correlators(lam: float, gamma: float,
-                         nodes: int = DEFAULT_NODES) -> tuple[float, float, float]:
+def diagonal_correlators(lam: float, gamma: float) -> tuple[float, float, float]:
     """(Cxx, Cyy, Czz) nearest-neighbour correlators at T=0, infinite lattice.
 
     Cxx = G(-1), Cyy = G(+1), Czz = Mz^2 - G(-1) G(+1).
     """
-    mz, g_minus, g_plus = (float(v[0]) for v in mz_and_correlators_many([lam], gamma, nodes))
+    mz, g_minus, g_plus = (float(v[0]) for v in mz_and_correlators_many([lam], gamma))
     return g_minus, g_plus, mz * mz - g_minus * g_plus
 
 
@@ -273,7 +314,7 @@ def dmz_dT_many(lams, gamma: float, t_tilde: float) -> np.ndarray:
     def integrand(d, disp):
         disp /= 2.0 * t_tilde
         d *= _sech2(disp)
-        return (d,)
+        return d
 
-    return _row_quadrature(integrand, lams, gamma, phi, w)[0] / (2.0 * math.pi * t_tilde * t_tilde)
+    return _row_quadrature(integrand, lams, gamma, phi, w) / (2.0 * math.pi * t_tilde * t_tilde)
 

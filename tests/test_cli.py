@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,3 +344,15 @@ class TestOutputPlumbing:
             mid, delta = line.split(",")
             assert repr(float(mid)) == mid
             assert repr(float(delta)) == delta
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_out(self):
+        # the package needs numpy only; scipy.special alone would add about
+        # 0.4 s and 25 MB to every command's start-up
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, benford_xy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"

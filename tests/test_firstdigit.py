@@ -166,6 +166,23 @@ class TestUnitHistogram:
             assert unit_histogram(w) == _reference(w)
         assert unit_histogram(v).total == np.count_nonzero(v)
 
+    @pytest.mark.parametrize("ulps_below_one", [1, 2, 700, 9000])
+    def test_values_just_below_one(self, ulps_below_one):
+        # the run next to 1.0 is counted without digits_of: 1.0 as a 1, the
+        # rest of it (1 - 1e-12 and up) as 9s
+        top = 1.0 - ulps_below_one * 2.0**-53
+        v = np.array([0.0, 0.02, np.nextafter(0.3, 1.0), 0.5, 0.999999999999 * (1 - 1e-15),
+                      0.999999999999, top, np.nextafter(1.0, 0.0), 1.0, 1.0])
+        for w in (v, v[::-1], 3.0 * v - 7.0):
+            assert unit_histogram(w) == _reference(w)
+
+    def test_only_the_maximum_near_a_threshold_skips_digits_of(self, monkeypatch):
+        v = np.array([0.0, 0.15, 0.25, 0.45, 0.999, 1.0 - 1e-13, 1.0])
+        want = _reference(v)
+        calls = []
+        monkeypatch.setattr(firstdigit, "digits_of", calls.append)
+        assert unit_histogram(v) == want and calls == []
+
     def test_several_exact_minima(self):
         v = np.concatenate([np.zeros(3), np.linspace(1e-6, 1.0, 997)])
         h = unit_histogram(v)

@@ -4,32 +4,31 @@ import numpy as np
 import pytest
 
 from benford_xy import numerics
-from benford_xy.errors import DomainError, SingularFitError
+from benford_xy.errors import SingularFitError
 
 
-class TestIntegrate:
-    def test_default_node_count(self):
-        x, w = numerics.gauss_nodes(0.0, math.pi, 256)
+class TestCompositeNodes:
+    def test_weights_sum_to_interval_length(self):
+        x, w = numerics.composite_nodes(np.linspace(0.0, math.pi, 17))
         assert x.size == 256
         assert w.sum() == pytest.approx(math.pi, abs=1e-12)
 
-    def test_nodes_rounded_up_to_whole_panels(self):
-        x, _ = numerics.gauss_nodes(0.0, 1.0, 17)
-        assert x.size == 32
+    def test_one_rule_per_panel(self):
+        x, _ = numerics.composite_nodes([0.0, 0.1, 1.0])
+        assert x.size == 2 * numerics.PANEL_ORDER
+        x, _ = numerics.composite_nodes([0.0, 0.1, 1.0], order=5)
+        assert x.size == 10
 
-    def test_nodes_never_touch_endpoints(self):
-        x, _ = numerics.gauss_nodes(0.0, 1.0, 64)
-        assert x.min() > 0.0 and x.max() < 1.0
+    def test_nodes_never_touch_panel_edges(self):
+        edges = np.array([0.0, 1e-9, 0.5, 1.0])
+        x, _ = numerics.composite_nodes(edges)
+        panel = np.searchsorted(edges, x)
+        assert np.all(x > edges[panel - 1]) and np.all(x < edges[panel])
 
-    def test_invalid_interval(self):
-        with pytest.raises(DomainError):
-            numerics.gauss_nodes(1.0, 0.0, 256)
-        with pytest.raises(DomainError):
-            numerics.gauss_nodes(0.0, math.inf, 256)
-
-    def test_too_few_nodes(self):
-        with pytest.raises(DomainError):
-            numerics.gauss_nodes(0.0, 1.0, 1)
+    def test_exact_on_polynomials_of_the_rule_degree(self):
+        # order n on each panel integrates degree 2n - 1 exactly
+        x, w = numerics.composite_nodes([0.0, 0.3, 2.0], order=4)
+        assert w @ x**7 == pytest.approx(2.0**8 / 8.0, rel=1e-13)
 
 
 class TestPolyfit:

@@ -74,18 +74,124 @@ class TestMzInfinite:
         with pytest.raises(ConfigurationError):
             mz_infinite(ModelParams(gamma=1.0, lam=1.0, n_sites=10))
 
-    def test_node_doubling_away_from_critical(self):
-        p = ModelParams(gamma=0.5, lam=0.5)
-        assert abs(mz_infinite(p, nodes=512) - mz_infinite(p, nodes=256)) < 1e-9
-
-    def test_node_doubling_at_critical_kink(self):
-        p = ModelParams(gamma=0.5, lam=1.0)
-        assert abs(mz_infinite(p, nodes=512) - mz_infinite(p, nodes=256)) < 1e-6
-
     def test_thermal_value_between_zero_and_ground_state(self):
         cold = mz_infinite(ModelParams(gamma=1.0, lam=1.0))
         warm = mz_infinite(ModelParams(gamma=1.0, lam=1.0, beta_tilde=1.0 / 0.5))
         assert 0.0 < warm < cold
+
+
+def _graded_reference(lam: float, gamma: float) -> np.ndarray:
+    """(Mz, G(-1), G(+1)) at T = 0 by 32-point Gauss-Legendre panels, 64
+    uniform ones plus ladders halving down to 5e-18 toward phi = 0, phi = pi
+    and the interior minimum of the dispersion, where the integrands have
+    structure of width |lambda -+ 1|. lambda - cos phi is formed from
+    (lambda -+ 1) and half angles, so it keeps its digits next to lambda = +-1.
+    """
+    centres = [0.0, math.pi]
+    if abs(lam) < 1.0 - gamma * gamma:
+        centres.append(math.acos(lam / (1.0 - gamma * gamma)))
+    edges = set(np.linspace(0.0, math.pi, 65))
+    for c in centres:
+        for off in math.pi * 2.0 ** -np.arange(1.0, 60.0):
+            edges.update(e for e in (c - off, c + off) if 0.0 < e < math.pi)
+    edges = np.array(sorted(edges))
+    x, w = np.polynomial.legendre.leggauss(32)
+    half = 0.5 * np.diff(edges)[:, None]
+    phi = ((edges[:-1, None] + half) + half * x).ravel()
+    w = (half * w).ravel()
+    if lam >= 0.0:
+        d = (lam - 1.0) + 2.0 * np.sin(0.5 * phi) ** 2
+    else:
+        d = (lam + 1.0) - 2.0 * np.cos(0.5 * phi) ** 2
+    s2 = np.sin(phi) ** 2
+    disp = np.sqrt(gamma * gamma * s2 + d * d)
+    even = np.cos(phi) * d
+    return np.array([w @ (d / disp), w @ ((even - gamma * s2) / disp),
+                     w @ ((even + gamma * s2) / disp)]) / math.pi
+
+
+def _ising_agm(lam: float) -> tuple[float, float]:
+    """Mz and G(-1) of the Ising chain (gamma = 1) at T = 0, lambda > 0 and
+    not 1, from the Barouch-McCoy closed forms with m = 4 lambda / (1 +
+    lambda)^2, K(m) and E(m) by the arithmetic-geometric mean."""
+    a, b = 1.0, abs((1.0 - lam) / (1.0 + lam))
+    c2 = 4.0 * lam / (1.0 + lam) ** 2
+    total, power = 0.5 * c2, 0.5
+    for _ in range(40):  # a and b meet to rounding in under ten steps
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        power *= 2.0
+        total += power * c * c
+    k = math.pi / (2.0 * a)
+    e = k * (1.0 - total)
+    mz = ((1.0 + lam) * e - (1.0 - lam) * k) / (math.pi * lam)
+    return mz, ((lam - 1.0) * k - (1.0 + lam) * e) / math.pi
+
+
+GROUND_GAMMAS = [0.1, 0.5, 1.0, 1.6, -0.5]
+
+
+def _ground_lambdas(gamma: float) -> list[float]:
+    # down to 1e-10 either side of lambda = 1, both singular points lambda =
+    # +-1 exactly, and inside, on and outside the disorder circle
+    # lambda^2 + gamma^2 = 1
+    near = [1.0 + s * d for d in (1e-10, 1e-8, 1e-5, 1e-3, 1e-1) for s in (-1.0, 1.0)]
+    circle = math.sqrt(max(0.0, 1.0 - gamma * gamma))
+    return near + [-2.0, -1.0, 0.0, 0.5, 1.0, 50.0, 0.9 * circle, circle, 0.5 * (circle + 1.0)]
+
+
+class TestGroundState:
+    # the closed-form T = 0 kernel, mz_and_correlators_many
+
+    @pytest.mark.parametrize("gamma", GROUND_GAMMAS)
+    def test_matches_graded_quadrature(self, gamma):
+        # a nan or inf at lambda = +-1 fails the comparison too
+        lams = _ground_lambdas(gamma)
+        got = xy_exact.mz_and_correlators_many(lams, gamma)
+        want = np.array([_graded_reference(lam, gamma) for lam in lams]).T
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_ising_matches_agm_closed_forms(self):
+        lams = [0.2, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 + 1e-6, 1.001, 1.5, 3.0, 10.0]
+        mz, g_minus, _ = xy_exact.mz_and_correlators_many(lams, 1.0)
+        want = np.array([_ising_agm(lam) for lam in lams]).T
+        assert np.max(np.abs(mz - want[0])) <= 1e-13
+        assert np.max(np.abs(g_minus - want[1])) <= 1e-13
+
+    def test_ising_critical_values(self):
+        mz, g_minus, _ = xy_exact.mz_and_correlators_many([1.0], 1.0)[:, 0]
+        assert abs(mz - 2.0 / math.pi) <= 1e-15
+        assert abs(g_minus + 2.0 / math.pi) <= 1e-15
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0])
+    def test_continuous_across_gamma_one(self, lam):
+        at_one = xy_exact.mz_and_correlators_many([lam], 1.0)
+        for gamma in (1.0 - 1e-9, 1.0 + 1e-9):
+            near = xy_exact.mz_and_correlators_many([lam], gamma)
+            assert np.max(np.abs(near - at_one)) <= 1e-8
+
+    @pytest.mark.parametrize("gamma", GROUND_GAMMAS)
+    def test_symmetries(self, gamma):
+        lams = np.array(_ground_lambdas(gamma))
+        mz, g_minus, g_plus = xy_exact.mz_and_correlators_many(lams, gamma)
+        assert np.array_equal(g_plus, xy_exact.mz_and_correlators_many(lams, -gamma)[1])
+        assert np.array_equal(xy_exact.mz_and_correlators_many(-lams, gamma)[0], -mz)
+
+    def test_least_anisotropy(self):
+        lams = [0.0, 0.5, 1.0, 2.0]
+        got = xy_exact.mz_and_correlators_many(lams, 1e-30)
+        want = np.array([_graded_reference(lam, 1e-30) for lam in lams]).T
+        assert np.max(np.abs(got - want)) <= 1e-13
+        with pytest.raises(DomainError):
+            xy_exact.mz_and_correlators_many(lams, 1e-31)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 1.6])
+    def test_thermal_path_tends_to_it(self, gamma):
+        # one lambda per thermal call: the thermal panel ladder is placed
+        # from the lambda range of the call
+        lams = [1.0 + d for d in (-1e-2, -1e-5, -1e-8, 0.0, 1e-8, 1e-5, 1e-2, -0.5, 1.0)]
+        cold = xy_exact.mz_infinite_many(lams, gamma)
+        warm = [xy_exact.mz_infinite_many([lam], gamma, 1e12)[0] for lam in lams]
+        assert np.max(np.abs(cold - warm)) <= 1e-10
 
 
 class TestMzFinite:
