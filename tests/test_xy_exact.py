@@ -74,14 +74,26 @@ class TestMzInfinite:
         with pytest.raises(ConfigurationError):
             mz_infinite(ModelParams(gamma=1.0, lam=1.0, n_sites=10))
 
+    def test_node_doubling_away_from_critical(self):
+        # the closed form agrees with graded quadrature at 32 and at 64 nodes
+        # per panel, so neither side moves when the node count is doubled
+        p = ModelParams(gamma=0.5, lam=0.5)
+        for order in (32, 64):
+            assert abs(mz_infinite(p) - _graded_reference(0.5, 0.5, order)[0]) < 1e-13
+
+    def test_node_doubling_at_critical_kink(self):
+        p = ModelParams(gamma=0.5, lam=1.0)
+        for order in (32, 64):
+            assert abs(mz_infinite(p) - _graded_reference(1.0, 0.5, order)[0]) < 1e-13
+
     def test_thermal_value_between_zero_and_ground_state(self):
         cold = mz_infinite(ModelParams(gamma=1.0, lam=1.0))
         warm = mz_infinite(ModelParams(gamma=1.0, lam=1.0, beta_tilde=1.0 / 0.5))
         assert 0.0 < warm < cold
 
 
-def _graded_reference(lam: float, gamma: float) -> np.ndarray:
-    """(Mz, G(-1), G(+1)) at T = 0 by 32-point Gauss-Legendre panels, 64
+def _graded_reference(lam: float, gamma: float, order: int = 32) -> np.ndarray:
+    """(Mz, G(-1), G(+1)) at T = 0 by order-point Gauss-Legendre panels, 64
     uniform ones plus ladders halving down to 5e-18 toward phi = 0, phi = pi
     and the interior minimum of the dispersion, where the integrands have
     structure of width |lambda -+ 1|. lambda - cos phi is formed from
@@ -95,7 +107,7 @@ def _graded_reference(lam: float, gamma: float) -> np.ndarray:
         for off in math.pi * 2.0 ** -np.arange(1.0, 60.0):
             edges.update(e for e in (c - off, c + off) if 0.0 < e < math.pi)
     edges = np.array(sorted(edges))
-    x, w = np.polynomial.legendre.leggauss(32)
+    x, w = np.polynomial.legendre.leggauss(order)
     half = 0.5 * np.diff(edges)[:, None]
     phi = ((edges[:-1, None] + half) + half * x).ravel()
     w = (half * w).ravel()
