@@ -307,13 +307,12 @@ def _config_echo(config: ScanConfig) -> dict:
 
 def cmd_scan(args) -> int:
     config = _scan_config_from_flags(args)
-    result = scan(config, workers=args.workers)
+    result = scan(config)
     outdir = _outdir(args)
     outputs = [
         _write_rows(outdir, "scan", args.format, ["lambda_mid", "delta"], result.points)
     ]
     manifest_config = _config_echo(config) | {
-        "workers": args.workers,
         "degenerate_windows": list(result.degenerate_windows),
     }
     manifest = _write_manifest(outdir, "scan", manifest_config, outputs)
@@ -347,7 +346,7 @@ def cmd_scale(args) -> int:
         else criticality.default_signature(base.dist)
     estimates = []
     for n in sizes:
-        result = scan(dataclasses.replace(base, n_sites=n), workers=args.workers)
+        result = scan(dataclasses.replace(base, n_sites=n))
         try:
             fit_range = criticality.auto_fit_range(
                 result, signature, fit_half=args.fit_half, smooth_half=args.smooth_half
@@ -389,7 +388,6 @@ def cmd_scale(args) -> int:
         "smooth_half": args.smooth_half,
         "lambda_c": args.lambda_c,
         "signature": signature,
-        "workers": args.workers,
     }
     manifest = _write_manifest(outdir, "scale", manifest_config, outputs)
     print(f"scale: exponent = {fit.exponent!r}, prefactor = {fit.prefactor!r}")
@@ -470,7 +468,7 @@ def cmd_crossover(args) -> int:
 def _add_common_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=_parse_workers, default=1)
+    p.add_argument("--workers", type=_parse_workers, default=1, help="crossover threads")
 
 
 def _add_dist_flags(p: argparse.ArgumentParser) -> None:

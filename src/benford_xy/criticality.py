@@ -50,7 +50,7 @@ SMOOTH_HALF_WIDTH = 0.03
 
 # Crossover-ridge defaults. Lambda grids are expressed in units of t_tilde
 # around lambda = 1; a violation window spans about window_ratio * t_tilde
-# (see RidgeGrid.lattice).
+# (see _bvp_deltas).
 RIDGE_SPAN = 3.0
 RIDGE_STEP = 0.025
 RIDGE_WINDOW_RATIO = 1.0
@@ -270,23 +270,6 @@ class RidgeGrid:
         u = np.arange(-self.span, self.span + 1e-12, self.step)
         return 1.0 + t_tilde * u
 
-    def stride(self, samples: int, window_ratio: float) -> int:
-        """Lattice points per grid step: the WindowLattice stride of samples
-        points spanning about window_ratio (300 at the defaults)."""
-        return WindowLattice(self.step, window_ratio, samples).stride
-
-    def lattice(self, t_tilde: float, samples: int, window_ratio: float) -> np.ndarray:
-        """One lambda lattice holding every violation window of a temperature.
-
-        Window i is lattice[i * m : i * m + samples], m = stride(samples,
-        window_ratio), centred on centers(t_tilde)[i]. It spans
-        (samples - 1) * step * t_tilde / m, which is (1 - 1/samples) *
-        t_tilde at the defaults.
-        """
-        windows = WindowLattice(self.step, window_ratio, samples)
-        n = self.centers(t_tilde).size
-        return 1.0 + t_tilde * (-self.span + windows.offsets(0, (n - 1) * windows.stride + samples))
-
 
 def _bvp_deltas(
     gamma: float,
@@ -297,11 +280,18 @@ def _bvp_deltas(
     dist: ReferenceDistribution,
     metric: Metric,
 ) -> np.ndarray:
-    """Violation parameter of each window centred on grid.centers(t_tilde)."""
-    lattice = grid.lattice(t_tilde, samples, window_ratio)
-    values = xy_exact.mz_infinite_many(lattice, gamma, 1.0 / t_tilde)
-    m = grid.stride(samples, window_ratio)
+    """Violation parameter of each window centred on grid.centers(t_tilde).
+
+    The windows are cut from one lambda lattice, evaluated once: with the
+    grid in units of t_tilde, window i is lattice[i * m : i * m + samples], m
+    = windows.stride (300 at the defaults), and spans (samples - 1) * step *
+    t_tilde / m, which is (1 - 1/samples) * t_tilde at the defaults.
+    """
+    windows = WindowLattice(grid.step, window_ratio, samples)
+    m = windows.stride
     out = np.empty(grid.centers(t_tilde).size)
+    lattice = 1.0 + t_tilde * (-grid.span + windows.offsets(0, (out.size - 1) * m + samples))
+    values = xy_exact.mz_infinite_many(lattice, gamma, 1.0 / t_tilde)
     for i in range(out.size):
         hist = window_histogram(values[i * m : i * m + samples])
         if hist is None:

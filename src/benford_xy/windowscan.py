@@ -11,9 +11,8 @@ its values are monotone in lambda.
 
 The lattice is streamed, never held whole: it is evaluated in segments of
 `stride` points whose bounds depend only on the lattice index, and only the
-values of the windows in hand are kept. Contiguous runs of windows can go to
-a thread pool; results are merged in grid order and are bit-identical for
-any worker count. No randomness enters anywhere in the pipeline.
+values of the windows in hand are kept. No randomness enters anywhere in the
+pipeline.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,11 +165,9 @@ def window_histogram(values: np.ndarray) -> DigitHistogram | None:
         return None
 
 
-def window_histograms(
-    config: ScanConfig, windows: range | None = None
-) -> list[tuple[float, DigitHistogram | None]]:
-    """(midpoint, window_histogram) of each window in windows (default: all),
-    in grid order: the part of scan() that is free of the law and the metric.
+def window_histograms(config: ScanConfig) -> list[tuple[float, DigitHistogram | None]]:
+    """(midpoint, window_histogram) of each window, in grid order: the part of
+    scan() that is free of the law and the metric.
 
     Window i holds the points of config.lattice that lie inside the scan
     range; its midpoint is that of [center -+ width / 2] clipped to the range.
@@ -192,13 +188,10 @@ def window_histograms(
 
     rows = []
     # values of the lattice points [first, stop), evaluated by whole segments
-    first = stop = 0
+    first = stop = k_lo
     kept = np.empty(0)
-    for i in range(centers.size) if windows is None else windows:
+    for i in range(centers.size):
         lo, hi = max(i * m, k_lo), min(i * m + lattice.samples, k_hi)
-        if stop <= lo:
-            first = stop = max(lo - lo % m, k_lo)
-            kept = np.empty(0)
         fresh = []
         while stop < hi:
             end = min(stop - stop % m + m, k_hi)
@@ -212,22 +205,13 @@ def window_histograms(
     return rows
 
 
-def scan(config: ScanConfig, workers: int = 1) -> ScanResult:
+def scan(config: ScanConfig) -> ScanResult:
     """Violation-parameter curve over the lambda grid.
 
-    With workers > 1 each worker streams one contiguous run of windows.
     Degenerate windows (flat observable) are skipped and their midpoints
     recorded, never silently zeroed.
     """
-    n = window_centers(config).size
-    if workers > 1:
-        cuts = [n * j // workers for j in range(workers + 1)]
-        runs = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda run: window_histograms(config, run), runs))
-        rows = [row for part in parts for row in part]
-    else:
-        rows = window_histograms(config)
+    rows = window_histograms(config)
     points = tuple(
         (mid, violation(hist, config.dist, config.metric)) for mid, hist in rows if hist is not None
     )

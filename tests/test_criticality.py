@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from benford_xy import criticality
+from benford_xy import criticality, xy_exact
 from benford_xy.criticality import (
     CrossoverQuantity,
     RidgeGrid,
@@ -25,7 +25,13 @@ from benford_xy.errors import (
 from benford_xy.firstdigit import ReferenceDistribution
 from benford_xy.numerics import PolyFit
 from benford_xy.violation import violation
-from benford_xy.windowscan import Observable, ScanConfig, ScanResult, window_histogram
+from benford_xy.windowscan import (
+    Observable,
+    ScanConfig,
+    ScanResult,
+    WindowLattice,
+    window_histogram,
+)
 from benford_xy.xy_exact import mz_infinite_many
 
 
@@ -315,16 +321,32 @@ class TestViolationLattice:
     T = 2e-4
     SAMPLES = 600
     GRID = RidgeGrid()
+    BENFORD = ReferenceDistribution.benford()
+    METRIC = criticality.Metric.MEAN_DEVIATION
+
+    def bvp_deltas(self, monkeypatch):
+        """_bvp_deltas at gamma = 1, and the one lambda lattice it evaluated."""
+        lattices = []
+
+        def spy(lams, gamma, beta_tilde):
+            lattices.append(lams)
+            return mz_infinite_many(lams, gamma, beta_tilde)
+
+        monkeypatch.setattr(xy_exact, "mz_infinite_many", spy)
+        deltas = criticality._bvp_deltas(
+            1.0, self.T, self.GRID, 1.0, self.SAMPLES, self.BENFORD, self.METRIC
+        )
+        assert len(lattices) == 1
+        return deltas, lattices[0]
 
     def test_stride(self):
-        grid = RidgeGrid(step=0.025)
-        assert grid.stride(12_000, 1.0) == 300
-        assert grid.stride(3000, 1.0) == 75
-        assert grid.stride(10, 1.0) == 1
+        assert WindowLattice(0.025, 1.0, 12_000).stride == 300
+        assert WindowLattice(0.025, 1.0, 3000).stride == 75
+        assert WindowLattice(0.025, 1.0, 10).stride == 1
 
-    def test_windows_are_symmetric_slices_around_centers(self):
-        lattice = self.GRID.lattice(self.T, self.SAMPLES, 1.0)
-        m = self.GRID.stride(self.SAMPLES, 1.0)
+    def test_windows_are_symmetric_slices_around_centers(self, monkeypatch):
+        _, lattice = self.bvp_deltas(monkeypatch)
+        m = WindowLattice(self.GRID.step, 1.0, self.SAMPLES).stride
         centers = self.GRID.centers(self.T)
         assert lattice.size == (centers.size - 1) * m + self.SAMPLES
         assert np.allclose(np.diff(lattice), self.GRID.step * self.T / m, rtol=1e-9, atol=0)
@@ -335,17 +357,12 @@ class TestViolationLattice:
         span = lattice[self.SAMPLES - 1] - lattice[0]
         assert span == pytest.approx((1 - 1 / self.SAMPLES) * self.T, rel=1e-9)
 
-    def test_lattice_deltas_match_per_window_evaluation(self):
-        benford = ReferenceDistribution.benford()
-        metric = criticality.Metric.MEAN_DEVIATION
-        deltas = criticality._bvp_deltas(
-            1.0, self.T, self.GRID, 1.0, self.SAMPLES, benford, metric
-        )
-        lattice = self.GRID.lattice(self.T, self.SAMPLES, 1.0)
-        m = self.GRID.stride(self.SAMPLES, 1.0)
+    def test_lattice_deltas_match_per_window_evaluation(self, monkeypatch):
+        deltas, lattice = self.bvp_deltas(monkeypatch)
+        m = WindowLattice(self.GRID.step, 1.0, self.SAMPLES).stride
         assert deltas.shape == self.GRID.centers(self.T).shape
         assert np.all(np.isfinite(deltas)) and np.all(deltas >= 0)
         for i, got in enumerate(deltas):
             window = lattice[i * m : i * m + self.SAMPLES]
             values = mz_infinite_many(window, 1.0, 1.0 / self.T)
-            assert got == violation(window_histogram(values), benford, metric)
+            assert got == violation(window_histogram(values), self.BENFORD, self.METRIC)

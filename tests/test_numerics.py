@@ -13,11 +13,17 @@ class TestCompositeNodes:
         assert x.size == 256
         assert w.sum() == pytest.approx(math.pi, abs=1e-12)
 
+    def test_rule_is_numpys_16_point_gauss_legendre(self):
+        x, w = numerics.composite_nodes([-1.0, 1.0])
+        ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
     def test_one_rule_per_panel(self):
         x, _ = numerics.composite_nodes([0.0, 0.1, 1.0])
-        assert x.size == 2 * numerics.PANEL_ORDER
-        x, _ = numerics.composite_nodes([0.0, 0.1, 1.0], order=5)
-        assert x.size == 10
+        assert numerics.PANEL_ORDER == 16
+        assert x.size == 2 * 16
+        x, _ = numerics.composite_nodes([0.0, 0.1, 0.5, 1.0])
+        assert x.size == 3 * 16
 
     def test_nodes_never_touch_panel_edges(self):
         edges = np.array([0.0, 1e-9, 0.5, 1.0])
@@ -26,9 +32,13 @@ class TestCompositeNodes:
         assert np.all(x > edges[panel - 1]) and np.all(x < edges[panel])
 
     def test_exact_on_polynomials_of_the_rule_degree(self):
-        # order n on each panel integrates degree 2n - 1 exactly
-        x, w = numerics.composite_nodes([0.0, 0.3, 2.0], order=4)
-        assert w @ x**7 == pytest.approx(2.0**8 / 8.0, rel=1e-13)
+        # 16 points on each panel integrate degree 2 * 16 - 1 = 31 exactly
+        x, w = numerics.composite_nodes([0.0, 0.3, 2.0])
+        assert w @ x**31 == pytest.approx(2.0**32 / 32.0, rel=1e-13)
+        # and no higher: on one wide panel degree 30 is exact, 32 is not
+        x, w = numerics.composite_nodes([-1.0, 1.0])
+        assert w @ x**30 == pytest.approx(2.0 / 31.0, rel=1e-13)
+        assert w @ x**32 != pytest.approx(2.0 / 33.0, rel=1e-10)
 
 
 class TestPolyfit:

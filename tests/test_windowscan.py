@@ -1,9 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from benford_xy import windowscan
+from benford_xy import cli, windowscan
 from benford_xy.errors import ConfigurationError
 from benford_xy.firstdigit import ReferenceDistribution
 from benford_xy.violation import Metric
@@ -108,13 +109,13 @@ class TestWindowLattice:
         assert lattice.span == pytest.approx(0.006, rel=1e-12)
 
     @staticmethod
-    def windows(monkeypatch, config, **kwargs):
+    def windows(monkeypatch, config):
         """The lambda points of each window, in grid order, as the streamed
         scan hands them on (with the observable replaced by lambda itself)."""
         seen = []
         monkeypatch.setattr(windowscan, "evaluate", lambda config, lams: lams.copy())
         monkeypatch.setattr(windowscan, "window_histogram", lambda v: seen.append(v))
-        rows = window_histograms(config, **kwargs)
+        rows = window_histograms(config)
         assert len(rows) == len(seen)
         return seen
 
@@ -151,13 +152,6 @@ class TestWindowLattice:
         assert points.size == np.unique(points).size == 2000
         assert all(lams.size <= config.lattice.stride for lams in evaluated)
 
-    def test_runs_of_windows_cut_the_same_windows(self, monkeypatch):
-        config = small_config()
-        whole = self.windows(monkeypatch, config)
-        parts = (self.windows(monkeypatch, config, windows=range(0, 7))
-                 + self.windows(monkeypatch, config, windows=range(7, 21)))
-        assert all(np.array_equal(w, p) for w, p in zip(whole, parts, strict=True))
-
 
 class TestScan:
     def test_midpoints_increasing_and_edges_clipped(self):
@@ -175,9 +169,26 @@ class TestScan:
         d = r.deltas()
         assert np.all(np.isfinite(d)) and np.all(d >= 0)
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = small_config()
-        assert scan(cfg, workers=4) == scan(cfg, workers=1)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--gamma", "0.5", "--n-sites", "8", "--lambda", "0.9:1.1:0.01"],
+            ["scale", "--gamma", "0.5", "--lambda", "0.9:1.06:0.005", "--n-list", "20,24,30"],
+        ],
+        ids=["scan", "scale"],
+    )
+    def test_any_worker_count_evaluates_on_the_calling_thread(self, tmp_path, monkeypatch, argv):
+        threads = set()
+        evaluate = windowscan.evaluate
+
+        def spy(config, lams):
+            threads.add(threading.get_ident())
+            return evaluate(config, lams)
+
+        monkeypatch.setattr(windowscan, "evaluate", spy)
+        argv = argv + ["--samples", "200", "--workers", "2", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert threads == {threading.get_ident()}
 
     def test_flat_observable_marks_windows_degenerate(self, monkeypatch):
         monkeypatch.setattr(

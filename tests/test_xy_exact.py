@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import benford_xy
-from benford_xy import ModelParams, xy_exact
+from benford_xy import ModelParams, criticality, windowscan, xy_exact
 from benford_xy.errors import ConfigurationError, DomainError
+from benford_xy.firstdigit import ReferenceDistribution
+from benford_xy.violation import Metric
 from benford_xy.xy_exact import (
     correlator_g_many,
     diagonal_correlators,
@@ -360,3 +362,51 @@ class TestPackageRoot:
         cxx, cyy, czz = benford_xy.diagonal_correlators(lam, 1.0)
         assert all(type(v) is float for v in (mz, cxx, cyy, czz))
         assert czz == mz * mz - cxx * cyy
+
+
+class TestThermalLadderPerCall:
+    """_thermal_edges places its ladders from the smallest, middle and largest
+    lambda of a call. Over the narrow lambda spans the package's callers pass,
+    one call must agree with single-lambda calls to rounding."""
+
+    TOL = 2e-15
+
+    def assert_matches_single_calls(self, lams, gamma, t_tilde):
+        whole = xy_exact.mz_infinite_many(lams, gamma, 1.0 / t_tilde)
+        for k in np.linspace(0, lams.size - 1, 40).astype(int):
+            single = xy_exact.mz_infinite_many(lams[k : k + 1], gamma, 1.0 / t_tilde)
+            assert abs(whole[k] - single[0]) <= self.TOL
+
+    @pytest.mark.parametrize("t_tilde", [1e-4, 3e-4, 5e-4])
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+    def test_crossover_ridge_lattice(self, monkeypatch, gamma, t_tilde):
+        lattices = []
+        monkeypatch.setattr(
+            xy_exact, "mz_infinite_many", lambda lams, *a: lattices.append(lams) or lams
+        )
+        criticality._bvp_deltas(
+            gamma, t_tilde, criticality.RidgeGrid(), 1.0, 3000,
+            ReferenceDistribution.benford(), Metric.MEAN_DEVIATION,
+        )
+        monkeypatch.undo()
+        (lattice,) = lattices
+        self.assert_matches_single_calls(lattice, gamma, t_tilde)
+
+    @pytest.mark.parametrize("t_tilde", [1e-3, 3e-4])
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+    def test_thermal_scan_segment(self, monkeypatch, gamma, t_tilde):
+        config = windowscan.ScanConfig(
+            observable=windowscan.Observable.MZ, gamma=gamma, lambda_range=(0.98, 1.02),
+            beta_tilde=1.0 / t_tilde,
+        )
+        segments = []
+        monkeypatch.setattr(
+            windowscan, "evaluate", lambda config, lams: segments.append(lams) or lams
+        )
+        windowscan.window_histograms(config)
+        monkeypatch.undo()
+        # the two whole 1000-point segments on either side of lambda = 1
+        near = [s for s in segments if s.size == 1000 and np.abs(s - 1.0).min() < 1e-5]
+        assert len(near) == 2
+        for segment in near:
+            self.assert_matches_single_calls(segment, gamma, t_tilde)
