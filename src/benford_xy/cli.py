@@ -30,17 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, criticality, windowscan
+from . import __version__, criticality
 from .errors import (
     BenfordXYError,
     ConfigurationError,
     DegenerateWindowError,
-    DomainError,
     EmptyHistogramError,
-    InsufficientRidgeError,
-    MixedSideError,
     NoTransitionError,
-    SingularFitError,
 )
 from .firstdigit import DistKind, ReferenceDistribution, histogram, probabilities
 from .violation import Metric, violation
@@ -54,13 +50,6 @@ EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
 _DEGENERATE_ERRORS = (DegenerateWindowError, EmptyHistogramError)
-_NUMERICAL_ERRORS = (
-    DomainError,
-    SingularFitError,
-    NoTransitionError,
-    MixedSideError,
-    InsufficientRidgeError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,64 +64,64 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_lambda_range(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigurationError(f"--lambda expects start:stop:step, got {text!r}")
+# Flag types. argparse applies them to the flag text and to string defaults,
+# and reports an ArgumentTypeError as a usage error naming the flag.
+
+def _lambda_range(text: str) -> tuple[float, float, float]:
     try:
-        a, b, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigurationError(f"--lambda expects numbers, got {text!r}") from exc
+        a, b, step = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects start:stop:step, got {text!r}") from None
     return a, b, step
 
 
-def _parse_t(text: str) -> float:
+def _t_tilde(text: str) -> float:
+    """Reduced temperature; 'zero' is exactly T = 0."""
     if text == "zero":
-        return math.inf
+        return 0.0
     try:
         t = float(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"--t expects a number or 'zero', got {text!r}") from exc
-    if not (t > 0):
-        raise ConfigurationError("--t must be positive (or 'zero')")
-    return 1.0 / t
-
-
-def _parse_workers(text: str) -> int:
-    try:
-        workers = int(text)
     except ValueError:
-        workers = 0
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
-    return workers
+        t = math.nan
+    if not (t > 0):
+        raise argparse.ArgumentTypeError(f"expects a positive number or 'zero', got {text!r}")
+    return t
 
 
-def _parse_n_sites(text: str) -> int | None:
+def _n_sites(text: str) -> int | None:
     if text.lower() == "none":
         return None
     try:
         return int(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"--n-sites expects an integer or 'none', got {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer or 'none', got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
+    return n
+
+
+def _comma_list(convert, what: str):
+    def parse(text: str) -> list:
+        try:
+            values = [convert(p) for p in text.split(",") if p.strip()]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"expects comma-separated {what}, got {text!r}")
+        return values
+
+    return parse
 
 
 def _dist_from_flags(args) -> ReferenceDistribution:
-    kind = DistKind(args.dist)
-    if kind is DistKind.POISSON:
-        if args.kappa is None:
-            raise ConfigurationError("--dist poisson requires --kappa")
-        return ReferenceDistribution.poisson(args.kappa)
-    if args.kappa is not None:
-        raise ConfigurationError("--kappa only applies to --dist poisson")
-    return ReferenceDistribution(kind)
-
-
-def _outdir(args) -> Path:
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return ReferenceDistribution(DistKind(args.dist), args.kappa)
 
 
 def _jsonify(value):
@@ -153,45 +142,49 @@ def _jsonify(value):
     return value
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, outputs: list[str]) -> Path:
-    manifest = {
-        "command": command,
-        "config": _jsonify(config),
-        "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs,
-    }
-    path = outdir / f"{command}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def _csv_cell(v):
     if isinstance(v, (np.floating, np.integer)):
         v = v.item()
     return repr(v) if isinstance(v, float) else v
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+def _finish(args, config: dict, tables: dict, blocks: dict) -> None:
+    """Write the command's outputs and its manifest, then name them on stdout.
 
-
-def _write_json_rows(path: Path, header: list[str], rows) -> None:
-    data = [dict(zip(header, row)) for row in rows]
-    path.write_text(json.dumps(_jsonify(data), indent=2) + "\n")
-
-
-def _write_rows(outdir: Path, stem: str, fmt: str, header: list[str], rows) -> str:
-    name = f"{stem}.{fmt}"
-    if fmt == "json":
-        _write_json_rows(outdir / name, header, rows)
-    else:
-        _write_csv(outdir / name, header, rows)
-    return name
+    tables maps a file stem to (header, rows), written in --format; blocks
+    maps a file name to a JSON value. The manifest's config is the resolved
+    flags overlaid with config, the values the command derived from them;
+    its outputs name the files in write order, tables first.
+    """
+    outdir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    if args.format == "json":
+        blocks = {
+            f"{stem}.json": [dict(zip(header, row)) for row in rows]
+            for stem, (header, rows) in tables.items()
+        } | blocks
+        tables = {}
+    outputs = []
+    for stem, (header, rows) in tables.items():
+        outputs.append(f"{stem}.csv")
+        with open(outdir / outputs[-1], "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    for name, block in blocks.items():
+        outputs.append(name)
+        (outdir / name).write_text(json.dumps(_jsonify(block), indent=2) + "\n")
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    manifest = {
+        "command": args.command,
+        "config": flags | config,
+        "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "outputs": outputs,
+    }
+    path = outdir / f"{args.command}_manifest.json"
+    path.write_text(json.dumps(_jsonify(manifest), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {', '.join(str(outdir / o) for o in outputs)} and {path}")
 
 
 _GENERATOR_RE = re.compile(r"^logmantissa:(\d+)$")
@@ -241,6 +234,8 @@ def cmd_digits(args) -> int:
         raise DegenerateWindowError("input column is constant")
     dist = _dist_from_flags(args)
     hist = histogram(values)
+    probs = probabilities(dist)
+    violations = {metric.value: violation(hist, dist, metric) for metric in Metric}
     report = {
         "input": args.input,
         "values": int(values.size),
@@ -248,31 +243,22 @@ def cmd_digits(args) -> int:
         "total": hist.total,
         "skipped": hist.skipped,
         "distribution": dist.label(),
-        "probabilities": probabilities(dist),
-        "violations": {
-            metric.value: violation(hist, dist, metric) for metric in Metric
-        },
+        "probabilities": probs,
+        "violations": violations,
     }
-    outdir = _outdir(args)
-    report_name = "digits_report.json"
-    (outdir / report_name).write_text(json.dumps(_jsonify(report), indent=2) + "\n")
-    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    manifest = _write_manifest(outdir, "digits", flags, [report_name])
-
-    probs = probabilities(dist)
     freq = hist.frequencies()
     print(f"digits of {values.size} values ({hist.skipped} skipped):")
     print("digit  count  observed  expected")
     for d in range(9):
         print(f"    {d + 1}  {hist.counts[d]:>5}  {freq[d]:8.5f}  {probs[d]:8.5f}")
-    for metric in Metric:
-        print(f"{metric.value}: {report['violations'][metric.value]!r}")
-    print(f"wrote {outdir / report_name} and {manifest}")
+    for name, value in violations.items():
+        print(f"{name}: {value!r}")
+    _finish(args, {}, {}, {"digits_report.json": report})
     return EXIT_OK
 
 
 def _scan_config_from_flags(args) -> ScanConfig:
-    a, b, step = _parse_lambda_range(args.lambda_range)
+    a, b, step = args.lambda_range
     return ScanConfig(
         observable=Observable(args.observable),
         gamma=args.gamma,
@@ -282,23 +268,20 @@ def _scan_config_from_flags(args) -> ScanConfig:
         samples_per_window=args.samples,
         dist=_dist_from_flags(args),
         metric=Metric(args.metric),
-        beta_tilde=_parse_t(args.t),
-        n_sites=_parse_n_sites(args.n_sites),
+        beta_tilde=1.0 / args.t if args.t else math.inf,
+        n_sites=args.n_sites,
     )
 
 
 def _config_echo(config: ScanConfig) -> dict:
+    """The scan settings in the library's terms, where they differ from the flags."""
     return {
-        "observable": config.observable,
-        "gamma": config.gamma,
         "lambda_range": list(config.lambda_range),
         "lambda_step": config.lambda_step,
         "window_width": config.window_width,
         "samples_per_window": config.samples_per_window,
         "dist": config.dist,
-        "metric": config.metric,
         "t_tilde": config.t_tilde,
-        "n_sites": config.n_sites,
         "lattice_stride": config.lattice.stride,
         "lattice_spacing": config.lattice.spacing,
         "window_span": config.lattice.span,
@@ -308,44 +291,22 @@ def _config_echo(config: ScanConfig) -> dict:
 def cmd_scan(args) -> int:
     config = _scan_config_from_flags(args)
     result = scan(config)
-    outdir = _outdir(args)
-    outputs = [
-        _write_rows(outdir, "scan", args.format, ["lambda_mid", "delta"], result.points)
-    ]
-    manifest_config = _config_echo(config) | {
-        "degenerate_windows": list(result.degenerate_windows),
-    }
-    manifest = _write_manifest(outdir, "scan", manifest_config, outputs)
-    print(
-        f"scan: {len(result.points)} points, {len(result.degenerate_windows)} degenerate; "
-        f"wrote {', '.join(str(outdir / o) for o in outputs)} and {manifest}"
+    print(f"scan: {len(result.points)} points, {len(result.degenerate_windows)} degenerate")
+    _finish(
+        args,
+        _config_echo(config) | {"degenerate_windows": list(result.degenerate_windows)},
+        {"scan": (["lambda_mid", "delta"], result.points)},
+        {},
     )
     return EXIT_OK
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
 def cmd_scale(args) -> int:
-    sizes = _parse_int_list(args.n_list)
-    if not sizes:
-        raise ConfigurationError("--n-list must name at least one chain length")
     base = _scan_config_from_flags(args)
     signature = criticality.Signature(args.signature) if args.signature != "auto" \
         else criticality.default_signature(base.dist)
     estimates = []
-    for n in sizes:
+    for n in args.n_list:
         result = scan(dataclasses.replace(base, n_sites=n))
         try:
             fit_range = criticality.auto_fit_range(
@@ -355,12 +316,6 @@ def cmd_scale(args) -> int:
         except (NoTransitionError, ConfigurationError) as exc:
             raise NoTransitionError(f"n_sites={n}: {exc}") from exc
     fit = criticality.scaling_exponent(estimates, lambda_c=args.lambda_c)
-    outdir = _outdir(args)
-    outputs = [
-        _write_rows(
-            outdir, "scale", args.format, ["n_sites", "lambda_c_n"], fit.pairs
-        )
-    ]
     fit_block = {
         "exponent": fit.exponent,
         "prefactor": fit.prefactor,
@@ -379,24 +334,17 @@ def cmd_scale(args) -> int:
             for e in estimates
         ],
     }
-    fit_name = "scale_fit.json"
-    (outdir / fit_name).write_text(json.dumps(_jsonify(fit_block), indent=2) + "\n")
-    outputs.append(fit_name)
-    manifest_config = _config_echo(base) | {
-        "n_list": sizes,
-        "fit_half": args.fit_half,
-        "smooth_half": args.smooth_half,
-        "lambda_c": args.lambda_c,
-        "signature": signature,
-    }
-    manifest = _write_manifest(outdir, "scale", manifest_config, outputs)
     print(f"scale: exponent = {fit.exponent!r}, prefactor = {fit.prefactor!r}")
-    print(f"wrote {', '.join(str(outdir / o) for o in outputs)} and {manifest}")
+    _finish(
+        args,
+        _config_echo(base) | {"signature": signature},
+        {"scale": (["n_sites", "lambda_c_n"], fit.pairs)},
+        {"scale_fit.json": fit_block},
+    )
     return EXIT_OK
 
 
 def cmd_crossover(args) -> int:
-    ts = _parse_float_list(args.t_list)
     quantities = (
         [criticality.CrossoverQuantity(args.quantity)]
         if args.quantity != "both"
@@ -404,14 +352,12 @@ def cmd_crossover(args) -> int:
     )
     grid = criticality.RidgeGrid(span=args.span, step=args.step)
     dist = _dist_from_flags(args)
-    outdir = _outdir(args)
-    outputs = []
-    lines_block = {}
+    tables, lines_block = {}, {}
     for quantity in quantities:
         lines = criticality.crossover_lines(
             quantity,
             args.gamma,
-            ts,
+            args.t_list,
             grid,
             window_ratio=args.window_ratio,
             samples=args.samples,
@@ -419,56 +365,27 @@ def cmd_crossover(args) -> int:
             metric=Metric(args.metric),
             workers=args.workers,
         )
-        outputs.append(
-            _write_rows(
-                outdir,
-                f"crossover_{quantity.value}",
-                args.format,
-                ["t_tilde", "lambda", "branch"],
-                [(t, lam, branch) for lam, t, branch in lines.ridge_points],
-            )
+        tables[f"crossover_{quantity.value}"] = (
+            ["t_tilde", "lambda", "branch"],
+            [(t, lam, branch) for lam, t, branch in lines.ridge_points],
         )
         lines_block[quantity.value] = {
-            "left": {
-                "slope": lines.left.slope,
-                "intercept": lines.left.intercept,
-                "rms_residual": lines.left.rms_residual,
-            },
-            "right": {
-                "slope": lines.right.slope,
-                "intercept": lines.right.intercept,
-                "rms_residual": lines.right.rms_residual,
-            },
+            "left": dataclasses.asdict(lines.left),
+            "right": dataclasses.asdict(lines.right),
             "warnings": list(lines.warnings),
         }
         print(
             f"crossover {quantity.value}: left slope {lines.left.slope!r}, "
             f"right slope {lines.right.slope!r}"
         )
-    lines_name = "crossover_lines.json"
-    (outdir / lines_name).write_text(json.dumps(_jsonify(lines_block), indent=2) + "\n")
-    outputs.append(lines_name)
-    manifest_config = {
-        "gamma": args.gamma,
-        "t_list": ts,
-        "span": args.span,
-        "step": args.step,
-        "window_ratio": args.window_ratio,
-        "samples": args.samples,
-        "dist": dist,
-        "metric": args.metric,
-        "quantity": args.quantity,
-        "workers": args.workers,
-    }
-    manifest = _write_manifest(outdir, "crossover", manifest_config, outputs)
-    print(f"wrote {', '.join(str(outdir / o) for o in outputs)} and {manifest}")
+    _finish(args, {"dist": dist}, tables, {"crossover_lines.json": lines_block})
     return EXIT_OK
 
 
 def _add_common_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=_parse_workers, default=1, help="crossover threads")
+    p.add_argument("--workers", type=_positive_int, default=1, help="crossover threads")
 
 
 def _add_dist_flags(p: argparse.ArgumentParser) -> None:
@@ -482,11 +399,11 @@ def _add_dist_flags(p: argparse.ArgumentParser) -> None:
 def _add_scan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--observable", choices=[o.value for o in Observable], default="mz")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--n-sites", default="none", help="even chain length or 'none'")
-    p.add_argument("--t", default="zero", help="reduced temperature or 'zero'")
-    p.add_argument(
-        "--lambda", dest="lambda_range", default="0.8:1.2:0.002", help="start:stop:step"
-    )
+    p.add_argument("--n-sites", type=_n_sites, default="none",
+                   help="even chain length or 'none'")
+    p.add_argument("--t", type=_t_tilde, default="zero", help="reduced temperature or 'zero'")
+    p.add_argument("--lambda", dest="lambda_range", type=_lambda_range, default="0.8:1.2:0.002",
+                   help="start:stop:step")
     p.add_argument("--window", type=float, default=0.02, help="window width in lambda")
     p.add_argument("--samples", type=int, default=10_000, help="samples per window")
     _add_dist_flags(p)
@@ -511,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", help="finite-size transitions and shift exponent")
     _add_scan_flags(p)
-    p.add_argument("--n-list", default="14,20,24,30,34,40", help="comma-separated chain lengths")
+    p.add_argument("--n-list", type=_comma_list(int, "integers"), default="14,20,24,30,34,40",
+                   help="comma-separated chain lengths")
     p.add_argument(
         "--signature",
         choices=["auto"] + [s.value for s in criticality.Signature],
@@ -527,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument(
         "--t-list",
+        type=_comma_list(float, "numbers"),
         default=",".join(repr(float(t)) for t in np.linspace(1e-4, 5e-4, 25)),
         help="comma-separated reduced temperatures",
     )
@@ -563,11 +482,8 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except BenfordXYError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -94,18 +94,20 @@ def _gap_minima(gamma: float, lam_lo: float, lam_hi: float) -> list[float]:
 def _thermal_edges(gamma: float, t_tilde: float, lam_lo: float, lam_hi: float) -> np.ndarray:
     """Panel edges refined geometrically toward live dispersion minima.
 
-    A ladder is placed at a candidate angle only when the local gap is small
-    enough (relative to temperature) for the thermal factor to vary there;
-    saturated regions fall back to the capped smooth panels.
+    A ladder is placed at a candidate angle p only when the gap there is
+    small enough (relative to temperature) for the thermal factor to vary,
+    for some lambda of the call. The dispersion at p is least at
+    lambda = cos p, so its minimum over [lam_lo, lam_hi] is taken at cos p
+    clipped to that span. Saturated regions fall back to the capped smooth
+    panels.
     """
     finest = max(t_tilde / 16.0, 1e-12)
     depth = min(52, max(4, int(math.ceil(math.log2(math.pi / finest)))))
     offsets = math.pi * 2.0 ** -np.arange(1, depth + 1, dtype=float)
     threshold = max(0.05, 50.0 * t_tilde)
-    lam_probe = np.array([lam_lo, 0.5 * (lam_lo + lam_hi), lam_hi])
     edges = {0.0, math.pi}
     for p in [0.0, math.pi] + _gap_minima(gamma, lam_lo, lam_hi):
-        if dispersion(lam_probe, gamma, p).min() >= threshold:
+        if dispersion(min(max(math.cos(p), lam_lo), lam_hi), gamma, p) >= threshold:
             continue
         for off in offsets:
             for e in (p - off, p + off):

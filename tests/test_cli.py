@@ -325,6 +325,84 @@ class TestWorkers:
         assert run_cli(argv + ["--workers", workers, "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SCAN_ARGS + ["--lambda", "0.9:1.1"],
+            SCAN_ARGS + ["--t", "-3"],
+            SCAN_ARGS + ["--n-sites", "x"],
+            SCALE_ARGS + ["--n-list", "14,x"],
+            ["crossover", "--t-list", "a,b"],
+        ],
+        ids=["lambda", "t", "n-sites", "n-list", "t-list"],
+    )
+    def test_malformed_flag_rejected_before_computing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 3
+        assert not out.exists()
+        flag = argv[-2]
+        assert f"argument {flag}" in capsys.readouterr().err
+
+
+class TestManifest:
+    """Each command's manifest echoes the resolved flags and the values derived
+    from them, and names its data files in the order they were written."""
+
+    CROSSOVER_ARGS = [
+        "crossover", "--quantity", "both", "--t-list", "1e-4,2e-4,5e-4",
+        "--span", "3", "--step", "0.05", "--samples", "600",
+    ]
+    SCAN_KEYS = [
+        "observable", "gamma", "lambda_range", "lambda_step", "window_width",
+        "samples_per_window", "dist", "metric", "t_tilde", "n_sites",
+        "lattice_stride", "lattice_spacing", "window_span",
+    ]
+    CASES = {
+        "digits": (
+            ["digits", "logmantissa:500", "--dist", "poisson", "--kappa", "5"],
+            ["input", "seed", "dist", "kappa", "metric", "out", "format", "workers"],
+            {"input": "logmantissa:500", "seed": 0, "dist": "poisson", "kappa": 5.0},
+            ["digits_report.json"],
+        ),
+        "scan": (
+            SCAN_ARGS,
+            SCAN_KEYS + ["degenerate_windows"],
+            {"observable": "mz", "n_sites": 8, "degenerate_windows": [],
+             "lambda_range": [0.9, 1.1], "lambda_step": 0.01, "lattice_stride": 100,
+             "window_width": 0.02, "samples_per_window": 200, "dist": "benford",
+             "t_tilde": 0.0, "t": 0.0},
+            ["scan.csv"],
+        ),
+        "scale": (
+            SCALE_ARGS + ["--format", "json"],
+            SCAN_KEYS + ["n_list", "fit_half", "smooth_half", "lambda_c", "signature"],
+            {"n_list": [20, 24, 30], "n_sites": None, "signature": "derivative",
+             "lambda_range": [0.9, 1.06], "lambda_step": 0.005, "format": "json"},
+            ["scale.json", "scale_fit.json"],
+        ),
+        "crossover": (
+            CROSSOVER_ARGS,
+            ["gamma", "t_list", "span", "step", "window_ratio", "samples", "dist",
+             "metric", "quantity", "workers"],
+            {"t_list": [1e-4, 2e-4, 5e-4], "span": 3.0, "step": 0.05, "samples": 600,
+             "dist": "benford", "quantity": "both", "workers": 1},
+            ["crossover_dmzdt.csv", "crossover_bvp.csv", "crossover_lines.json"],
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_config_and_outputs(self, tmp_path, command):
+        argv, keys, pinned, outputs = self.CASES[command]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / f"{command}_manifest.json").read_text())
+        assert manifest["command"] == command
+        config = manifest["config"]
+        assert set(keys) <= set(config)
+        assert {k: config[k] for k in pinned} == pinned
+        assert config["out"] == str(tmp_path)
+        assert manifest["outputs"] == outputs
+        assert all((tmp_path / name).is_file() for name in outputs)
+
 
 class TestOutputPlumbing:
     def test_out_path_collides_with_file(self, tmp_path):
@@ -349,9 +427,13 @@ class TestOutputPlumbing:
 class TestImports:
     def test_cli_import_leaves_scipy_out(self):
         # the package needs numpy only; scipy.special alone would add about
-        # 0.4 s and 25 MB to every command's start-up
+        # 0.4 s and 25 MB to every command's start-up, and numpy.polynomial
+        # about 1.8 MB of peak RSS
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys, benford_xy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = (
+            "import sys, benford_xy.cli; print(sorted(m for m in sys.modules"
+            " if (m + '.').startswith(('scipy.', 'numpy.polynomial.'))))"
+        )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)

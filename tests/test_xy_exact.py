@@ -365,9 +365,11 @@ class TestPackageRoot:
 
 
 class TestThermalLadderPerCall:
-    """_thermal_edges places its ladders from the smallest, middle and largest
-    lambda of a call. Over the narrow lambda spans the package's callers pass,
-    one call must agree with single-lambda calls to rounding."""
+    """_thermal_edges places a ladder at a candidate angle when the dispersion
+    there is small for some lambda of the call, taking its exact minimum over
+    the call's lambda span. One call, over the narrow lambda spans the
+    package's callers pass or over a wide span, must agree with single-lambda
+    calls to rounding."""
 
     TOL = 2e-15
 
@@ -410,3 +412,10 @@ class TestThermalLadderPerCall:
         assert len(near) == 2
         for segment in near:
             self.assert_matches_single_calls(segment, gamma, t_tilde)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+    def test_wide_span_near_the_critical_point(self, gamma):
+        # one call from lambda = -1 to 2 needs the ladders of its lambda next to 1
+        near = [1.0 + s * d for d in (1e-2, 1e-3, 1e-5, 1e-8) for s in (-1.0, 1.0)]
+        lams = np.array(sorted(near + [1.0, 0.5, 2.0, -1.0, 0.0]))
+        self.assert_matches_single_calls(lams, gamma, 1e-12)
