@@ -75,17 +75,24 @@ def _lambda_range(text: str) -> tuple[float, float, float]:
     return a, b, step
 
 
+def _finite(text: str, positive: bool = False) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x) or (positive and not x > 0):
+        raise argparse.ArgumentTypeError(
+            f"expects a {'positive ' * positive}finite number, got {text!r}")
+    return x
+
+
+def _positive(text: str) -> float:
+    return _finite(text, positive=True)
+
+
 def _t_tilde(text: str) -> float:
     """Reduced temperature; 'zero' is exactly T = 0."""
-    if text == "zero":
-        return 0.0
-    try:
-        t = float(text)
-    except ValueError:
-        t = math.nan
-    if not (t > 0):
-        raise argparse.ArgumentTypeError(f"expects a positive number or 'zero', got {text!r}")
-    return t
+    return 0.0 if text == "zero" else _positive(text)
 
 
 def _n_sites(text: str) -> int | None:
@@ -435,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto"] + [s.value for s in criticality.Signature],
         default="auto",
     )
-    p.add_argument("--fit-half", type=float, default=criticality.FIT_HALF_WIDTH)
-    p.add_argument("--smooth-half", type=float, default=criticality.SMOOTH_HALF_WIDTH)
-    p.add_argument("--lambda-c", type=float, default=criticality.LAMBDA_C)
+    p.add_argument("--fit-half", type=_positive, default=criticality.FIT_HALF_WIDTH)
+    p.add_argument("--smooth-half", type=_positive, default=criticality.SMOOTH_HALF_WIDTH)
+    p.add_argument("--lambda-c", type=_finite, default=criticality.LAMBDA_C)
     _add_common_output_flags(p)
     p.set_defaults(func=cmd_scale)
 

@@ -16,8 +16,8 @@ the temperature and refined by a parabolic fit - three-point interpolation
 for the smooth magnetization derivative, a least-squares parabola over a
 wider neighbourhood for violation ridges, whose digit-count staircase makes
 pointwise interpolation noisy - and each branch's (lambda, T) points are
-fitted with a straight line. The violation windows of one temperature are
-slices of one shared lambda lattice, evaluated once.
+fitted with a straight line. The violation windows go through the same
+window stage as scan windows (windowscan.WindowLattice.histograms).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
 from .firstdigit import DistKind, ReferenceDistribution
 from .numerics import LineFit, PolyFit
 from .violation import Metric, violation
-from .windowscan import ScanResult, WindowLattice, window_histogram
+from .windowscan import ScanResult, WindowLattice
 
 LAMBDA_C = 1.0
 
@@ -79,7 +79,7 @@ def default_signature(dist: ReferenceDistribution) -> Signature:
 class TransitionEstimate:
     lambda_c_n: float
     n_sites: int | None
-    fit: PolyFit
+    fit: PolyFit  # the cubic in u = lambda - fit_center
     signature: Signature
     fit_range: tuple[float, float]
     fit_center: float
@@ -142,19 +142,6 @@ def auto_fit_range(
     return float(center - fit_half), float(center + fit_half)
 
 
-def _shifted_cubic(coeffs: np.ndarray, x0: float) -> np.ndarray:
-    """Re-express a cubic fitted in u = x - x0 in the raw coordinate."""
-    d, c, b, a = coeffs
-    return np.array(
-        [
-            d - c * x0 + b * x0 * x0 - a * x0 ** 3,
-            c - 2.0 * b * x0 + 3.0 * a * x0 * x0,
-            b - 3.0 * a * x0,
-            a,
-        ]
-    )
-
-
 def locate_transition(
     result: ScanResult,
     fit_range: tuple[float, float],
@@ -173,13 +160,8 @@ def locate_transition(
         )
     x, y = mids[sel], deltas[sel]
     x0 = float(x.mean())
-    fit_u = numerics.polyfit(np.column_stack([x - x0, y]), 3)
-    d0, c1, b2, a3 = fit_u.coefficients
-    fit = PolyFit(
-        coefficients=_shifted_cubic(fit_u.coefficients, x0),
-        degree=3,
-        rms_residual=fit_u.rms_residual,
-    )
+    fit = numerics.polyfit(np.column_stack([x - x0, y]), 3)
+    _, c1, b2, a3 = fit.coefficients
     if signature is Signature.MINIMUM:
         # interior minimizer of the cubic: root of f' with f'' > 0
         if a3 == 0.0 and b2 == 0.0:
@@ -227,6 +209,8 @@ def scaling_exponent(
     with slope alpha and intercept ln(-k); all estimates must approach the
     critical point from the same side for the logs to exist.
     """
+    if not math.isfinite(lambda_c):
+        raise ConfigurationError(f"lambda_c must be finite, got {lambda_c!r}")
     ests = list(estimates)
     if len(ests) < 3:
         raise ConfigurationError("scaling fit needs at least 3 transition estimates")
@@ -271,33 +255,23 @@ class RidgeGrid:
         return 1.0 + t_tilde * u
 
 
-def _bvp_deltas(
-    gamma: float,
-    t_tilde: float,
-    grid: RidgeGrid,
-    window_ratio: float,
-    samples: int,
-    dist: ReferenceDistribution,
-    metric: Metric,
-) -> np.ndarray:
+def _bvp_deltas(gamma: float, t_tilde: float, grid: RidgeGrid, window_ratio: float,
+                samples: int, dist: ReferenceDistribution, metric: Metric) -> np.ndarray:
     """Violation parameter of each window centred on grid.centers(t_tilde).
 
-    The windows are cut from one lambda lattice, evaluated once: with the
-    grid in units of t_tilde, window i is lattice[i * m : i * m + samples], m
-    = windows.stride (300 at the defaults), and spans (samples - 1) * step *
-    t_tilde / m, which is (1 - 1/samples) * t_tilde at the defaults.
+    The windows are those of WindowLattice(grid.step, window_ratio, samples)
+    at lambda = 1 + t_tilde * (-grid.span + offset), through its histograms
+    stage; each spans (samples - 1) * step * t_tilde / stride, which is
+    (1 - 1/samples) * t_tilde at the defaults.
     """
-    windows = WindowLattice(grid.step, window_ratio, samples)
-    m = windows.stride
-    out = np.empty(grid.centers(t_tilde).size)
-    lattice = 1.0 + t_tilde * (-grid.span + windows.offsets(0, (out.size - 1) * m + samples))
-    values = xy_exact.mz_infinite_many(lattice, gamma, 1.0 / t_tilde)
-    for i in range(out.size):
-        hist = window_histogram(values[i * m : i * m + samples])
-        if hist is None:
-            raise DegenerateWindowError(f"flat violation window at t_tilde={t_tilde:g}")
-        out[i] = violation(hist, dist, metric)
-    return out
+    hists = WindowLattice(grid.step, window_ratio, samples).histograms(
+        grid.centers(t_tilde).size,
+        lambda x: xy_exact.mz_infinite_many(
+            1.0 + t_tilde * (-grid.span + x), gamma, 1.0 / t_tilde),
+    )
+    if None in hists:
+        raise DegenerateWindowError(f"flat violation window at t_tilde={t_tilde:g}")
+    return np.array([violation(hist, dist, metric) for hist in hists])
 
 
 def _refine3(x: np.ndarray, y: np.ndarray, k: int) -> float:

@@ -40,9 +40,6 @@ class PolyFit:
     degree: int
     rms_residual: float
 
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coefficients)
-
 
 @dataclass(frozen=True)
 class LineFit:

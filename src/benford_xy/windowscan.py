@@ -3,16 +3,11 @@ small window around each grid point, rescale to [0, 1], histogram first
 digits, and score against a reference law.
 
 Every window is a slice of one lambda lattice (WindowLattice), so
-neighbouring windows share their points and each point is evaluated once; a
-window clipped by the scan range keeps only its points inside the range. The
-crossover violation ridges cut their windows from the same kind of lattice,
-and every window is counted by firstdigit.unit_histogram, by bisection when
-its values are monotone in lambda.
-
-The lattice is streamed, never held whole: it is evaluated in segments of
-`stride` points whose bounds depend only on the lattice index, and only the
-values of the windows in hand are kept. No randomness enters anywhere in the
-pipeline.
+neighbouring windows share their points and each point is evaluated once. Its
+histograms stage is the one window pipeline of scan, scale and the crossover
+violation ridges: it evaluates the lattice about one window of points per
+call, keeps only the window in hand and the points after it, and counts each
+window with firstdigit.unit_histogram. No randomness enters anywhere.
 """
 
 from __future__ import annotations
@@ -73,6 +68,30 @@ class WindowLattice:
         """Positions of lattice points start..stop-1 relative to the first
         window's centre."""
         return (np.arange(start, stop) - 0.5 * (self.samples - 1)) * self.spacing
+
+    def histograms(self, count: int, evaluate, lo: int = 0,
+                   hi: int | None = None) -> list[DigitHistogram | None]:
+        """window_histogram of windows 0..count-1, window i holding the
+        lattice points of [i * stride, i * stride + samples) inside [lo, hi).
+
+        evaluate(offsets) gives the observable at the lattice points at those
+        offsets (see offsets()), at most one window of them per call. Points
+        that fall in no window are never evaluated."""
+        m, n = self.stride, self.samples
+        hi = (count - 1) * m + n if hi is None else hi
+        rows = []
+        # values of the lattice points [first, first + kept.size)
+        first, kept = lo, np.empty(0)
+        for i in range(count):
+            w_lo, w_hi = max(i * m, lo), min(i * m + n, hi)
+            kept, first = kept[w_lo - first :], w_lo
+            while first + kept.size < w_hi:
+                start = first + kept.size
+                # one window of points, none past this window if windows leave gaps
+                stop = min(start + n, hi) if m <= n else w_hi
+                kept = np.concatenate([kept, evaluate(self.offsets(start, stop))])
+            rows.append(window_histogram(kept[: w_hi - w_lo]))
+        return rows
 
 
 @dataclass(frozen=True)
@@ -175,34 +194,19 @@ def window_histograms(config: ScanConfig) -> list[tuple[float, DigitHistogram | 
     a, b = config.lambda_range
     centers = window_centers(config)
     lattice = config.lattice
-    m = lattice.stride
 
     def point(k: int) -> float:
         return a + float(lattice.offsets(k, k + 1)[0])
 
     # lambda never decreases along the lattice, so its points inside [a, b]
     # are the one run [k_lo, k_hi)
-    every = range((centers.size - 1) * m + lattice.samples)
+    every = range((centers.size - 1) * lattice.stride + lattice.samples)
     k_lo = bisect.bisect_left(every, a, key=point)
     k_hi = bisect.bisect_right(every, b, key=point)
-
-    rows = []
-    # values of the lattice points [first, stop), evaluated by whole segments
-    first = stop = k_lo
-    kept = np.empty(0)
-    for i in range(centers.size):
-        lo, hi = max(i * m, k_lo), min(i * m + lattice.samples, k_hi)
-        fresh = []
-        while stop < hi:
-            end = min(stop - stop % m + m, k_hi)
-            fresh.append(evaluate(config, a + lattice.offsets(stop, end)))
-            stop = end
-        kept = np.concatenate([kept, *fresh])[lo - first :]
-        first = lo
-        c = centers[i]
-        mid = 0.5 * (max(a, c - config.window_width / 2.0) + min(b, c + config.window_width / 2.0))
-        rows.append((float(mid), window_histogram(kept[: hi - lo])))
-    return rows
+    hists = lattice.histograms(centers.size, lambda x: evaluate(config, a + x), k_lo, k_hi)
+    half = config.window_width / 2.0
+    mids = [float(0.5 * (max(a, c - half) + min(b, c + half))) for c in centers]
+    return list(zip(mids, hists))
 
 
 def scan(config: ScanConfig) -> ScanResult:

@@ -333,8 +333,14 @@ class TestWorkers:
             SCAN_ARGS + ["--n-sites", "x"],
             SCALE_ARGS + ["--n-list", "14,x"],
             ["crossover", "--t-list", "a,b"],
+            SCALE_ARGS + ["--lambda-c", "nan"],
+            SCALE_ARGS + ["--fit-half", "-0.05"],
+            SCALE_ARGS + ["--fit-half", "0"],
+            SCALE_ARGS + ["--fit-half", "nan"],
+            SCALE_ARGS + ["--smooth-half", "-1"],
         ],
-        ids=["lambda", "t", "n-sites", "n-list", "t-list"],
+        ids=["lambda", "t", "n-sites", "n-list", "t-list", "lambda-c", "fit-half-negative",
+             "fit-half-zero", "fit-half-nan", "smooth-half"],
     )
     def test_malformed_flag_rejected_before_computing(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

@@ -114,13 +114,16 @@ class TestLocateTransition:
         e2 = locate_transition(r2, (1.03, 1.13), Signature.DERIVATIVE_MIN)
         assert e2.lambda_c_n - e1.lambda_c_n == pytest.approx(0.1, abs=1e-9)
 
-    def test_reported_fit_is_in_raw_coordinates(self):
+    def test_reported_fit_is_in_centred_coordinates(self):
         f = lambda x: (x - 0.985) ** 3 - 0.01 * (x - 0.985)
         r = synthetic_result(GRID, f)
         est = locate_transition(r, (0.93, 1.03), Signature.DERIVATIVE_MIN)
         c0, c1, c2, c3 = est.fit.coefficients
-        assert -c2 / (3.0 * c3) == pytest.approx(est.lambda_c_n, rel=1e-6)
-        assert est.fit(GRID) == pytest.approx(f(GRID), abs=1e-9)
+        assert est.fit_center + -c2 / (3.0 * c3) == pytest.approx(est.lambda_c_n, rel=1e-12)
+        u = GRID - est.fit_center
+        assert np.polynomial.polynomial.polyval(u, est.fit.coefficients) == pytest.approx(
+            f(GRID), abs=1e-12
+        )
         assert est.fit.rms_residual < 1e-12
 
     def test_inflection_outside_range_rejected(self):
@@ -216,6 +219,12 @@ class TestScalingExponent:
             scaling_exponent(ests)
         assert exc.value.offenders == [40]
         assert "40" in str(exc.value)
+
+    @pytest.mark.parametrize("lambda_c", [math.nan, math.inf])
+    def test_non_finite_critical_point_rejected(self, lambda_c):
+        ests = [_estimate(n, 1.0 - 0.3 * n ** -2.0) for n in (14, 20, 30)]
+        with pytest.raises(ConfigurationError, match="lambda_c"):
+            scaling_exponent(ests, lambda_c=lambda_c)
 
     def test_needs_three_estimates(self):
         with pytest.raises(ConfigurationError):
@@ -325,19 +334,23 @@ class TestViolationLattice:
     METRIC = criticality.Metric.MEAN_DEVIATION
 
     def bvp_deltas(self, monkeypatch):
-        """_bvp_deltas at gamma = 1, and the one lambda lattice it evaluated."""
-        lattices = []
+        """_bvp_deltas at gamma = 1, and its lambda lattice: the lambda of
+        every mz_infinite_many call, in call order. Each call holds at most
+        one window of points, and every lattice point is evaluated once."""
+        calls = []
 
         def spy(lams, gamma, beta_tilde):
-            lattices.append(lams)
+            calls.append(lams)
             return mz_infinite_many(lams, gamma, beta_tilde)
 
         monkeypatch.setattr(xy_exact, "mz_infinite_many", spy)
         deltas = criticality._bvp_deltas(
             1.0, self.T, self.GRID, 1.0, self.SAMPLES, self.BENFORD, self.METRIC
         )
-        assert len(lattices) == 1
-        return deltas, lattices[0]
+        assert all(lams.size <= self.SAMPLES for lams in calls)
+        lattice = np.concatenate(calls)
+        assert np.all(np.diff(lattice) > 0)
+        return deltas, lattice
 
     def test_stride(self):
         assert WindowLattice(0.025, 1.0, 12_000).stride == 300

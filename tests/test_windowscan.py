@@ -7,7 +7,7 @@ import pytest
 from benford_xy import cli, windowscan
 from benford_xy.errors import ConfigurationError
 from benford_xy.firstdigit import ReferenceDistribution
-from benford_xy.violation import Metric
+from benford_xy.violation import Metric, violation
 from benford_xy.windowscan import (
     Observable,
     ScanConfig,
@@ -148,9 +148,23 @@ class TestWindowLattice:
         )
         window_histograms(config)
         points = np.concatenate(evaluated)
-        # 0.2 / 1e-4 lattice points lie inside the range, none twice
+        # 0.2 / 1e-4 lattice points lie inside the range, none twice, and no
+        # call holds more than one window of them
         assert points.size == np.unique(points).size == 2000
-        assert all(lams.size <= config.lattice.stride for lams in evaluated)
+        assert all(lams.size <= config.lattice.samples for lams in evaluated)
+
+    def test_points_between_windows_are_not_evaluated(self, monkeypatch):
+        # 100 samples a window, 1e-5 apart, on a grid 2e-3 apart: stride 200,
+        # so half the lattice points fall in no window
+        config = small_config(window_width=0.001, samples_per_window=100, lambda_step=0.002)
+        assert config.lattice.stride == 200
+        evaluated = []
+        monkeypatch.setattr(
+            windowscan, "evaluate", lambda config, lams: evaluated.append(lams) or lams
+        )
+        window_histograms(config)
+        assert sum(lams.size for lams in evaluated) == 99 * 100 + 2 * 50
+        assert all(lams.size <= 100 for lams in evaluated)
 
 
 class TestScan:
@@ -197,6 +211,24 @@ class TestScan:
         r = scan(small_config())
         assert r.points == ()
         assert len(r.degenerate_windows) == 21
+
+    def test_windows_that_do_not_overlap_match_per_window_evaluation(self):
+        # scan --window 0.001 --samples 100 at the default range and step:
+        # stride 200 lattice points, of which each window holds the first 100
+        config = ScanConfig(
+            observable=Observable.MZ, gamma=1.0, lambda_range=(0.8, 1.2),
+            window_width=0.001, samples_per_window=100,
+        )
+        lattice = config.lattice
+        a, b = config.lambda_range
+        result = scan(config)
+        assert result.degenerate_windows == ()
+        assert len(result.points) == window_centers(config).size == 201
+        for i, (_, delta) in enumerate(result.points):
+            lams = a + lattice.offsets(i * lattice.stride, i * lattice.stride + lattice.samples)
+            values = windowscan.evaluate(config, lams[(lams >= a) & (lams <= b)])
+            hist = windowscan.window_histogram(values)
+            assert delta == violation(hist, config.dist, config.metric)
 
     def test_correlator_scan_runs(self):
         r = scan(small_config(observable=Observable.CXX, n_sites=None))

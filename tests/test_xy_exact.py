@@ -365,53 +365,44 @@ class TestPackageRoot:
 
 
 class TestThermalLadderPerCall:
-    """_thermal_edges places a ladder at a candidate angle when the dispersion
-    there is small for some lambda of the call, taking its exact minimum over
-    the call's lambda span. One call, over the narrow lambda spans the
-    package's callers pass or over a wide span, must agree with single-lambda
-    calls to rounding."""
+    """Every thermal lambda is integrated on the rule of its fixed lambda bin,
+    so one call of mz_infinite_many or dmz_dT_many over any lambda array must
+    give the same bits as one call per lambda: over the crossover ridge
+    lattice, a thermal scan range, a wide span and the interior gap minima
+    of small anisotropy."""
 
-    TOL = 2e-15
-
-    def assert_matches_single_calls(self, lams, gamma, t_tilde):
-        whole = xy_exact.mz_infinite_many(lams, gamma, 1.0 / t_tilde)
-        for k in np.linspace(0, lams.size - 1, 40).astype(int):
-            single = xy_exact.mz_infinite_many(lams[k : k + 1], gamma, 1.0 / t_tilde)
-            assert abs(whole[k] - single[0]) <= self.TOL
+    @staticmethod
+    def assert_matches_single_calls(lams, gamma, t_tilde):
+        # 40 spread points, and the two sides of every bin edge in lams
+        bins = np.floor(lams / xy_exact._RULE_BIN)
+        edges = np.flatnonzero(np.diff(bins))
+        picked = np.unique(np.concatenate(
+            [np.linspace(0, lams.size - 1, 40).astype(int), edges, edges + 1]
+        ))
+        for kernel in (
+            lambda lams: xy_exact.mz_infinite_many(lams, gamma, 1.0 / t_tilde),
+            lambda lams: xy_exact.dmz_dT_many(lams, gamma, t_tilde),
+        ):
+            whole = kernel(lams)[picked]
+            single = np.array([kernel(lams[k : k + 1])[0] for k in picked])
+            assert np.array_equal(whole, single)
 
     @pytest.mark.parametrize("t_tilde", [1e-4, 3e-4, 5e-4])
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
-    def test_crossover_ridge_lattice(self, monkeypatch, gamma, t_tilde):
-        lattices = []
-        monkeypatch.setattr(
-            xy_exact, "mz_infinite_many", lambda lams, *a: lattices.append(lams) or lams
-        )
-        criticality._bvp_deltas(
-            gamma, t_tilde, criticality.RidgeGrid(), 1.0, 3000,
-            ReferenceDistribution.benford(), Metric.MEAN_DEVIATION,
-        )
-        monkeypatch.undo()
-        (lattice,) = lattices
-        self.assert_matches_single_calls(lattice, gamma, t_tilde)
+    def test_crossover_ridge_lattice(self, gamma, t_tilde):
+        grid = criticality.RidgeGrid()
+        lattice = windowscan.WindowLattice(grid.step, 1.0, 3000)
+        count = grid.centers(t_tilde).size
+        offsets = lattice.offsets(0, (count - 1) * lattice.stride + lattice.samples)
+        self.assert_matches_single_calls(1.0 + t_tilde * (-grid.span + offsets), gamma, t_tilde)
 
     @pytest.mark.parametrize("t_tilde", [1e-3, 3e-4])
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
-    def test_thermal_scan_segment(self, monkeypatch, gamma, t_tilde):
-        config = windowscan.ScanConfig(
-            observable=windowscan.Observable.MZ, gamma=gamma, lambda_range=(0.98, 1.02),
-            beta_tilde=1.0 / t_tilde,
-        )
-        segments = []
-        monkeypatch.setattr(
-            windowscan, "evaluate", lambda config, lams: segments.append(lams) or lams
-        )
-        windowscan.window_histograms(config)
-        monkeypatch.undo()
-        # the two whole 1000-point segments on either side of lambda = 1
-        near = [s for s in segments if s.size == 1000 and np.abs(s - 1.0).min() < 1e-5]
-        assert len(near) == 2
-        for segment in near:
-            self.assert_matches_single_calls(segment, gamma, t_tilde)
+    def test_thermal_scan_segment(self, gamma, t_tilde):
+        # the whole lattice of a default-sampled scan over 0.98...1.02
+        lattice = windowscan.WindowLattice(0.002, 0.02, 10_000)
+        lams = 0.98 + lattice.offsets(0, 20 * lattice.stride + lattice.samples)
+        self.assert_matches_single_calls(lams[(lams >= 0.98) & (lams <= 1.02)], gamma, t_tilde)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
     def test_wide_span_near_the_critical_point(self, gamma):
@@ -419,3 +410,10 @@ class TestThermalLadderPerCall:
         near = [1.0 + s * d for d in (1e-2, 1e-3, 1e-5, 1e-8) for s in (-1.0, 1.0)]
         lams = np.array(sorted(near + [1.0, 0.5, 2.0, -1.0, 0.0]))
         self.assert_matches_single_calls(lams, gamma, 1e-12)
+
+    @pytest.mark.parametrize("t_tilde", [1e-3, 1e-4])
+    def test_interior_gap_minima_at_small_anisotropy(self, t_tilde):
+        # at gamma = 0.01 the dispersion is least at phi = acos(lambda / (1 -
+        # gamma^2)), which moves with lambda; a rule over a call's whole span
+        # missed the ladders of its inner lambda by up to 6.6e-5
+        self.assert_matches_single_calls(np.linspace(-0.6, 0.6, 13), 0.01, t_tilde)
