@@ -370,7 +370,6 @@ def cmd_crossover(args) -> int:
             samples=args.samples,
             dist=dist,
             metric=Metric(args.metric),
-            workers=args.workers,
         )
         tables[f"crossover_{quantity.value}"] = (
             ["t_tilde", "lambda", "branch"],
@@ -392,7 +391,8 @@ def cmd_crossover(args) -> int:
 def _add_common_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=_positive_int, default=1, help="crossover threads")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="accepted; every command runs on one thread")
 
 
 def _add_dist_flags(p: argparse.ArgumentParser) -> None:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,7 +355,6 @@ def crossover_lines(
     samples: int = RIDGE_SAMPLES,
     dist: ReferenceDistribution = ReferenceDistribution.benford(),
     metric: Metric = Metric.MEAN_DEVIATION,
-    workers: int = 1,
 ) -> CrossoverLines:
     """Fit the two finite-temperature crossover lines T = s (lambda - 1).
 
@@ -376,15 +374,8 @@ def crossover_lines(
     if samples < 2:
         raise ConfigurationError("samples must be at least 2")
     grid = lambda_grid or RidgeGrid()
-
-    def run(t: float):
-        return _ridge_slice(quantity, gamma, t, grid, window_ratio, samples, dist, metric)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slices = list(pool.map(run, ts))
-    else:
-        slices = [run(t) for t in ts]
+    slices = [_ridge_slice(quantity, gamma, t, grid, window_ratio, samples, dist, metric)
+              for t in ts]
 
     warnings: list[str] = []
     points: list[tuple[float, float, str]] = []

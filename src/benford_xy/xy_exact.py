@@ -16,6 +16,21 @@ geometrically toward those points. The panels are placed per lambda bin
 of width _RULE_BIN, so a thermal value depends on (lambda, gamma, T_tilde)
 alone, never on the other lambda of its call.
 
+Within a bin, Mz and dMz/dT are analytic in lambda on the scale of T_tilde,
+so the thermal kernels integrate only at the bin's Chebyshev points of the
+second kind and interpolate every other lambda by the barycentric formula
+(Berrut & Trefethen, SIAM Rev. 46, 501 (2004); Trefethen, Approximation
+Theory and Approximation Practice, ch. 5 and 8). The degree starts at 16 and
+doubles, each time reusing the values it has, since the point sets are
+nested. Degree n is accepted once its interpolant predicts the values at the
+n points degree 2n adds to within 1e-13 of the largest value, just above the
+rounding of the quadrature itself (up to 6e-14 for dMz/dT next to
+lambda = 1); the bin is then interpolated at degree 2n. A bin that needs a
+degree above 256 (structure much narrower than the bin, as T_tilde -> 0)
+has every lambda integrated directly on its rule. The node values of the
+last 64 (kernel, bin, gamma, T_tilde) are cached, so the one-window calls of
+a scan or a crossover temperature share them.
+
 The infinite lattice at T = 0 needs no quadrature: Mz, G(-1) and G(+1) are
 complete elliptic integrals (Barouch & McCoy, Phys. Rev. A 3, 786 (1971)),
 evaluated by Bulirsch's cel iteration in a form that stays finite at
@@ -24,6 +39,7 @@ lambda = +-1 (see mz_and_correlators_many).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +57,16 @@ _BLOCK_CELLS = 1 << 15
 # Every lambda in bin k = floor(lambda / _RULE_BIN) is integrated on the
 # thermal rule built for [k, k + 1) * _RULE_BIN.
 _RULE_BIN = 2e-3
+
+# The per-bin interpolant of the thermal kernels (see _bin_interpolant): its
+# least and greatest degree, its acceptance threshold relative to the bin's
+# largest value, and how many bins' node values are cached. Degree n takes
+# every (_DEGREE_CAP / n)-th point of _CHEBYSHEV, so the point sets nest.
+_DEGREE_MIN = 16
+_DEGREE_CAP = 256
+_INTERP_TOL = 1e-13
+_CACHED_BINS = 64
+_CHEBYSHEV = -np.cos(math.pi * np.arange(_DEGREE_CAP + 1) / _DEGREE_CAP)
 
 
 def check_model(gamma: float, beta_tilde: float = math.inf,
@@ -131,16 +157,85 @@ def _thermal_edges(gamma: float, t_tilde: float, lam_lo: float, lam_hi: float) -
     return np.asarray(out)
 
 
-def _thermal_quadrature(integrand, lams, gamma: float, t_tilde: float) -> np.ndarray:
-    """_row_quadrature with each lambda on the rule of its lambda bin."""
+def _thermal_quadrature(kind: str, arg: float, lams, gamma: float,
+                        t_tilde: float) -> np.ndarray:
+    """The thermal integral of kind (built from arg) at each lambda, on the
+    rule of its lambda bin: interpolated where the bin has an interpolant,
+    integrated directly where it has none."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     bins = np.floor(lams / _RULE_BIN)
     out = np.full(lams.size, math.nan)
     # a set: np.unique imports numpy.ma on first use (15 ms, 1.7 MB on a 2-core Xeon)
     for k in set(bins.tolist()):
         at = bins == k
-        edges = _thermal_edges(gamma, t_tilde, k * _RULE_BIN, (k + 1.0) * _RULE_BIN)
-        out[at] = _row_quadrature(integrand, lams[at], gamma, *numerics.composite_nodes(edges))
+        nodes = _bin_interpolant(kind, arg, k, gamma, t_tilde)
+        if nodes is None:
+            out[at] = _row_quadrature(_THERMAL_INTEGRANDS[kind](arg), lams[at], gamma,
+                                      *_bin_rule(k, gamma, t_tilde))
+        else:
+            out[at] = _barycentric(*nodes, lams[at])
+    return out
+
+
+@functools.lru_cache(maxsize=_CACHED_BINS)
+def _bin_interpolant(kind: str, arg: float, k: float, gamma: float,
+                     t_tilde: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Chebyshev points of bin k and the thermal integral at them, or None
+    when no degree up to _DEGREE_CAP passes the check.
+
+    Degree n (n + 1 points) is accepted when its interpolant predicts the
+    integral at the n points that degree 2n adds to within _INTERP_TOL of
+    the largest value; the bin is then interpolated at degree 2n.
+    """
+    rule = _bin_rule(k, gamma, t_tilde)
+    integrand = _THERMAL_INTEGRANDS[kind](arg)
+    x = (k + 0.5) * _RULE_BIN + 0.5 * _RULE_BIN * _CHEBYSHEV
+    step = _DEGREE_CAP // _DEGREE_MIN
+    f = _row_quadrature(integrand, x[::step], gamma, *rule)
+    while step > 1:
+        added = x[step // 2 :: step]
+        new = _row_quadrature(integrand, added, gamma, *rule)
+        error = np.max(np.abs(_barycentric(x[::step], f, added) - new))
+        both = np.empty(f.size + new.size)
+        both[::2], both[1::2] = f, new
+        f, step = both, step // 2
+        if error <= _INTERP_TOL * np.max(np.abs(f)):
+            # read-only: the cache hands the same arrays to every caller
+            x = x[::step].copy()
+            x.flags.writeable = f.flags.writeable = False
+            return x, f
+    return None
+
+
+def _bin_rule(k: float, gamma: float, t_tilde: float) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes and weights of the thermal rule of bin k."""
+    edges = _thermal_edges(gamma, t_tilde, k * _RULE_BIN, (k + 1.0) * _RULE_BIN)
+    return numerics.composite_nodes(edges)
+
+
+def _barycentric(x: np.ndarray, f: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """The polynomial through (x, f) at each lambda, for x the Chebyshev
+    points of the second kind in ascending order, by the barycentric formula
+    (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).
+
+    Rows go in blocks of at most _BLOCK_CELLS cells and einsum reduces each
+    row, as in _row_quadrature, so a value does not depend on the other
+    lambda of the call. A lambda on a node takes that node's value.
+    """
+    w = np.ones(x.size)
+    w[1::2] = -1.0
+    w[[0, -1]] *= 0.5
+    wf = w * f
+    out = np.empty(lams.size)
+    rows = max(1, _BLOCK_CELLS // x.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, lams.size, rows):
+            q = lams[i : i + rows, None] - x
+            np.divide(1.0, q, out=q)
+            out[i : i + rows] = np.einsum("ij,j->i", q, wf) / np.einsum("ij,j->i", q, w)
+    at = np.minimum(np.searchsorted(x, lams), x.size - 1)
+    hit = x[at] == lams
+    out[hit] = f[at[hit]]
     return out
 
 
@@ -188,7 +283,7 @@ def mz_infinite_many(lams, gamma: float, beta_tilde: float = math.inf) -> np.nda
     """Thermodynamic-limit transverse magnetization for an array of lambda."""
     if math.isinf(beta_tilde):
         return mz_and_correlators_many(lams, gamma)[0]
-    return -_thermal_quadrature(_mz_integrand(beta_tilde), lams, gamma, 1.0 / beta_tilde) / math.pi
+    return -_thermal_quadrature("mz", beta_tilde, lams, gamma, 1.0 / beta_tilde) / math.pi
 
 
 def mz_infinite(params: ModelParams) -> float:
@@ -321,12 +416,21 @@ def dmz_dT_many(lams, gamma: float, t_tilde: float) -> np.ndarray:
     """Temperature derivative of the infinite-lattice magnetization."""
     if not (t_tilde > 0.0) or not np.isfinite(t_tilde):
         raise DomainError("t_tilde must be positive and finite")
+    scale = 2.0 * math.pi * t_tilde * t_tilde
+    return _thermal_quadrature("dmz_dT", t_tilde, lams, gamma, t_tilde) / scale
 
+
+def _dmz_dT_integrand(t_tilde: float):
+    """(cos phi - lambda) sech^2(L / (2 t_tilde)), in place."""
     def integrand(d, disp):
         disp /= 2.0 * t_tilde
         d *= _sech2(disp)
         return d
 
-    scale = 2.0 * math.pi * t_tilde * t_tilde
-    return _thermal_quadrature(integrand, lams, gamma, t_tilde) / scale
+    return integrand
+
+
+# The thermal integrands by kind, each built from beta_tilde (Mz) or t_tilde
+# (its temperature derivative); _bin_interpolant keys its cache on the kind.
+_THERMAL_INTEGRANDS = {"mz": _mz_integrand, "dmz_dT": _dmz_dT_integrand}
 

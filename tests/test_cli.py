@@ -444,3 +444,23 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_fits_and_thermal_kernels_leave_polynomial_and_fft_out(self, tmp_path):
+        # numpy.polynomial costs every scale and crossover run about 4.6 ms
+        # and 0.9 MB of peak RSS, and the first use of numpy.fft 0.47 MB
+        src = str(Path(cli.__file__).resolve().parents[1])
+        runs = [
+            ["scale", "--gamma", "0.5", "--n-list", "14,20,24", "--out", str(tmp_path / "a")],
+            ["crossover", "--t-list", "1e-4,2e-4,5e-4", "--samples", "600",
+             "--out", str(tmp_path / "b")],
+        ]
+        code = (
+            f"import sys; from benford_xy import cli\nfor argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules"
+            " if (m + '.').startswith(('numpy.polynomial.', 'numpy.fft.'))))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -417,3 +417,79 @@ class TestThermalLadderPerCall:
         # gamma^2)), which moves with lambda; a rule over a call's whole span
         # missed the ladders of its inner lambda by up to 6.6e-5
         self.assert_matches_single_calls(np.linspace(-0.6, 0.6, 13), 0.01, t_tilde)
+
+
+@pytest.fixture
+def direct(monkeypatch):
+    """A thermal kernel evaluated with every bin integrated directly on its
+    rule, as for a bin whose interpolant fails its check."""
+    def evaluate(kernel, lams):
+        with monkeypatch.context() as m:
+            m.setattr(xy_exact, "_bin_interpolant", lambda *key: None)
+            return kernel(np.asarray(lams, dtype=float))
+
+    return evaluate
+
+
+def _thermal_kernels(gamma, t_tilde):
+    return {
+        "mz": lambda lams: xy_exact.mz_infinite_many(lams, gamma, 1.0 / t_tilde),
+        "dmz_dT": lambda lams: xy_exact.dmz_dT_many(lams, gamma, t_tilde),
+    }
+
+
+class TestThermalInterpolant:
+    """Within each rule bin the thermal kernels are the barycentric
+    interpolant of their values at Chebyshev points, which must stay within
+    1e-13 of the bin's direct quadrature: absolutely for Mz, relative to the
+    largest value for dMz/dT."""
+
+    @staticmethod
+    def assert_close(kind, got, want):
+        scale = 1.0 if kind == "mz" else np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("t_tilde", [1e-5, 1e-4, 3e-4, 1e-3])
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+    def test_matches_direct_quadrature(self, direct, gamma, t_tilde):
+        # both sides of the bin edges from 0.99 to 1.01, a spread over them,
+        # and |lambda - 1| = 1e-7 and 1e-10
+        edges = np.arange(495, 506) * xy_exact._RULE_BIN
+        lams = np.concatenate([
+            np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf),
+            np.linspace(0.99, 1.01, 101), 1.0 + np.array([-1e-7, 1e-7, -1e-10, 1e-10]),
+        ])
+        for kind, kernel in _thermal_kernels(gamma, t_tilde).items():
+            self.assert_close(kind, kernel(lams), direct(kernel, lams))
+
+    @pytest.mark.parametrize("t_tilde", [1e-4, 1e-3])
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+    def test_a_node_returns_its_value(self, direct, gamma, t_tilde):
+        # the interior nodes of the bins next to lambda = 1; a node's value
+        # is its direct quadrature, bit for bit
+        args = {"mz": 1.0 / t_tilde, "dmz_dT": t_tilde}
+        for kind, kernel in _thermal_kernels(gamma, t_tilde).items():
+            for k in (498.0, 499.0, 500.0, 501.0):
+                nodes = xy_exact._bin_interpolant(kind, args[kind], k, gamma, t_tilde)
+                assert nodes is not None
+                x = nodes[0][1:-1]
+                assert np.array_equal(kernel(x), direct(kernel, x))
+
+    def test_falls_back_to_direct_quadrature_as_t_goes_to_zero(self, direct):
+        # at T = 1e-12 the structure next to lambda = 1 is far narrower than a
+        # bin: no degree up to the cap passes, and the bin is integrated
+        beta_tilde = 1e12
+        lams = 1.0 + np.array([-1e-8, -1e-10, 0.0, 1e-10, 1e-8])
+        for k in set(np.floor(lams / xy_exact._RULE_BIN).tolist()):
+            assert xy_exact._bin_interpolant("mz", beta_tilde, k, 1.0, 1.0 / beta_tilde) is None
+        kernel = _thermal_kernels(1.0, 1.0 / beta_tilde)["mz"]
+        assert np.array_equal(kernel(lams), direct(kernel, lams))
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0])
+    def test_values_do_not_depend_on_the_cache(self, gamma):
+        lams = np.linspace(0.995, 1.005, 301)
+        for kernel in _thermal_kernels(gamma, 3e-4).values():
+            kernel(lams)
+            cached = kernel(lams)
+            xy_exact._bin_interpolant.cache_clear()
+            assert np.array_equal(kernel(lams), cached)
