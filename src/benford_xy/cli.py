@@ -127,6 +127,15 @@ def _comma_list(convert, what: str):
     return parse
 
 
+def _n_list(text: str) -> list[int]:
+    """Chain lengths for scale: at least 3, distinct, each even and >= 4."""
+    sizes = _comma_list(int, "integers")(text)
+    if len(sizes) < 3 or len(set(sizes)) < len(sizes) or any(n < 4 or n % 2 for n in sizes):
+        raise argparse.ArgumentTypeError(
+            f"expects at least 3 distinct even integers >= 4, got {text!r}")
+    return sizes
+
+
 def _dist_from_flags(args) -> ReferenceDistribution:
     return ReferenceDistribution(DistKind(args.dist), args.kappa)
 
@@ -435,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", help="finite-size transitions and shift exponent")
     _add_scan_flags(p)
-    p.add_argument("--n-list", type=_comma_list(int, "integers"), default="14,20,24,30,34,40",
-                   help="comma-separated chain lengths")
+    p.add_argument("--n-list", type=_n_list, default="14,20,24,30,34,40",
+                   help="comma-separated chain lengths: at least 3, distinct, even, >= 4")
     p.add_argument(
         "--signature",
         choices=["auto"] + [s.value for s in criticality.Signature],

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .firstdigit import DistKind, ReferenceDistribution
 from .numerics import LineFit, PolyFit
-from .violation import Metric, violation
+from .violation import Metric, violations
 from .windowscan import ScanResult, WindowLattice
 
 LAMBDA_C = 1.0
@@ -101,12 +101,14 @@ class CrossoverLines:
 
 
 def local_slopes(x: np.ndarray, y: np.ndarray, half: float) -> np.ndarray:
-    """Least-squares slope of y over the points within +-half of each x."""
+    """Least-squares slope of y over the points within +-half of each x, for
+    x sorted ascending."""
     s = np.full(x.size, np.nan)
-    for i, c in enumerate(x):
-        sel = (x >= c - half) & (x <= c + half)
-        if sel.sum() >= 4:
-            xs, ys = x[sel], y[sel]
+    starts = np.searchsorted(x, x - half, side="left")
+    stops = np.searchsorted(x, x + half, side="right")
+    for i, (lo, hi) in enumerate(zip(starts.tolist(), stops.tolist())):
+        if hi - lo >= 4:
+            xs, ys = x[lo:hi], y[lo:hi]
             dx = xs - xs.mean()
             s[i] = (dx * (ys - ys.mean())).sum() / (dx * dx).sum()
     return s
@@ -270,7 +272,7 @@ def _bvp_deltas(gamma: float, t_tilde: float, grid: RidgeGrid, window_ratio: flo
     )
     if None in hists:
         raise DegenerateWindowError(f"flat violation window at t_tilde={t_tilde:g}")
-    return np.array([violation(hist, dist, metric) for hist in hists])
+    return violations([hist.counts for hist in hists], [hist.total for hist in hists], dist, metric)
 
 
 def _refine3(x: np.ndarray, y: np.ndarray, k: int) -> float:

@@ -7,10 +7,12 @@ take the integer part. Subnormals are first scaled by the exact 1e22, since
 10**e underflows for them. No string formatting is involved, so results do
 not depend on locale or repr behaviour.
 
-unit_histogram is the window pipeline's digit stage. On a window that is
-monotone it counts by bisection against the digit thresholds d * 10**k and
-leaves to digits_of only the values next to a threshold, so its counts are
-those of histogram(rescale_unit(values)).
+unit_histograms is the window pipeline's digit stage: it counts a batch of
+windows of one array at once, and unit_histogram is its one-window case. On
+the windows that are monotone it counts by bisection against the digit
+thresholds d * 10**k, in raw values, and leaves to digits_of only the values
+next to a threshold, so each window's counts are those of
+histogram(rescale_unit(window)).
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ _SMALLEST_NORMAL = np.finfo(float).tiny
 # a sorted window is counted by digits_of itself. digits_of is off by a few
 # ulp at most, far inside this margin.
 _MARGIN = 1e-12
+# Half-width added to those bands, relative to the largest magnitude in the
+# window: more than the rounding of lo + t * scale and of (b - lo) / scale.
+_ULPS = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -146,47 +151,148 @@ def histogram(values) -> DigitHistogram:
 
 
 def unit_histogram(values) -> DigitHistogram:
-    """histogram(rescale_unit(values)), counted by bisection when the values
-    are monotone.
+    """histogram(rescale_unit(values)): the one-window case of
+    unit_histograms. Raises what rescale_unit raises."""
+    a = np.asarray(values, dtype=float).ravel()
+    (hist,) = unit_histograms(a, [0], [a.size])
+    if hist is None:
+        raise DegenerateWindowError("unit rescaling needs at least 2 distinct values")
+    return hist
 
-    The rescaled values of a monotone window are sorted: its exact zeros are
-    a prefix, and the values between two digit thresholds d * 10**k are one
-    run, found with np.searchsorted. Values within a relative _MARGIN of a
-    threshold are counted by digits_of, so the counts equal histogram's by
-    construction. Windows that are not monotone, or whose smallest positive
-    value is below 1e-300, are counted by histogram. Raises what
-    rescale_unit raises.
+
+def unit_histograms(values, starts, stops) -> list[DigitHistogram | None]:
+    """histogram(rescale_unit(values[s:e])) of each window [s, e), or None
+    where rescale_unit finds the window degenerate; raises DomainError where
+    it finds a non-finite window.
+
+    The windows are counted together. One pass over the values finds the
+    steps that fall, so a window without them is non-decreasing (and flat if
+    its ends are equal); a window without rising steps is non-increasing and
+    is read reversed. The monotone windows of one direction are counted by
+    one _sorted_counts call if no step against that direction lies between
+    the first one's start and the last one's stop, else one by one. Windows
+    that are not monotone, or that _sorted_counts leaves, go through
+    histogram.
     """
-    r = rescale_unit(values).ravel()
-    if (r[1:] < r[:-1]).any():
-        if (r[1:] > r[:-1]).any():
-            return histogram(r)
-        r = r[::-1]
-    zeros = int(np.searchsorted(r, 0.0, side="right"))
-    smallest = float(r[zeros])  # r[-1] is 1.0
-    if smallest < 1e-300:
-        # thresholds this small approach the subnormals and lose precision
-        return histogram(r)
+    a = np.asarray(values, dtype=float).ravel()
+    s = np.asarray(starts, dtype=np.intp)
+    e = np.asarray(stops, dtype=np.intp)
+    rows: list[DigitHistogram | None] = [None] * s.size
+    # windows left to histogram(rescale_unit(...)), which raises DomainError
+    # on the non-finite ones and DegenerateWindowError (None) on short ones
+    other = list(range(s.size))
+    if np.isfinite(a).all():
+        long = np.flatnonzero(e - s >= 2)
+        s2, e2 = s[long], e[long]
+        head, tail = a[s2], a[e2 - 1]
+        falls = np.flatnonzero(a[1:] < a[:-1])
+        no_fall = _none_between(falls, s2, e2)
+        falling = tail < head
+        rises = np.flatnonzero(a[1:] > a[:-1]) if falling.any() else falls[:0]
+        falling &= _none_between(rises, s2, e2)
+        other = long[~(no_fall | falling)].tolist()
+        for sign, steps, windows in ((1, falls, long[no_fall & (tail > head)]),
+                                     (-1, rises, long[falling])):
+            if not windows.size:
+                continue
+            g0, g1 = s[windows].min(), e[windows].max()
+            if not _none_between(steps, g0, g1):
+                # a step against the direction lies between them: one by one
+                for i in windows.tolist():
+                    (rows[i],) = unit_histograms(a[s[i] : e[i]], [0], [e[i] - s[i]])
+                continue
+            if sign > 0:
+                b, ws, we = a[g0:g1], s[windows] - g0, e[windows] - g0
+            else:
+                b, ws, we = a[g0:g1][::-1].copy(), g1 - e[windows], g1 - s[windows]
+            for i, hist in zip(windows.tolist(), _sorted_counts(b, ws, we)):
+                rows[i] = hist
+                if hist is None:
+                    other.append(i)
+    for i in other:
+        try:
+            rows[i] = histogram(rescale_unit(a[s[i] : e[i]]))
+        except DegenerateWindowError:
+            pass
+    return rows
+
+
+def _none_between(steps: np.ndarray, start, stop):
+    """Whether none of the sorted step indices lies among the steps of the
+    values [start, stop); vectorized over start and stop."""
+    return np.searchsorted(steps, stop - 1) == np.searchsorted(steps, start)
+
+
+def _sorted_counts(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> list[DigitHistogram | None]:
+    """histogram(rescale_unit(b[s:e])) of non-flat windows of b, which is
+    non-decreasing from the first window's start to the last one's stop;
+    None for a window whose smallest positive rescaled value is below
+    1e-300, or whose values all lie below 1e-290 in magnitude.
+
+    A window's rescaled values r = (b - lo) / scale are sorted: its exact
+    zeros are a prefix, and the values between two digit thresholds d * 10**k
+    are one run. Each threshold t is bracketed in raw values, around
+    lo + t * scale, by a band of half-width _MARGIN * t * scale plus
+    _ULPS * max(|lo|, |hi|), wider than the rounding of lo + t * scale and
+    of r. One np.searchsorted finds the band edges of every window. Only
+    values inside a band get their r, and digits_of in one call, so the
+    counts equal histogram's by construction.
+    """
+    lo, hi = b[s], b[e - 1]
+    scale = hi - lo
+    mag = np.maximum(np.abs(lo), np.abs(hi))
+    first = np.searchsorted(b, lo, side="right")  # first positive r of each window
+    r0 = (b[first] - lo) / scale
+    # thresholds this small approach the subnormals and lose precision; an
+    # infinite scale gives r0 = 0 and leaves the window to histogram
+    keep = np.flatnonzero((r0 >= 1e-300) & (mag >= 1e-290))
+    rows: list[DigitHistogram | None] = [None] * s.size
+    if not keep.size:
+        return rows
+    lo, scale, mag, first, s, e = lo[keep], scale[keep], mag[keep], first[keep], s[keep], e[keep]
+    w = keep.size
     # from the decade one below the smallest positive value, so that no value
     # lies below the first threshold even if floor(log10) is one too high;
     # the last threshold is 1.0, the largest value
-    k = np.arange(math.floor(math.log10(smallest)) - 1, 0)
-    thresholds = np.append((_DIGITS * 10.0 ** k[:, None]).ravel(), 1.0)
-    lo, hi = np.searchsorted(r, thresholds * [[1.0 - _MARGIN], [1.0 + _MARGIN]])
-    # r[hi[j]:lo[j + 1]] lies clear of thresholds j and j + 1, so its digit
-    # is that of threshold j; r[lo[j]:hi[j]] lies next to threshold j
-    counts = (lo[1:] - hi[:-1]).reshape(-1, 9).sum(axis=0)
-    # the last near run, r[lo[-1]:], holds the exact 1.0 (digit 1) and any
-    # values within _MARGIN below it, which are >= 0.999999999999 (digit 9)
-    ones = r.size - int(np.searchsorted(r, 1.0))
-    counts[0] += ones
-    counts[8] += r.size - lo[-1] - ones
-    near = [r[lo[j] : hi[j]] for j in np.flatnonzero(hi[:-1] > lo[:-1])]
-    if near:
-        counts += np.bincount(digits_of(np.concatenate(near)), minlength=10)[1:]
-    return DigitHistogram(
-        counts=tuple(int(c) for c in counts), total=r.size - zeros, skipped=zeros
-    )
+    k = np.arange(math.floor(math.log10(r0[keep].min())) - 1, 0)
+    t = np.append((_DIGITS * 10.0 ** k[:, None]).ravel(), 1.0)
+    off = t * scale[:, None]
+    level = lo[:, None] + off  # the thresholds in raw values
+    half = off * _MARGIN + (_ULPS * mag)[:, None]
+    # band edges in order: below t[0], above t[0], below t[1], ..., below t[-1]
+    edges = np.empty((w, 2 * t.size - 1))
+    np.subtract(level, half, out=edges[:, 0::2])
+    np.add(level[:, :-1], half[:, :-1], out=edges[:, 1::2])
+    pos = np.searchsorted(b, edges)
+    # clipped to the positive values of each window; the running maximum
+    # merges bands that overlap, so the runs between edges partition them
+    np.maximum(pos, first[:, None], out=pos)
+    np.minimum(pos, e[:, None], out=pos)
+    np.maximum.accumulate(pos, axis=1, out=pos)
+    # b[pos[:, 2j + 1] : pos[:, 2j + 2]] lies clear of thresholds j and j + 1,
+    # so its digit is that of threshold j
+    counts = (pos[:, 2::2] - pos[:, 1::2]).reshape(w, -1, 9).sum(axis=1)
+    # the bands: b[pos[:, 2j] : pos[:, 2j + 1]] next to threshold j, and
+    # b[pos[:, -1] : e] next to 1.0; their values, gathered band by band
+    band_len = (np.column_stack([pos[:, 1::2], e]) - pos[:, 0::2]).ravel()
+    band = np.repeat(np.arange(band_len.size), band_len)
+    at = np.arange(band.size) + (pos[:, 0::2].ravel() - np.cumsum(band_len) + band_len)[band]
+    row = band // t.size
+    rise = b[at] - lo[row]
+    top = band % t.size == t.size - 1
+    # the top band holds the exact 1.0 (digit 1), where b - lo rounds to the
+    # scale, and values within the band below it, which are > 0.9 (digit 9)
+    ones = np.bincount(row[top & (rise == scale[row])], minlength=w)
+    counts[:, 0] += ones
+    counts[:, 8] += e - pos[:, -1] - ones
+    near = ~top
+    if near.any():
+        d = digits_of(rise[near] / scale[row[near]])
+        counts += np.bincount(row[near] * 9 + d - 1, minlength=9 * w).reshape(w, 9)
+    for i, c, total, zeros in zip(keep.tolist(), counts.tolist(), (e - first).tolist(),
+                                  (first - s).tolist()):
+        rows[i] = DigitHistogram(counts=tuple(c), total=total, skipped=zeros)
+    return rows
 
 
 def probabilities(dist: ReferenceDistribution) -> np.ndarray:
@@ -205,8 +311,9 @@ def probabilities(dist: ReferenceDistribution) -> np.ndarray:
     return w / w.sum()
 
 
-def expected_counts(dist: ReferenceDistribution, n: int) -> np.ndarray:
-    """E(D) = n P(D), kept real-valued."""
-    if n < 1:
+def expected_counts(dist: ReferenceDistribution, n) -> np.ndarray:
+    """E(D) = n P(D), kept real-valued; n is a count, or an array of counts
+    with a last axis of 1 for one row of E(D) each."""
+    if np.any(np.asarray(n) < 1):
         raise DomainError("expected_counts requires n >= 1")
     return n * probabilities(dist)

@@ -1,10 +1,11 @@
-"""Violation parameters: distance between an observed digit histogram and a
+"""Violation parameters: distance between observed digit histograms and a
 reference digit law.
 
 Three metrics. MeanDeviation sums |O_D - E_D| / E_D over digits and is
 scale-free because each term is a ratio of counts. StandardDeviation and
 Bhattacharya are computed on relative frequencies, so their values do not
-depend on the sample size either.
+depend on the sample size either. violations scores a batch of histograms
+with row-wise reductions; violation is its one-row case.
 """
 
 from __future__ import annotations
@@ -25,18 +26,29 @@ class Metric(enum.Enum):
 
 def violation(hist: DigitHistogram, dist: ReferenceDistribution, metric: Metric) -> float:
     """Nonnegative distance of hist from dist under the chosen metric."""
-    if hist.total == 0:
+    return float(violations([hist.counts], [hist.total], dist, metric)[0])
+
+
+def violations(counts, totals, dist: ReferenceDistribution, metric: Metric) -> np.ndarray:
+    """violation of each histogram given as a row of 9 digit counts (W x 9)
+    and its total (W).
+
+    Each row is reduced on its own, over 9 contiguous values, so a row's
+    value is that of the same sums over that row alone, bit for bit.
+    """
+    observed = np.asarray(counts, dtype=float).reshape(-1, 9)
+    n = np.asarray(totals).reshape(-1, 1)
+    if (n == 0).any():
         raise EmptyHistogramError("violation undefined for an empty histogram")
-    observed = np.asarray(hist.counts, dtype=float)
     if metric is Metric.MEAN_DEVIATION:
-        expected = expected_counts(dist, hist.total)
-        return float((np.abs(observed - expected) / expected).sum())
-    o = observed / hist.total
+        expected = expected_counts(dist, n)
+        return (np.abs(observed - expected) / expected).sum(axis=1)
+    o = observed / n
     q = probabilities(dist)
     if metric is Metric.STANDARD_DEVIATION:
-        return float(np.sqrt(((o - q) ** 2).sum()) / 3.0)
+        return np.sqrt(((o - q) ** 2).sum(axis=1)) / 3.0
     if metric is Metric.BHATTACHARYA:
         # sum of sqrt(o q) <= 1 for frequencies by Cauchy-Schwarz; clamp the
         # float residue so a perfect match reports exactly 0
-        return max(0.0, float(-np.log(np.sqrt(o * q).sum())))
+        return np.maximum(0.0, -np.log(np.sqrt(o * q).sum(axis=1)))
     raise TypeError(f"unknown metric: {metric!r}")

@@ -6,8 +6,10 @@ Every window is a slice of one lambda lattice (WindowLattice), so
 neighbouring windows share their points and each point is evaluated once. Its
 histograms stage is the one window pipeline of scan, scale and the crossover
 violation ridges: it evaluates the lattice about one window of points per
-call, keeps only the window in hand and the points after it, and counts each
-window with firstdigit.unit_histogram. No randomness enters anywhere.
+call, keeps only the windows in hand and the points after them, and counts
+the windows in hand together in one firstdigit.unit_histograms call.
+scan scores them all in one violation.violations call. No randomness enters
+anywhere.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import xy_exact
-from .errors import ConfigurationError, DegenerateWindowError
-from .firstdigit import DigitHistogram, ReferenceDistribution, unit_histogram
-from .violation import Metric, violation
+from .errors import ConfigurationError
+from .firstdigit import DigitHistogram, ReferenceDistribution, unit_histograms
+from .violation import Metric, violations
 
 
 class Observable(enum.Enum):
@@ -33,6 +35,12 @@ class Observable(enum.Enum):
 
 
 _CORRELATORS = (Observable.CXX, Observable.CYY, Observable.CZZ)
+
+# WindowLattice.histograms counts the windows in hand once the points it
+# keeps reach this many windows' worth (about 30 windows a call at the scan
+# defaults), so each unit_histograms call spreads its set-up over more
+# windows; it keeps at most one window of points more than that.
+_KEPT_WINDOWS = 3
 
 
 @dataclass(frozen=True)
@@ -71,26 +79,39 @@ class WindowLattice:
 
     def histograms(self, count: int, evaluate, lo: int = 0,
                    hi: int | None = None) -> list[DigitHistogram | None]:
-        """window_histogram of windows 0..count-1, window i holding the
-        lattice points of [i * stride, i * stride + samples) inside [lo, hi).
+        """firstdigit.unit_histograms of windows 0..count-1, window i holding
+        the lattice points of [i * stride, i * stride + samples) inside
+        [lo, hi).
 
         evaluate(offsets) gives the observable at the lattice points at those
         offsets (see offsets()), at most one window of them per call. Points
-        that fall in no window are never evaluated."""
+        that fall in no window are never evaluated. The windows in hand are
+        counted together, in one unit_histograms call, once the points kept
+        reach _KEPT_WINDOWS windows' worth or the next window leaves a gap."""
         m, n = self.stride, self.samples
         hi = (count - 1) * m + n if hi is None else hi
         rows = []
-        # values of the lattice points [first, first + kept.size)
+        # values of the lattice points [first, first + kept.size), and the
+        # bounds of the windows among them not yet counted
         first, kept = lo, np.empty(0)
+        starts, stops = [], []
         for i in range(count):
             w_lo, w_hi = max(i * m, lo), min(i * m + n, hi)
-            kept, first = kept[w_lo - first :], w_lo
-            while first + kept.size < w_hi:
-                start = first + kept.size
-                # one window of points, none past this window if windows leave gaps
-                stop = min(start + n, hi) if m <= n else w_hi
-                kept = np.concatenate([kept, evaluate(self.offsets(start, stop))])
-            rows.append(window_histogram(kept[: w_hi - w_lo]))
+            if first + kept.size < w_hi:
+                if starts and (kept.size >= _KEPT_WINDOWS * n or w_lo > first + kept.size):
+                    rows += unit_histograms(kept, starts, stops)
+                    starts, stops = [], []
+                if not starts:
+                    kept, first = kept[w_lo - first :], w_lo
+                while first + kept.size < w_hi:
+                    start = first + kept.size
+                    # one window of points, none past this window if windows leave gaps
+                    stop = min(start + n, hi) if m <= n else w_hi
+                    kept = np.concatenate([kept, evaluate(self.offsets(start, stop))])
+            starts.append(w_lo - first)
+            stops.append(w_hi - first)
+        if starts:
+            rows += unit_histograms(kept, starts, stops)
         return rows
 
 
@@ -177,11 +198,10 @@ def window_centers(config: ScanConfig) -> np.ndarray:
 
 def window_histogram(values: np.ndarray) -> DigitHistogram | None:
     """First-digit histogram of a window's values rescaled to [0, 1], or None
-    for a flat (degenerate) window. It is free of the law and the metric."""
-    try:
-        return unit_histogram(values)
-    except DegenerateWindowError:
-        return None
+    for a flat (degenerate) window: the one-window case of the histograms
+    stage. It is free of the law and the metric."""
+    (hist,) = unit_histograms(values, [0], [np.size(values)])
+    return hist
 
 
 def window_histograms(config: ScanConfig) -> list[tuple[float, DigitHistogram | None]]:
@@ -216,8 +236,9 @@ def scan(config: ScanConfig) -> ScanResult:
     recorded, never silently zeroed.
     """
     rows = window_histograms(config)
-    points = tuple(
-        (mid, violation(hist, config.dist, config.metric)) for mid, hist in rows if hist is not None
-    )
+    counted = [(mid, hist) for mid, hist in rows if hist is not None]
+    deltas = violations([hist.counts for _, hist in counted], [hist.total for _, hist in counted],
+                        config.dist, config.metric)
+    points = tuple(zip([mid for mid, _ in counted], deltas.tolist()))
     degenerate = tuple(mid for mid, hist in rows if hist is None)
     return ScanResult(points=points, config=config, degenerate_windows=degenerate)

@@ -254,15 +254,17 @@ def _row_quadrature(integrand, lams: np.ndarray, gamma: float,
     c = np.cos(phi)
     g2s2 = (gamma * np.sin(phi)) ** 2
     out = np.empty(lams.size)
-    rows = max(1, _BLOCK_CELLS // w.size)
+    rows = max(1, min(lams.size, _BLOCK_CELLS // w.size))
+    # the call's two work arrays, refilled block by block: a fresh pair per
+    # block made the heap shrink and grow again between blocks
+    work = np.empty((2, rows, w.size))
     for i in range(0, lams.size, rows):
-        d = c - lams[i : i + rows, None]
-        disp = d * d
+        block = lams[i : i + rows, None]
+        d, disp = work[:, : block.shape[0]]
+        np.subtract(c, block, out=d)
+        np.multiply(d, d, out=disp)
         disp += g2s2
         np.sqrt(disp, out=disp)
-        # no name outlives the block, so its arrays are freed before the next
-        # one is allocated; a lingering reference made the heap shrink and
-        # grow again, tenfold the page faults
         out[i : i + rows] = np.einsum("ij,j->i", integrand(d, disp), w)
     return out
 

@@ -338,9 +338,13 @@ class TestWorkers:
             SCALE_ARGS + ["--fit-half", "0"],
             SCALE_ARGS + ["--fit-half", "nan"],
             SCALE_ARGS + ["--smooth-half", "-1"],
+            SCALE_ARGS + ["--n-list", "14,14,20"],
+            SCALE_ARGS + ["--n-list", "14,20"],
+            SCALE_ARGS + ["--n-list", "14,15,20"],
         ],
         ids=["lambda", "t", "n-sites", "n-list", "t-list", "lambda-c", "fit-half-negative",
-             "fit-half-zero", "fit-half-nan", "smooth-half"],
+             "fit-half-zero", "fit-half-nan", "smooth-half", "n-list-repeated",
+             "n-list-two", "n-list-odd"],
     )
     def test_malformed_flag_rejected_before_computing(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

@@ -4,7 +4,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from benford_xy import firstdigit, xy_exact
+from benford_xy import firstdigit, windowscan, xy_exact
 from benford_xy.errors import ConfigurationError, DegenerateWindowError, DomainError
 from benford_xy.firstdigit import (
     DigitHistogram,
@@ -14,8 +14,9 @@ from benford_xy.firstdigit import (
     probabilities,
     rescale_unit,
     unit_histogram,
+    unit_histograms,
 )
-from benford_xy.windowscan import Observable, ScanConfig, evaluate, window_histogram
+from benford_xy.windowscan import Observable, ScanConfig, WindowLattice, evaluate, window_histogram
 
 
 class TestFirstSignificantDigit:
@@ -243,6 +244,133 @@ class TestUnitHistogram:
         h = unit_histogram(v)
         assert h.total + h.skipped == 10_000
         assert sum(seen) < 1000
+
+
+def _lattice_rows(values, samples, stride, lo=0, hi=None, count=None):
+    """WindowLattice.histograms of `count` windows of `samples` points,
+    `stride` apart, inside [lo, hi) of a lattice whose point k holds
+    values[k], and the reference histogram(rescale_unit(w)) of each window w
+    (None if flat). By default the windows fill the lattice."""
+    values = np.asarray(values, dtype=float)
+    lattice = WindowLattice(step=float(stride), width=float(samples), samples=samples)
+    assert lattice.stride == stride and lattice.spacing == 1.0
+    hi = values.size if hi is None else hi
+    count = (hi - samples) // stride + 1 if count is None else count
+
+    def evaluate(x):
+        return values[np.rint(x + 0.5 * (samples - 1)).astype(int)]
+
+    got = lattice.histograms(count, evaluate, lo, hi)
+    want = []
+    for i in range(count):
+        w = values[max(i * stride, lo) : min(i * stride + samples, hi)]
+        try:
+            want.append(_reference(w))
+        except DegenerateWindowError:
+            want.append(None)
+    return got, want
+
+
+class TestBatchedCounts:
+    """WindowLattice.histograms counts the windows in hand in one
+    unit_histograms call; every window must equal histogram(rescale_unit(w))."""
+
+    LAMS = 0.95 + 1e-5 * np.arange(12_000)
+
+    def mz(self, gamma=0.5, n_sites=20):
+        return xy_exact.mz_finite_many(self.LAMS, gamma, n_sites, math.inf)
+
+    @pytest.mark.parametrize("gamma,n_sites", [(0.1, 14), (0.5, 20), (1.0, 30)])
+    def test_finite_chain_lattice(self, gamma, n_sites):
+        v = self.mz(gamma, n_sites)
+        for values in (v, v[::-1]):
+            got, want = _lattice_rows(values, 2000, 200)
+            assert len(got) == 51 and got == want
+
+    def test_zero_temperature_czz_lattice(self):
+        config = ScanConfig(Observable.CZZ, 1.0, (0.8, 1.2))
+        v = evaluate(config, 0.97 + 1e-5 * np.arange(6000))
+        for values in (v, v[::-1]):
+            got, want = _lattice_rows(values, 1000, 100)
+            assert got == want
+
+    def test_thermal_lattice(self):
+        t = 3e-4
+        v = xy_exact.mz_infinite_many(1.0 + t * np.linspace(-3.0, 3.0, 3000), 1.0, 1 / t)
+        for values in (v, v[::-1]):
+            got, want = _lattice_rows(values, 600, 75)
+            assert got == want
+
+    def test_flat_steps_and_flat_windows(self):
+        v = np.round(self.mz(), 3)
+        assert (np.diff(v) == 0).mean() > 0.9
+        got, want = _lattice_rows(v, 2000, 200)
+        assert got == want
+        # a plateau longer than a window: flat windows are None
+        v = np.minimum(self.mz(), np.quantile(self.mz(), 0.3))
+        for values in (v, v[::-1]):
+            got, want = _lattice_rows(values, 2000, 200)
+            assert got == want and None in got and got.count(None) < len(got)
+
+    def test_direction_changes_within_a_batch(self):
+        for v in ((self.LAMS - 1.0) ** 2, np.abs(np.sin(300.0 * self.LAMS)),
+                  np.concatenate([self.mz()[:6000], self.mz()[6000::-1]])):
+            got, want = _lattice_rows(v, 2000, 200)
+            assert got == want
+
+    def test_clipped_end_windows(self):
+        v = self.mz()
+        # window 0 keeps its last 1850 points; the last window keeps one point
+        got, want = _lattice_rows(v, 2000, 200, lo=150, hi=10_001, count=51)
+        assert len(got) == 51 and got == want
+        assert got[0].total + got[0].skipped == 1850 and got[-1] is None
+
+    @pytest.mark.parametrize("ulps", [1, 3])
+    def test_rounding_in_raw_values(self, ulps):
+        # 1e3 + 1e-9 v rounds the rescaled values next to every threshold
+        v = 1e3 + 1e-9 * _near_thresholds(-15, ulps)
+        for values in (v, v[::-1]):
+            got, want = _lattice_rows(values, values.size, 1)
+            assert got == want
+            got, want = _lattice_rows(values, values.size // 2, values.size // 16)
+            assert got == want
+
+    def test_monotone_windows_apart(self):
+        # two rising windows with a fall between them, two falling ones with a
+        # rise between them, and windows that hold the steps between
+        up = self.mz()[:3000]
+        v = np.concatenate([up, up - 0.01, up[::-1], up[::-1] + 0.01])
+        starts = [0, 3000, 6000, 9000, 0, 2500, 1000]
+        stops = [3000, 6000, 9000, 12_000, 6000, 3500, 2000]
+        got = unit_histograms(v, starts, stops)
+        assert got == [_reference(v[a:b]) for a, b in zip(starts, stops)]
+
+    def test_nonfinite_point_rejected(self):
+        v = self.mz()
+        v[5000] = math.nan
+        with pytest.raises(DomainError):
+            _lattice_rows(v, 2000, 200)
+
+    def test_windows_in_hand_are_counted_together(self, monkeypatch):
+        batches, kept, calls = [], [], []
+        count = windowscan.unit_histograms
+
+        def spy(values, starts, stops):
+            batches.append(len(starts))
+            kept.append(values.size)
+            return count(values, starts, stops)
+
+        v = self.mz()
+        want = _lattice_rows(v, 2000, 200)[1]
+        monkeypatch.setattr(windowscan, "unit_histograms", spy)
+        got = WindowLattice(200.0, 2000.0, 2000).histograms(
+            51, lambda x: calls.append(x.size) or v[np.rint(x + 999.5).astype(int)])
+        assert got == want
+        assert sum(batches) == 51 and len(batches) < len(calls) and max(batches) >= 9
+        # no call holds more than one window of points, and the points kept
+        # stay within one window of _KEPT_WINDOWS windows' worth
+        assert max(calls) <= 2000
+        assert max(kept) <= (windowscan._KEPT_WINDOWS + 1) * 2000
 
 
 class TestReferenceDistributions:

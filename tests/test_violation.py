@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from benford_xy.errors import EmptyHistogramError
-from benford_xy.firstdigit import DigitHistogram, ReferenceDistribution
-from benford_xy.violation import Metric, violation
+from benford_xy.firstdigit import DigitHistogram, ReferenceDistribution, probabilities
+from benford_xy.violation import Metric, violation, violations
 
 BENFORD_P = [math.log10(1.0 + 1.0 / d) for d in range(1, 10)]
 
@@ -96,3 +96,51 @@ class TestAxioms:
             h, b, Metric.STANDARD_DEVIATION
         )
         assert violation(h, b, Metric.MEAN_DEVIATION) > violation(h, b, Metric.BHATTACHARYA)
+
+
+def _one_row(counts, dist, metric):
+    """The metrics on one histogram, reduced as 1-D arrays."""
+    observed = np.asarray(counts, dtype=float)
+    total = int(sum(counts))
+    q = probabilities(dist)
+    if metric is Metric.MEAN_DEVIATION:
+        expected = total * q
+        return float((np.abs(observed - expected) / expected).sum())
+    o = observed / total
+    if metric is Metric.STANDARD_DEVIATION:
+        return float(np.sqrt(((o - q) ** 2).sum()) / 3.0)
+    return max(0.0, float(-np.log(np.sqrt(o * q).sum())))
+
+
+class TestViolations:
+    DISTS = [
+        ReferenceDistribution.benford(),
+        ReferenceDistribution.uniform(),
+        ReferenceDistribution.poisson(5.0),
+    ]
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.label())
+    def test_rows_equal_violation_bit_for_bit(self, metric, dist):
+        rng = np.random.default_rng(7)
+        counts = np.concatenate([
+            rng.integers(0, 10, (40, 9)),
+            rng.integers(0, 10_000, (40, 9)),
+            np.outer(rng.integers(1, 1000, 20), 1000 * probabilities(dist)).round(),
+        ]).astype(np.int64)
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        rows = violations(counts, counts.sum(axis=1), dist, metric)
+        assert rows.shape == (counts.shape[0],)
+        for c, got in zip(counts.tolist(), rows.tolist()):
+            want = violation(_hist(c), dist, metric)
+            assert got == want == _one_row(c, dist, metric)
+
+    def test_no_rows(self):
+        got = violations(np.empty((0, 9)), [], ReferenceDistribution.benford(),
+                         Metric.MEAN_DEVIATION)
+        assert got.shape == (0,)
+
+    def test_an_empty_row_is_rejected(self):
+        counts = [[1] * 9, [0] * 9]
+        with pytest.raises(EmptyHistogramError):
+            violations(counts, [9, 0], ReferenceDistribution.benford(), Metric.BHATTACHARYA)

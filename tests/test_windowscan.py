@@ -113,8 +113,13 @@ class TestWindowLattice:
         """The lambda points of each window, in grid order, as the streamed
         scan hands them on (with the observable replaced by lambda itself)."""
         seen = []
+
+        def spy(values, starts, stops):
+            seen.extend(values[s:e] for s, e in zip(starts, stops))
+            return [None] * len(starts)
+
         monkeypatch.setattr(windowscan, "evaluate", lambda config, lams: lams.copy())
-        monkeypatch.setattr(windowscan, "window_histogram", lambda v: seen.append(v))
+        monkeypatch.setattr(windowscan, "unit_histograms", spy)
         rows = window_histograms(config)
         assert len(rows) == len(seen)
         return seen
