@@ -104,14 +104,17 @@ def _n_sites(text: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expects an integer or 'none', got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
-    return n
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = least - 1
+        if n < least:
+            raise argparse.ArgumentTypeError(f"expects an integer >= {least}, got {text!r}")
+        return n
+
+    return parse
 
 
 def _comma_list(convert, what: str):
@@ -400,7 +403,7 @@ def cmd_crossover(args) -> int:
 def _add_common_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=_positive_int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="accepted; every command runs on one thread")
 
 
@@ -432,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("digits", help="first-digit report for a data column")
     p.add_argument("input", help="CSV path or generator spec like logmantissa:10000")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="generator seed")
     _add_dist_flags(p)
     _add_common_output_flags(p)
     p.set_defaults(func=cmd_digits)

@@ -102,15 +102,20 @@ class CrossoverLines:
 
 def local_slopes(x: np.ndarray, y: np.ndarray, half: float) -> np.ndarray:
     """Least-squares slope of y over the points within +-half of each x, for
-    x sorted ascending."""
+    x sorted ascending (NaN with fewer than 4 such points). Neighbourhoods of
+    one length are the rows of one C-contiguous array, and a row reduces with
+    the same pairwise sums as its 1-D slice, so the grouping moves no bits."""
     s = np.full(x.size, np.nan)
     starts = np.searchsorted(x, x - half, side="left")
-    stops = np.searchsorted(x, x + half, side="right")
-    for i, (lo, hi) in enumerate(zip(starts.tolist(), stops.tolist())):
-        if hi - lo >= 4:
-            xs, ys = x[lo:hi], y[lo:hi]
-            dx = xs - xs.mean()
-            s[i] = (dx * (ys - ys.mean())).sum() / (dx * dx).sum()
+    lengths = np.searchsorted(x, x + half, side="right") - starts
+    for n in set(lengths.tolist()):
+        if n >= 4:
+            rows = np.flatnonzero(lengths == n)
+            at = starts[rows, None] + np.arange(n)
+            xs, ys = x[at], y[at]
+            dx = xs - xs.mean(axis=1, keepdims=True)
+            dy = ys - ys.mean(axis=1, keepdims=True)
+            s[rows] = (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
     return s
 
 

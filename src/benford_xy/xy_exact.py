@@ -1,9 +1,10 @@
 """Closed-form observables of the 1D anisotropic XY chain in a transverse field.
 
 Everything here evaluates exact expressions. The finite-chain magnetization
-is a sum over Fourier modes and the thermal infinite-lattice quantities are
-single integrals over [0, pi]; both are one row-blocked weighted sum, over
-the modes with unit weights or over quadrature nodes. Zero temperature is the
+is a sum over its N/2 Fourier modes, taken one mode at a time over the whole
+lambda array (see mz_finite_many). The thermal infinite-lattice quantities
+are single integrals over [0, pi], each a row-blocked weighted sum over
+quadrature nodes (_row_quadrature). Zero temperature is the
 distinguished value beta_tilde = inf, in which case the thermal factor
 tanh(beta_tilde * L / 2) is replaced by 1 exactly rather than evaluated at a
 large float.
@@ -48,10 +49,11 @@ import numpy as np
 from . import numerics
 from .errors import ConfigurationError, DomainError
 
-# Cells (sample rows x quadrature nodes) per block of the work matrices. It
-# bounds their memory whatever the number of samples, and at 256 KB a
-# temporary the block stays in a core's L2 cache: 2**15 cells ran the
-# quadrature kernels about twice as fast as 2**19.
+# Cells (sample rows x quadrature nodes) per block of the work matrices of
+# the thermal quadrature and the barycentric interpolant. It bounds their
+# memory whatever the number of samples, and at 256 KB a temporary the block
+# stays in a core's L2 cache: 2**15 cells ran the quadrature kernels about
+# twice as fast as 2**19. The finite chain has no blocks (mz_finite_many).
 _BLOCK_CELLS = 1 << 15
 
 # Every lambda in bin k = floor(lambda / _RULE_BIN) is integrated on the
@@ -241,7 +243,8 @@ def _barycentric(x: np.ndarray, f: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
 def _row_quadrature(integrand, lams: np.ndarray, gamma: float,
                     phi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum over the nodes phi, weights w, of integrand(d, disp), per lambda.
+    """Sum over the quadrature nodes phi, weights w, of integrand(d, disp),
+    per lambda: the thermal kernels' integral on one rule.
 
     d = cos(phi) - lambda and disp is the dispersion, as (rows x nodes)
     arrays that the integrand may overwrite. Rows go in blocks of at most
@@ -298,19 +301,38 @@ def mz_infinite(params: ModelParams) -> float:
 def mz_finite_many(lams, gamma: float, n_sites: int,
                    beta_tilde: float = math.inf) -> np.ndarray:
     """Finite-chain transverse magnetization for an array of lambda: the Mz
-    integrand summed over the modes phi_p = 2 pi p / N, p = 1..N/2."""
-    phi = 2.0 * math.pi * np.arange(1, n_sites // 2 + 1) / n_sites
+    integrand summed over the modes phi_p = 2 pi p / N, p = 1..N/2, each mode
+    over the whole lambda array at once.
+
+    The sum keeps the order of np.einsum("ij,j->i") over a row of N/2 terms
+    and unit weights (numpy 2.4), so the values keep the bits they had as
+    einsum row sums: even and odd terms go into two lanes, each block of 8
+    adds t0 + (t2 + (t4 + (t6 + lane))) into lane 0 and its odd terms
+    likewise into lane 1, the rest go in by pairs, and the result is
+    lane 0 + lane 1. A value depends on lambda alone.
+    """
+    half = n_sites // 2
+    phi = 2.0 * math.pi * np.arange(1, half + 1) / n_sites
+    c = np.cos(phi).tolist()
+    g2s2 = ((gamma * np.sin(phi)) ** 2).tolist()
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     mz = _mz_integrand(beta_tilde)
-
-    def integrand(d, disp):
-        # A mode of zero energy (phi = pi at lambda = -1, where d = 0 too)
-        # adds 0: d / inf is 0 and tanh(inf) is 1. Gauss nodes never reach
-        # L = 0, so the thermal infinite lattice goes without this pass.
-        disp[disp == 0.0] = math.inf
-        return mz(d, disp)
-
-    return -(2.0 / n_sites) * _row_quadrature(integrand, lams, gamma, phi, np.ones(phi.size))
+    lanes = np.zeros((2, lams.size))
+    d, disp = np.empty((2, lams.size))
+    blocked = half - half % 8
+    order = [k + j for k in range(0, blocked, 8) for j in (6, 4, 2, 0, 7, 5, 3, 1)]
+    for p in order + list(range(blocked, half)):
+        np.subtract(c[p], lams, out=d)
+        np.multiply(d, d, out=disp)
+        disp += g2s2[p]
+        np.sqrt(disp, out=disp)
+        if g2s2[p] == 0.0:
+            # A mode of zero energy (phi = pi at lambda = -1 with tiny gamma,
+            # where d = 0 too) adds 0: d / inf is 0 and tanh(inf) is 1. Only
+            # a mode with gamma^2 sin^2 phi = 0 can have disp = 0.
+            disp[disp == 0.0] = math.inf
+        lanes[p % 2] += mz(d, disp)
+    return -(2.0 / n_sites) * (lanes[0] + lanes[1])
 
 
 # Steps of the cel iteration and the floor on its kc. The iteration converges

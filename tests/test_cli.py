@@ -341,10 +341,12 @@ class TestWorkers:
             SCALE_ARGS + ["--n-list", "14,14,20"],
             SCALE_ARGS + ["--n-list", "14,20"],
             SCALE_ARGS + ["--n-list", "14,15,20"],
+            ["digits", "logmantissa:100", "--seed", "-1"],
+            ["digits", "logmantissa:100", "--seed", "x"],
         ],
         ids=["lambda", "t", "n-sites", "n-list", "t-list", "lambda-c", "fit-half-negative",
              "fit-half-zero", "fit-half-nan", "smooth-half", "n-list-repeated",
-             "n-list-two", "n-list-odd"],
+             "n-list-two", "n-list-odd", "seed-negative", "seed-text"],
     )
     def test_malformed_flag_rejected_before_computing(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

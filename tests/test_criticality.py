@@ -68,6 +68,38 @@ class TestLocalSlopes:
         s = local_slopes(x, x.copy(), half=0.25)
         assert math.isnan(s[0]) and not math.isnan(s[5])
 
+    @staticmethod
+    def per_point_slopes(x, y, half):
+        # one neighbourhood at a time, each a 1-D slice
+        s = np.full(x.size, np.nan)
+        for i in range(x.size):
+            lo = np.searchsorted(x, x[i] - half, side="left")
+            hi = np.searchsorted(x, x[i] + half, side="right")
+            if hi - lo >= 4:
+                xs, ys = x[lo:hi], y[lo:hi]
+                dx = xs - xs.mean()
+                s[i] = (dx * (ys - ys.mean())).sum() / (dx * dx).sum()
+        return s
+
+    # irregular and regular x, repeated x, half wider than the range (1.0),
+    # and neighbourhoods of fewer than 4 points, NaN in the reference
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bits_equal_per_point_slopes(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 120))
+        if seed % 4 == 0:
+            x = 0.9 + 0.002 * np.arange(size)
+        else:
+            x = np.sort(rng.uniform(0.8, 1.2, size))
+        if seed % 4 == 1:
+            # repeated x values
+            x = np.sort(np.concatenate([x, x[rng.integers(0, size, size // 3 + 1)]]))
+        y = rng.normal(size=x.size).cumsum()
+        for half in (0.003, 0.01, 0.03, 0.05, 1.0):
+            want = self.per_point_slopes(x, y, half)
+            got = local_slopes(x, y, half)
+            assert np.array_equal(got, want, equal_nan=True), half
+
 
 class TestLocateTransition:
     def test_cubic_derivative_minimum(self):

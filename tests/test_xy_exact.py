@@ -353,6 +353,44 @@ class TestModeSum:
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-15
 
+    # even N from 4 to 128: fewer than 8 modes, exactly 8, several blocks of 8,
+    # and odd and even tails after the last block
+    LAMS = np.concatenate([
+        [-1.0, 1.0, 1.0 - 1e-10, 1.0 + 1e-10],
+        np.linspace(-1.0, 2.0, 61),
+        1.0 + np.linspace(-1e-3, 1e-3, 41),
+    ])
+
+    @staticmethod
+    def einsum_mode_sum(lams, gamma, n, beta_tilde):
+        # the (lambda x modes) term matrix reduced row by row by einsum with
+        # unit weights, the form in which the kernel's values were defined
+        phi = 2.0 * math.pi * np.arange(1, n // 2 + 1) / n
+        d = np.cos(phi) - lams[:, None]
+        disp = d * d
+        disp += (gamma * np.sin(phi)) ** 2
+        disp = np.sqrt(disp)
+        disp[disp == 0.0] = math.inf
+        terms = d / disp
+        if not math.isinf(beta_tilde):
+            terms *= np.tanh(0.5 * beta_tilde * disp)
+        return -(2.0 / n) * np.einsum("ij,j->i", terms, np.ones(phi.size))
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, -0.7, 1e-170])
+    @pytest.mark.parametrize("beta_tilde", [math.inf, 50.0])
+    def test_bits_equal_einsum_row_sum(self, gamma, beta_tilde):
+        for n in range(4, 129, 2):
+            want = self.einsum_mode_sum(self.LAMS, gamma, n, beta_tilde)
+            assert np.array_equal(mz_finite_many(self.LAMS, gamma, n, beta_tilde), want), n
+
+    @pytest.mark.parametrize("n", [4, 14, 16, 20, 34, 40])
+    @pytest.mark.parametrize("beta_tilde", [math.inf, 50.0])
+    def test_one_call_equals_calls_per_lambda(self, n, beta_tilde):
+        whole = mz_finite_many(self.LAMS, 0.5, n, beta_tilde)
+        single = [mz_finite_many(self.LAMS[k : k + 1], 0.5, n, beta_tilde)[0]
+                  for k in range(self.LAMS.size)]
+        assert np.array_equal(whole, single)
+
 
 class TestPackageRoot:
     # the scalar entry points the benchmark's probes import from the package
