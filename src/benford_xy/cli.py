@@ -498,7 +498,8 @@ def main(argv=None) -> int:
     except _DEGENERATE_ERRORS as exc:
         print(f"degenerate data: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ConfigurationError as exc:
+    except (ConfigurationError, MemoryError) as exc:
+        # a grid or window too large to allocate is a configuration problem
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BenfordXYError as exc:

@@ -39,7 +39,7 @@ from .errors import (
 from .firstdigit import DistKind, ReferenceDistribution
 from .numerics import LineFit, PolyFit
 from .violation import Metric, violations
-from .windowscan import ScanResult, WindowLattice
+from .windowscan import MAX_GRID_POINTS, ScanResult, WindowLattice, check_lattice
 
 LAMBDA_C = 1.0
 
@@ -255,6 +255,8 @@ class RidgeGrid:
     def __post_init__(self):
         if not (0.0 < self.span < math.inf and 0.0 < self.step < math.inf):
             raise ConfigurationError("ridge span and step must be positive and finite")
+        if not 2.0 * self.span / self.step <= MAX_GRID_POINTS:
+            raise ConfigurationError(f"ridge grid of more than {MAX_GRID_POINTS} points")
 
     def centers(self, t_tilde: float) -> np.ndarray:
         u = np.arange(-self.span, self.span + 1e-12, self.step)
@@ -270,14 +272,14 @@ def _bvp_deltas(gamma: float, t_tilde: float, grid: RidgeGrid, window_ratio: flo
     stage; each spans (samples - 1) * step * t_tilde / stride, which is
     (1 - 1/samples) * t_tilde at the defaults.
     """
-    hists = WindowLattice(grid.step, window_ratio, samples).histograms(
+    counts = WindowLattice(grid.step, window_ratio, samples).histograms(
         grid.centers(t_tilde).size,
         lambda x: xy_exact.mz_infinite_many(
             1.0 + t_tilde * (-grid.span + x), gamma, 1.0 / t_tilde),
     )
-    if None in hists:
+    if not counts.any(axis=1).all():
         raise DegenerateWindowError(f"flat violation window at t_tilde={t_tilde:g}")
-    return violations([hist.counts for hist in hists], [hist.total for hist in hists], dist, metric)
+    return violations(counts, dist, metric)
 
 
 def _refine3(x: np.ndarray, y: np.ndarray, k: int) -> float:
@@ -293,15 +295,17 @@ def _refine_window(x: np.ndarray, y: np.ndarray, k: int, half: int, want_max: bo
 
     Violation curves carry digit-staircase wiggles comparable to the grid
     step, so the extremum neighbourhood is regressed instead of interpolated;
-    a wrong-curvature fit falls back to three-point interpolation.
+    a wrong-curvature fit falls back to three-point interpolation. The fit
+    runs in grid steps about the mean, so its design matrix keeps full rank
+    however small the step.
     """
     lo, hi = max(0, k - half), min(x.size, k + half + 1)
     xs, ys = x[lo:hi], y[lo:hi]
-    x0 = xs.mean()
-    a, b, _ = np.polyfit(xs - x0, ys, 2)
+    x0, h = xs.mean(), x[1] - x[0]
+    _, b, a = numerics.polyfit(np.column_stack([(xs - x0) / h, ys]), 2).coefficients
     if (a < 0.0) != want_max or a == 0.0:
         return _refine3(x, y, k)
-    return float(x0 - b / (2.0 * a))
+    return float(x0 - h * b / (2.0 * a))
 
 
 def _branch_extremum(
@@ -378,9 +382,8 @@ def crossover_lines(
         xy_exact.check_model(gamma, 1.0 / t if t else 0.0)
     if not (0.0 < window_ratio < math.inf):
         raise ConfigurationError("window_ratio must be positive and finite")
-    if samples < 2:
-        raise ConfigurationError("samples must be at least 2")
     grid = lambda_grid or RidgeGrid()
+    check_lattice(2.0 * grid.span / grid.step, grid.step, window_ratio, samples)
     slices = [_ridge_slice(quantity, gamma, t, grid, window_ratio, samples, dist, metric)
               for t in ts]
 

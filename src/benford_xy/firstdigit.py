@@ -8,11 +8,12 @@ take the integer part. Subnormals are first scaled by the exact 1e22, since
 not depend on locale or repr behaviour.
 
 unit_histograms is the window pipeline's digit stage: it counts a batch of
-windows of one array at once, and unit_histogram is its one-window case. On
-the windows that are monotone it counts by bisection against the digit
-thresholds d * 10**k, in raw values, and leaves to digits_of only the values
-next to a threshold, so each window's counts are those of
-histogram(rescale_unit(window)).
+windows of one array at once into a (windows x 9) int64 matrix, one row of
+digit counts per window and a zero row per degenerate window. On the windows
+that are monotone it counts by bisection against the digit thresholds
+d * 10**k, in raw values, and leaves to digits_of only the values next to a
+threshold, so each row equals histogram(rescale_unit(window)).counts.
+histogram and its DigitHistogram serve the digits report.
 """
 
 from __future__ import annotations
@@ -150,20 +151,12 @@ def histogram(values) -> DigitHistogram:
     )
 
 
-def unit_histogram(values) -> DigitHistogram:
-    """histogram(rescale_unit(values)): the one-window case of
-    unit_histograms. Raises what rescale_unit raises."""
-    a = np.asarray(values, dtype=float).ravel()
-    (hist,) = unit_histograms(a, [0], [a.size])
-    if hist is None:
-        raise DegenerateWindowError("unit rescaling needs at least 2 distinct values")
-    return hist
-
-
-def unit_histograms(values, starts, stops) -> list[DigitHistogram | None]:
-    """histogram(rescale_unit(values[s:e])) of each window [s, e), or None
-    where rescale_unit finds the window degenerate; raises DomainError where
-    it finds a non-finite window.
+def unit_histograms(values, starts, stops) -> np.ndarray:
+    """(W x 9) int64 digit counts: row i is histogram(rescale_unit(w)).counts
+    of window w = values[starts[i]:stops[i]], or zeros where rescale_unit
+    finds w degenerate (flat, or fewer than 2 values); raises DomainError
+    where it finds a non-finite window. A window that is not degenerate
+    rescales its maximum to exactly 1.0, a digit 1, so its row is not zero.
 
     The windows are counted together. One pass over the values finds the
     steps that fall, so a window without them is non-decreasing (and flat if
@@ -177,9 +170,9 @@ def unit_histograms(values, starts, stops) -> list[DigitHistogram | None]:
     a = np.asarray(values, dtype=float).ravel()
     s = np.asarray(starts, dtype=np.intp)
     e = np.asarray(stops, dtype=np.intp)
-    rows: list[DigitHistogram | None] = [None] * s.size
+    rows = np.zeros((s.size, 9), dtype=np.int64)
     # windows left to histogram(rescale_unit(...)), which raises DomainError
-    # on the non-finite ones and DegenerateWindowError (None) on short ones
+    # on the non-finite ones and DegenerateWindowError (a zero row) on short ones
     other = list(range(s.size))
     if np.isfinite(a).all():
         long = np.flatnonzero(e - s >= 2)
@@ -199,19 +192,17 @@ def unit_histograms(values, starts, stops) -> list[DigitHistogram | None]:
             if not _none_between(steps, g0, g1):
                 # a step against the direction lies between them: one by one
                 for i in windows.tolist():
-                    (rows[i],) = unit_histograms(a[s[i] : e[i]], [0], [e[i] - s[i]])
+                    rows[i] = unit_histograms(a[s[i] : e[i]], [0], [e[i] - s[i]])
                 continue
             if sign > 0:
                 b, ws, we = a[g0:g1], s[windows] - g0, e[windows] - g0
             else:
                 b, ws, we = a[g0:g1][::-1].copy(), g1 - e[windows], g1 - s[windows]
-            for i, hist in zip(windows.tolist(), _sorted_counts(b, ws, we)):
-                rows[i] = hist
-                if hist is None:
-                    other.append(i)
+            rows[windows] = _sorted_counts(b, ws, we)
+            other += windows[~rows[windows].any(axis=1)].tolist()
     for i in other:
         try:
-            rows[i] = histogram(rescale_unit(a[s[i] : e[i]]))
+            rows[i] = histogram(rescale_unit(a[s[i] : e[i]])).counts
         except DegenerateWindowError:
             pass
     return rows
@@ -223,11 +214,11 @@ def _none_between(steps: np.ndarray, start, stop):
     return np.searchsorted(steps, stop - 1) == np.searchsorted(steps, start)
 
 
-def _sorted_counts(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> list[DigitHistogram | None]:
-    """histogram(rescale_unit(b[s:e])) of non-flat windows of b, which is
-    non-decreasing from the first window's start to the last one's stop;
-    None for a window whose smallest positive rescaled value is below
-    1e-300, or whose values all lie below 1e-290 in magnitude.
+def _sorted_counts(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """histogram(rescale_unit(b[s:e])).counts of non-flat windows of b, which
+    is non-decreasing from the first window's start to the last one's stop,
+    as (W x 9) rows; a zero row for a window whose smallest positive rescaled
+    value is below 1e-300, or whose values all lie below 1e-290 in magnitude.
 
     A window's rescaled values r = (b - lo) / scale are sorted: its exact
     zeros are a prefix, and the values between two digit thresholds d * 10**k
@@ -246,10 +237,10 @@ def _sorted_counts(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> list[DigitHis
     # thresholds this small approach the subnormals and lose precision; an
     # infinite scale gives r0 = 0 and leaves the window to histogram
     keep = np.flatnonzero((r0 >= 1e-300) & (mag >= 1e-290))
-    rows: list[DigitHistogram | None] = [None] * s.size
+    rows = np.zeros((s.size, 9), dtype=np.int64)
     if not keep.size:
         return rows
-    lo, scale, mag, first, s, e = lo[keep], scale[keep], mag[keep], first[keep], s[keep], e[keep]
+    lo, scale, mag, first, e = lo[keep], scale[keep], mag[keep], first[keep], e[keep]
     w = keep.size
     # from the decade one below the smallest positive value, so that no value
     # lies below the first threshold even if floor(log10) is one too high;
@@ -289,9 +280,7 @@ def _sorted_counts(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> list[DigitHis
     if near.any():
         d = digits_of(rise[near] / scale[row[near]])
         counts += np.bincount(row[near] * 9 + d - 1, minlength=9 * w).reshape(w, 9)
-    for i, c, total, zeros in zip(keep.tolist(), counts.tolist(), (e - first).tolist(),
-                                  (first - s).tolist()):
-        rows[i] = DigitHistogram(counts=tuple(c), total=total, skipped=zeros)
+    rows[keep] = counts
     return rows
 
 

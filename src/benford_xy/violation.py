@@ -4,8 +4,9 @@ reference digit law.
 Three metrics. MeanDeviation sums |O_D - E_D| / E_D over digits and is
 scale-free because each term is a ratio of counts. StandardDeviation and
 Bhattacharya are computed on relative frequencies, so their values do not
-depend on the sample size either. violations scores a batch of histograms
-with row-wise reductions; violation is its one-row case.
+depend on the sample size either. violations scores the window stage's
+(windows x 9) matrix of digit counts row by row; violation scores one
+DigitHistogram.
 """
 
 from __future__ import annotations
@@ -26,18 +27,19 @@ class Metric(enum.Enum):
 
 def violation(hist: DigitHistogram, dist: ReferenceDistribution, metric: Metric) -> float:
     """Nonnegative distance of hist from dist under the chosen metric."""
-    return float(violations([hist.counts], [hist.total], dist, metric)[0])
+    return float(violations([hist.counts], dist, metric)[0])
 
 
-def violations(counts, totals, dist: ReferenceDistribution, metric: Metric) -> np.ndarray:
-    """violation of each histogram given as a row of 9 digit counts (W x 9)
-    and its total (W).
+def violations(counts, dist: ReferenceDistribution, metric: Metric) -> np.ndarray:
+    """violation of each histogram given as a row of 9 digit counts (W x 9),
+    whose total is the row sum.
 
     Each row is reduced on its own, over 9 contiguous values, so a row's
     value is that of the same sums over that row alone, bit for bit.
     """
-    observed = np.asarray(counts, dtype=float).reshape(-1, 9)
-    n = np.asarray(totals).reshape(-1, 1)
+    counts = np.asarray(counts).reshape(-1, 9)
+    n = counts.sum(axis=1, keepdims=True)
+    observed = counts.astype(float)
     if (n == 0).any():
         raise EmptyHistogramError("violation undefined for an empty histogram")
     if metric is Metric.MEAN_DEVIATION:

@@ -5,11 +5,11 @@ digits, and score against a reference law.
 Every window is a slice of one lambda lattice (WindowLattice), so
 neighbouring windows share their points and each point is evaluated once. Its
 histograms stage is the one window pipeline of scan, scale and the crossover
-violation ridges: it evaluates the lattice about one window of points per
-call, keeps only the windows in hand and the points after them, and counts
-the windows in hand together in one firstdigit.unit_histograms call.
-scan scores them all in one violation.violations call. No randomness enters
-anywhere.
+violation ridges: it evaluates the lattice one window of points per call and
+counts the windows in fixed batches, each in one firstdigit.unit_histograms
+call, into one (windows x 9) matrix of digit counts, with a zero row for each
+degenerate window. scan scores the rows that are not zero in one
+violation.violations call. No randomness enters anywhere.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import xy_exact
 from .errors import ConfigurationError
-from .firstdigit import DigitHistogram, ReferenceDistribution, unit_histograms
+from .firstdigit import ReferenceDistribution, unit_histograms
 from .violation import Metric, violations
 
 
@@ -36,11 +36,25 @@ class Observable(enum.Enum):
 
 _CORRELATORS = (Observable.CXX, Observable.CYY, Observable.CZZ)
 
-# WindowLattice.histograms counts the windows in hand once the points it
-# keeps reach this many windows' worth (about 30 windows a call at the scan
-# defaults), so each unit_histograms call spreads its set-up over more
-# windows; it keeps at most one window of points more than that.
+# The most float64 values one numpy array can hold; no grid may have more points.
+MAX_GRID_POINTS = np.iinfo(np.intp).max // 8
+
+# WindowLattice.histograms counts overlapping windows in batches of
+# _KEPT_WINDOWS * samples // stride + 1 (31 at the scan defaults, 121 on the
+# ridges), so each unit_histograms call spreads its set-up over many windows;
+# it keeps fewer than _KEPT_WINDOWS + 2 windows' worth of points.
 _KEPT_WINDOWS = 3
+
+
+def check_lattice(steps: float, step: float, width: float, samples: int) -> None:
+    """Raise ConfigurationError unless WindowLattice(step, width, samples)
+    can cut windows over `steps` grid steps from a lattice of no more points
+    than one numpy array can hold."""
+    if not 2 <= samples <= MAX_GRID_POINTS:
+        raise ConfigurationError(f"samples per window must be from 2 to {MAX_GRID_POINTS}")
+    # about WindowLattice.stride points per grid step; in floats, an overflow is inf
+    if not steps * max(1.0, samples * step / width) <= MAX_GRID_POINTS:
+        raise ConfigurationError(f"grid of more than {MAX_GRID_POINTS} lattice points")
 
 
 @dataclass(frozen=True)
@@ -77,41 +91,35 @@ class WindowLattice:
         window's centre."""
         return (np.arange(start, stop) - 0.5 * (self.samples - 1)) * self.spacing
 
-    def histograms(self, count: int, evaluate, lo: int = 0,
-                   hi: int | None = None) -> list[DigitHistogram | None]:
+    def histograms(self, count: int, evaluate, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """firstdigit.unit_histograms of windows 0..count-1, window i holding
         the lattice points of [i * stride, i * stride + samples) inside
-        [lo, hi).
+        [lo, hi): a (count x 9) matrix of digit counts.
 
         evaluate(offsets) gives the observable at the lattice points at those
-        offsets (see offsets()), at most one window of them per call. Points
-        that fall in no window are never evaluated. The windows in hand are
-        counted together, in one unit_histograms call, once the points kept
-        reach _KEPT_WINDOWS windows' worth or the next window leaves a gap."""
+        offsets (see offsets()), one window of them per call. Points that fall
+        in no window are never evaluated. The windows are counted in batches
+        of _KEPT_WINDOWS * samples // stride + 1 when they overlap, one by one
+        when they leave gaps; a batch carries over the points it shares with
+        the next one."""
         m, n = self.stride, self.samples
         hi = (count - 1) * m + n if hi is None else hi
-        rows = []
-        # values of the lattice points [first, first + kept.size), and the
-        # bounds of the windows among them not yet counted
+        bounds = np.clip(m * np.arange(count)[:, None] + [0, n], lo, hi)
+        per = _KEPT_WINDOWS * n // m + 1 if m <= n else 1
+        rows = np.empty((count, 9), dtype=np.int64)
+        # values of the lattice points [first, first + kept.size)
         first, kept = lo, np.empty(0)
-        starts, stops = [], []
-        for i in range(count):
-            w_lo, w_hi = max(i * m, lo), min(i * m + n, hi)
-            if first + kept.size < w_hi:
-                if starts and (kept.size >= _KEPT_WINDOWS * n or w_lo > first + kept.size):
-                    rows += unit_histograms(kept, starts, stops)
-                    starts, stops = [], []
-                if not starts:
-                    kept, first = kept[w_lo - first :], w_lo
-                while first + kept.size < w_hi:
-                    start = first + kept.size
-                    # one window of points, none past this window if windows leave gaps
-                    stop = min(start + n, hi) if m <= n else w_hi
-                    kept = np.concatenate([kept, evaluate(self.offsets(start, stop))])
-            starts.append(w_lo - first)
-            stops.append(w_hi - first)
-        if starts:
-            rows += unit_histograms(kept, starts, stops)
+        for i in range(0, count, per):
+            batch = bounds[i : i + per]
+            kept, first = kept[batch[0, 0] - first :], batch[0, 0]
+            parts, start = [kept], first + kept.size
+            while start < batch[-1, 1]:
+                # one window of points, none past the batch if windows leave gaps
+                stop = min(start + n, hi) if m <= n else batch[-1, 1]
+                parts.append(evaluate(self.offsets(start, stop)))
+                start = stop
+            kept = np.concatenate(parts)
+            rows[i : i + per] = unit_histograms(kept, *(batch - first).T)
         return rows
 
 
@@ -135,12 +143,12 @@ class ScanConfig:
         a, b = self.lambda_range
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ConfigurationError("lambda_range must be finite with a < b")
-        if not (self.lambda_step > 0):
-            raise ConfigurationError("lambda_step must be positive")
+        if not (0 < self.lambda_step < math.inf):
+            raise ConfigurationError("lambda_step must be positive and finite")
         if not (0 < self.window_width < (b - a)):
             raise ConfigurationError("window_width must be positive and smaller than the range")
-        if self.samples_per_window < 2:
-            raise ConfigurationError("samples_per_window must be at least 2")
+        check_lattice((b - a) / self.lambda_step, self.lambda_step, self.window_width,
+                      self.samples_per_window)
         xy_exact.check_model(self.gamma, self.beta_tilde, self.n_sites)
         if self.observable in _CORRELATORS and (
             self.n_sites is not None or not math.isinf(self.beta_tilde)
@@ -196,17 +204,10 @@ def window_centers(config: ScanConfig) -> np.ndarray:
     return a + config.lambda_step * np.arange(m + 1)
 
 
-def window_histogram(values: np.ndarray) -> DigitHistogram | None:
-    """First-digit histogram of a window's values rescaled to [0, 1], or None
-    for a flat (degenerate) window: the one-window case of the histograms
-    stage. It is free of the law and the metric."""
-    (hist,) = unit_histograms(values, [0], [np.size(values)])
-    return hist
-
-
-def window_histograms(config: ScanConfig) -> list[tuple[float, DigitHistogram | None]]:
-    """(midpoint, window_histogram) of each window, in grid order: the part of
-    scan() that is free of the law and the metric.
+def window_histograms(config: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint of each window, in grid order, and its row of digit
+    counts (zeros if degenerate): the part of scan() that is free of the law
+    and the metric.
 
     Window i holds the points of config.lattice that lie inside the scan
     range; its midpoint is that of [center -+ width / 2] clipped to the range.
@@ -223,10 +224,9 @@ def window_histograms(config: ScanConfig) -> list[tuple[float, DigitHistogram | 
     every = range((centers.size - 1) * lattice.stride + lattice.samples)
     k_lo = bisect.bisect_left(every, a, key=point)
     k_hi = bisect.bisect_right(every, b, key=point)
-    hists = lattice.histograms(centers.size, lambda x: evaluate(config, a + x), k_lo, k_hi)
+    counts = lattice.histograms(centers.size, lambda x: evaluate(config, a + x), k_lo, k_hi)
     half = config.window_width / 2.0
-    mids = [float(0.5 * (max(a, c - half) + min(b, c + half))) for c in centers]
-    return list(zip(mids, hists))
+    return 0.5 * (np.maximum(a, centers - half) + np.minimum(b, centers + half)), counts
 
 
 def scan(config: ScanConfig) -> ScanResult:
@@ -235,10 +235,8 @@ def scan(config: ScanConfig) -> ScanResult:
     Degenerate windows (flat observable) are skipped and their midpoints
     recorded, never silently zeroed.
     """
-    rows = window_histograms(config)
-    counted = [(mid, hist) for mid, hist in rows if hist is not None]
-    deltas = violations([hist.counts for _, hist in counted], [hist.total for _, hist in counted],
-                        config.dist, config.metric)
-    points = tuple(zip([mid for mid, _ in counted], deltas.tolist()))
-    degenerate = tuple(mid for mid, hist in rows if hist is None)
-    return ScanResult(points=points, config=config, degenerate_windows=degenerate)
+    mids, counts = window_histograms(config)
+    counted = counts.any(axis=1)
+    deltas = violations(counts[counted], config.dist, config.metric)
+    return ScanResult(points=tuple(zip(mids[counted].tolist(), deltas.tolist())), config=config,
+                      degenerate_windows=tuple(mids[~counted].tolist()))

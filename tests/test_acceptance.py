@@ -37,7 +37,7 @@ from benford_xy.firstdigit import (
     probabilities,
 )
 from benford_xy.numerics import PolyFit
-from benford_xy.violation import Metric, violation
+from benford_xy.violation import Metric, violation, violations
 from benford_xy.windowscan import Observable, ScanConfig, ScanResult, scan
 from benford_xy.xy_exact import (
     ModelParams,
@@ -84,21 +84,23 @@ _ROWS: dict[tuple, tuple] = {}
 
 
 def _window_rows(config: ScanConfig) -> tuple:
-    """(window midpoint, DigitHistogram | None) rows: the law/metric-free
-    part of scan(), cached per observable sweep."""
+    """Window midpoints and their rows of digit counts (zeros if degenerate):
+    the law/metric-free part of scan(), cached per observable sweep."""
     key = (config.observable, config.gamma, config.n_sites,
            config.lambda_step, config.samples_per_window)
     if key not in _ROWS:
-        _ROWS[key] = tuple(windowscan.window_histograms(config))
+        _ROWS[key] = windowscan.window_histograms(config)
     return _ROWS[key]
 
 
 def _scored(config: ScanConfig, dist: ReferenceDistribution, metric: Metric) -> ScanResult:
-    rows = _window_rows(config)
+    mids, counts = _window_rows(config)
+    counted = counts.any(axis=1)
     return ScanResult(
-        points=tuple((mid, violation(h, dist, metric)) for mid, h in rows if h is not None),
+        points=tuple(zip(mids[counted].tolist(),
+                         violations(counts[counted], dist, metric).tolist())),
         config=replace(config, dist=dist, metric=metric),
-        degenerate_windows=tuple(mid for mid, h in rows if h is None),
+        degenerate_windows=tuple(mids[~counted].tolist()),
     )
 
 

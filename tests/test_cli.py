@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benford_xy import cli
+from benford_xy import cli, xy_exact
 
 
 def run_cli(argv):
@@ -275,6 +275,14 @@ class TestCrossover:
         ])
         assert code == 4
 
+    def test_flat_bvp_window_exits_degenerate(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(xy_exact, "mz_infinite_many",
+                            lambda lams, gamma, beta_tilde: np.full(np.size(lams), 0.3))
+        out = tmp_path / "out"
+        code = run_cli(["crossover", "--quantity", "bvp", "--t-list", "1e-4,2e-4,5e-4",
+                        "--samples", "600", "--out", str(out)])
+        assert code == 2 and not out.exists()
+
     def test_bad_t_list(self, tmp_path):
         assert run_cli(["crossover", "--t-list", "a,b", "--out", str(tmp_path)]) == 3
 
@@ -313,6 +321,17 @@ class TestCrossover:
         assert csvs[0] == csvs[1]
 
 
+# Grids too large for numpy to index (rejected by ScanConfig or RidgeGrid) or
+# to allocate (a MemoryError), each far above 2**48 bytes.
+OVERSIZED_GRIDS = [
+    SCAN_ARGS + ["--lambda", "0.8:1.2:1e-300"],
+    SCAN_ARGS + ["--window", "1e-300"],
+    ["crossover", "--t-list", "1e-4,2e-4,3e-4", "--step", "1e-300"],
+    ["crossover", "--t-list", "1e-4,2e-4,3e-4", "--window-ratio", "1e-300"],
+    ["crossover", "--t-list", "1e-4,2e-4,3e-4", "--step", "1e-15"],
+]
+
+
 class TestWorkers:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize(
@@ -343,17 +362,25 @@ class TestWorkers:
             SCALE_ARGS + ["--n-list", "14,15,20"],
             ["digits", "logmantissa:100", "--seed", "-1"],
             ["digits", "logmantissa:100", "--seed", "x"],
+            *OVERSIZED_GRIDS,
         ],
         ids=["lambda", "t", "n-sites", "n-list", "t-list", "lambda-c", "fit-half-negative",
              "fit-half-zero", "fit-half-nan", "smooth-half", "n-list-repeated",
-             "n-list-two", "n-list-odd", "seed-negative", "seed-text"],
+             "n-list-two", "n-list-odd", "seed-negative", "seed-text",
+             "lambda-step-unindexable", "window-unindexable", "ridge-step-unindexable",
+             "window-ratio-unindexable", "ridge-step-unallocatable"],
     )
     def test_malformed_flag_rejected_before_computing(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert run_cli(argv + ["--out", str(out)]) == 3
         assert not out.exists()
-        flag = argv[-2]
-        assert f"argument {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if argv in OVERSIZED_GRIDS:
+            # parsed flags, but a grid that cannot be built: no traceback
+            assert err.startswith("configuration error: ") and "Traceback" not in err
+        else:
+            flag = argv[-2]
+            assert f"argument {flag}" in err
 
 
 class TestManifest:

@@ -18,11 +18,12 @@ from benford_xy.criticality import (
 )
 from benford_xy.errors import (
     ConfigurationError,
+    DegenerateWindowError,
     InsufficientRidgeError,
     MixedSideError,
     NoTransitionError,
 )
-from benford_xy.firstdigit import ReferenceDistribution
+from benford_xy.firstdigit import ReferenceDistribution, histogram, rescale_unit
 from benford_xy.numerics import PolyFit
 from benford_xy.violation import violation
 from benford_xy.windowscan import (
@@ -30,7 +31,6 @@ from benford_xy.windowscan import (
     ScanConfig,
     ScanResult,
     WindowLattice,
-    window_histogram,
 )
 from benford_xy.xy_exact import mz_infinite_many
 
@@ -357,6 +357,30 @@ class TestCrossoverLines:
             assert np.isfinite(lam)
             assert (lam < 1.0) == (branch == "left")
 
+    def test_flat_bvp_window_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(xy_exact, "mz_infinite_many",
+                            lambda lams, gamma, beta_tilde: np.full(np.size(lams), 0.3))
+        with pytest.raises(DegenerateWindowError, match="t_tilde=0.0001"):
+            crossover_lines(CrossoverQuantity.BVP, 1.0, (1e-4, 2e-4, 5e-4), samples=600)
+
+    @pytest.mark.parametrize("step", [1e-300, 1e-320])
+    def test_grid_too_large_to_index_rejected(self, step):
+        with pytest.raises(ConfigurationError, match="ridge grid of more than"):
+            RidgeGrid(span=3.0, step=step)
+
+
+class TestRefineWindow:
+    @pytest.mark.parametrize("t", [1.0, 1e-4, 1e-9])
+    @pytest.mark.parametrize("want_max", [False, True])
+    def test_vertex_of_a_parabola_at_any_step(self, t, want_max):
+        # a ridge grid at temperature t: steps of 0.025 t about lambda = 1
+        x = RidgeGrid().centers(t)
+        c = 1.0 + 0.3 * t
+        y = ((x - c) / t) ** 2 * (-1.0 if want_max else 1.0)
+        k = int(np.argmax(y) if want_max else np.argmin(y))
+        got = criticality._refine_window(x, y, k, 12, want_max)
+        assert got == pytest.approx(c, rel=0, abs=1e-6 * 0.025 * t + 4e-16)
+
 
 class TestViolationLattice:
     T = 2e-4
@@ -410,4 +434,5 @@ class TestViolationLattice:
         for i, got in enumerate(deltas):
             window = lattice[i * m : i * m + self.SAMPLES]
             values = mz_infinite_many(window, 1.0, 1.0 / self.T)
-            assert got == violation(window_histogram(values), self.BENFORD, self.METRIC)
+            hist = histogram(rescale_unit(values))
+            assert got == violation(hist, self.BENFORD, self.METRIC)

@@ -13,10 +13,9 @@ from benford_xy.firstdigit import (
     histogram,
     probabilities,
     rescale_unit,
-    unit_histogram,
     unit_histograms,
 )
-from benford_xy.windowscan import Observable, ScanConfig, WindowLattice, evaluate, window_histogram
+from benford_xy.windowscan import Observable, ScanConfig, WindowLattice, evaluate
 
 
 class TestFirstSignificantDigit:
@@ -117,7 +116,18 @@ class TestHistogram:
 
 
 def _reference(values):
-    return histogram(rescale_unit(values))
+    """histogram(rescale_unit(values)).counts as a list, or 9 zeros where the
+    window is degenerate: the row the window stage must give."""
+    try:
+        return list(histogram(rescale_unit(values)).counts)
+    except DegenerateWindowError:
+        return [0] * 9
+
+
+def _row(values):
+    """The unit_histograms row of values counted as one window, as a list."""
+    v = np.asarray(values, dtype=float)
+    return unit_histograms(v, [0], [v.size])[0].tolist()
 
 
 def _near_thresholds(k_min, ulps):
@@ -138,34 +148,35 @@ def _near_thresholds(k_min, ulps):
 
 
 class TestUnitHistogram:
-    """unit_histogram(v) must equal histogram(rescale_unit(v)) exactly."""
+    """The unit_histograms row of one window v must equal
+    histogram(rescale_unit(v)).counts exactly."""
 
     @pytest.mark.parametrize("gamma,n_sites", [(0.1, 14), (0.5, 20), (0.5, 40), (1.0, 30)])
     @pytest.mark.parametrize("center", [0.9, 0.99, 1.0, 1.05])
     def test_finite_chain_windows(self, gamma, n_sites, center):
         lams = np.linspace(center - 0.01, center + 0.01, 10_000)
         v = xy_exact.mz_finite_many(lams, gamma, n_sites, math.inf)
-        assert unit_histogram(v) == _reference(v)
-        assert unit_histogram(v[::-1]) == _reference(v[::-1])
+        assert _row(v) == _reference(v)
+        assert _row(v[::-1]) == _reference(v[::-1])
 
     @pytest.mark.parametrize("center", [0.95, 1.0, 1.003])
     def test_zero_temperature_czz_windows(self, center):
         config = ScanConfig(Observable.CZZ, 1.0, (0.8, 1.2))
         v = evaluate(config, np.linspace(center - 0.01, center + 0.01, 10_000))
-        assert unit_histogram(v) == _reference(v)
+        assert _row(v) == _reference(v)
 
     @pytest.mark.parametrize("center", [1.0 - 3e-4, 1.0, 1.0 + 6e-4])
     def test_thermal_windows(self, center):
         t = 3e-4
         v = xy_exact.mz_infinite_many(np.linspace(center - t / 2, center + t / 2, 3000), 1.0, 1 / t)
-        assert unit_histogram(v) == _reference(v)
+        assert _row(v) == _reference(v)
 
     @pytest.mark.parametrize("ulps", [1, 2, 3])
     def test_values_next_to_every_threshold(self, ulps):
         v = _near_thresholds(-15, ulps)
         for w in (v, v[::-1]):
-            assert unit_histogram(w) == _reference(w)
-        assert unit_histogram(v).total == np.count_nonzero(v)
+            assert _row(w) == _reference(w)
+        assert sum(_row(v)) == np.count_nonzero(v)
 
     @pytest.mark.parametrize("ulps_below_one", [1, 2, 700, 9000])
     def test_values_just_below_one(self, ulps_below_one):
@@ -175,27 +186,26 @@ class TestUnitHistogram:
         v = np.array([0.0, 0.02, np.nextafter(0.3, 1.0), 0.5, 0.999999999999 * (1 - 1e-15),
                       0.999999999999, top, np.nextafter(1.0, 0.0), 1.0, 1.0])
         for w in (v, v[::-1], 3.0 * v - 7.0):
-            assert unit_histogram(w) == _reference(w)
+            assert _row(w) == _reference(w)
 
     def test_only_the_maximum_near_a_threshold_skips_digits_of(self, monkeypatch):
         v = np.array([0.0, 0.15, 0.25, 0.45, 0.999, 1.0 - 1e-13, 1.0])
         want = _reference(v)
         calls = []
         monkeypatch.setattr(firstdigit, "digits_of", calls.append)
-        assert unit_histogram(v) == want and calls == []
+        assert _row(v) == want and calls == []
 
     def test_several_exact_minima(self):
         v = np.concatenate([np.zeros(3), np.linspace(1e-6, 1.0, 997)])
-        h = unit_histogram(v)
-        assert h == _reference(v) and h.skipped == 3
-        assert unit_histogram(v[::-1]) == h
-        assert unit_histogram(5.0 - 2.0 * v) == _reference(5.0 - 2.0 * v)
+        h = _row(v)
+        # the three exact zeros have no digit
+        assert h == _reference(v) and sum(h) == 997
+        assert _row(v[::-1]) == h
+        assert _row(5.0 - 2.0 * v) == _reference(5.0 - 2.0 * v)
 
     @pytest.mark.parametrize("v", [[1.0, 2.0], [2.0, 1.0], [3.0, -5.0], [-1e300, 1e300]])
     def test_two_values(self, v):
-        h = unit_histogram(v)
-        assert h == _reference(v)
-        assert h.counts[0] == 1 and h.skipped == 1
+        assert _row(v) == _reference(v) == [1] + [0] * 8
 
     @pytest.mark.parametrize(
         "v",
@@ -205,31 +215,27 @@ class TestUnitHistogram:
         ],
     )
     def test_tiny_positive_values(self, v):
-        assert unit_histogram(v) == _reference(v)
-        assert unit_histogram(v[::-1]) == _reference(v)
+        assert _row(v) == _reference(v)
+        assert _row(v[::-1]) == _reference(v)
 
     def test_non_monotone_windows(self):
         rng = np.random.default_rng(5)
         for v in (rng.normal(size=1000), np.sin(np.linspace(0.0, 7.0, 5000))):
-            assert unit_histogram(v) == _reference(v)
+            assert _row(v) == _reference(v)
         v = np.linspace(0.0, 1.0, 100)
         v[50] = v[52]
-        assert unit_histogram(v) == _reference(v)
+        assert _row(v) == _reference(v)
 
     @pytest.mark.parametrize("v", [[5.0, 5.0, 5.0], [1.0], []])
     def test_flat_or_short_window_is_degenerate(self, v):
-        with pytest.raises(DegenerateWindowError):
-            unit_histogram(v)
-        assert window_histogram(np.asarray(v, dtype=float)) is None
+        assert _row(v) == [0] * 9
 
     @pytest.mark.parametrize(
         "v", [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [math.inf, 1.0, 0.0], [-math.inf, 0.0]]
     )
     def test_nonfinite_window_rejected(self, v):
         with pytest.raises(DomainError):
-            unit_histogram(v)
-        with pytest.raises(DomainError):
-            window_histogram(np.asarray(v))
+            _row(v)
 
     def test_monotone_window_is_bisected(self, monkeypatch):
         seen = []
@@ -239,18 +245,18 @@ class TestUnitHistogram:
             seen.append(np.size(values))
             return digits_of(values)
 
-        monkeypatch.setattr(firstdigit, "digits_of", spy)
         v = xy_exact.mz_finite_many(np.linspace(0.99, 1.01, 10_000), 0.5, 20, math.inf)
-        h = unit_histogram(v)
-        assert h.total + h.skipped == 10_000
+        want = _reference(v)
+        monkeypatch.setattr(firstdigit, "digits_of", spy)
+        assert _row(v) == want
         assert sum(seen) < 1000
 
 
 def _lattice_rows(values, samples, stride, lo=0, hi=None, count=None):
     """WindowLattice.histograms of `count` windows of `samples` points,
     `stride` apart, inside [lo, hi) of a lattice whose point k holds
-    values[k], and the reference histogram(rescale_unit(w)) of each window w
-    (None if flat). By default the windows fill the lattice."""
+    values[k], as a list of rows, and the reference row of each window w
+    (_reference(w)). By default the windows fill the lattice."""
     values = np.asarray(values, dtype=float)
     lattice = WindowLattice(step=float(stride), width=float(samples), samples=samples)
     assert lattice.stride == stride and lattice.spacing == 1.0
@@ -261,19 +267,16 @@ def _lattice_rows(values, samples, stride, lo=0, hi=None, count=None):
         return values[np.rint(x + 0.5 * (samples - 1)).astype(int)]
 
     got = lattice.histograms(count, evaluate, lo, hi)
-    want = []
-    for i in range(count):
-        w = values[max(i * stride, lo) : min(i * stride + samples, hi)]
-        try:
-            want.append(_reference(w))
-        except DegenerateWindowError:
-            want.append(None)
-    return got, want
+    assert got.shape == (count, 9) and got.dtype == np.int64
+    want = [_reference(values[max(i * stride, lo) : min(i * stride + samples, hi)])
+            for i in range(count)]
+    return got.tolist(), want
 
 
 class TestBatchedCounts:
-    """WindowLattice.histograms counts the windows in hand in one
-    unit_histograms call; every window must equal histogram(rescale_unit(w))."""
+    """WindowLattice.histograms counts the windows in fixed batches, one
+    unit_histograms call each; the row of every window w must equal
+    histogram(rescale_unit(w)).counts, and be zero if w is degenerate."""
 
     LAMS = 0.95 + 1e-5 * np.arange(12_000)
 
@@ -306,11 +309,11 @@ class TestBatchedCounts:
         assert (np.diff(v) == 0).mean() > 0.9
         got, want = _lattice_rows(v, 2000, 200)
         assert got == want
-        # a plateau longer than a window: flat windows are None
+        # a plateau longer than a window: flat windows are zero rows
         v = np.minimum(self.mz(), np.quantile(self.mz(), 0.3))
         for values in (v, v[::-1]):
             got, want = _lattice_rows(values, 2000, 200)
-            assert got == want and None in got and got.count(None) < len(got)
+            assert got == want and 0 < got.count([0] * 9) < len(got)
 
     def test_direction_changes_within_a_batch(self):
         for v in ((self.LAMS - 1.0) ** 2, np.abs(np.sin(300.0 * self.LAMS)),
@@ -323,7 +326,8 @@ class TestBatchedCounts:
         # window 0 keeps its last 1850 points; the last window keeps one point
         got, want = _lattice_rows(v, 2000, 200, lo=150, hi=10_001, count=51)
         assert len(got) == 51 and got == want
-        assert got[0].total + got[0].skipped == 1850 and got[-1] is None
+        assert sum(got[0]) == np.count_nonzero(rescale_unit(v[150:2000]))
+        assert got[-1] == [0] * 9
 
     @pytest.mark.parametrize("ulps", [1, 3])
     def test_rounding_in_raw_values(self, ulps):
@@ -343,7 +347,7 @@ class TestBatchedCounts:
         starts = [0, 3000, 6000, 9000, 0, 2500, 1000]
         stops = [3000, 6000, 9000, 12_000, 6000, 3500, 2000]
         got = unit_histograms(v, starts, stops)
-        assert got == [_reference(v[a:b]) for a, b in zip(starts, stops)]
+        assert got.tolist() == [_reference(v[a:b]) for a, b in zip(starts, stops)]
 
     def test_nonfinite_point_rejected(self):
         v = self.mz()
@@ -351,7 +355,7 @@ class TestBatchedCounts:
         with pytest.raises(DomainError):
             _lattice_rows(v, 2000, 200)
 
-    def test_windows_in_hand_are_counted_together(self, monkeypatch):
+    def test_windows_are_counted_in_fixed_batches(self, monkeypatch):
         batches, kept, calls = [], [], []
         count = windowscan.unit_histograms
 
@@ -365,12 +369,31 @@ class TestBatchedCounts:
         monkeypatch.setattr(windowscan, "unit_histograms", spy)
         got = WindowLattice(200.0, 2000.0, 2000).histograms(
             51, lambda x: calls.append(x.size) or v[np.rint(x + 999.5).astype(int)])
-        assert got == want
-        assert sum(batches) == 51 and len(batches) < len(calls) and max(batches) >= 9
-        # no call holds more than one window of points, and the points kept
-        # stay within one window of _KEPT_WINDOWS windows' worth
-        assert max(calls) <= 2000
-        assert max(kept) <= (windowscan._KEPT_WINDOWS + 1) * 2000
+        assert got.tolist() == want
+        # _KEPT_WINDOWS * samples // stride + 1 windows a batch, and the rest
+        per = windowscan._KEPT_WINDOWS * 2000 // 200 + 1
+        assert batches == [per, 51 - per]
+        # one window of points a call, each point once; the points kept stay
+        # within two windows of _KEPT_WINDOWS windows' worth
+        assert calls == [2000] * 6
+        assert max(kept) <= (windowscan._KEPT_WINDOWS + 2) * 2000
+
+    def test_windows_with_gaps_are_counted_one_by_one(self, monkeypatch):
+        batches, calls = [], []
+        count = windowscan.unit_histograms
+
+        def spy(values, starts, stops):
+            batches.append(len(starts))
+            return count(values, starts, stops)
+
+        v = self.mz()
+        want = _lattice_rows(v, 100, 200, count=60)[1]
+        monkeypatch.setattr(windowscan, "unit_histograms", spy)
+        got = WindowLattice(200.0, 100.0, 100).histograms(
+            60, lambda x: calls.append(x.size) or v[np.rint(x + 49.5).astype(int)])
+        assert got.tolist() == want
+        # the points between windows are never evaluated
+        assert batches == [1] * 60 and calls == [100] * 60
 
 
 class TestReferenceDistributions:

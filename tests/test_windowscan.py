@@ -6,7 +6,7 @@ import pytest
 
 from benford_xy import cli, windowscan
 from benford_xy.errors import ConfigurationError
-from benford_xy.firstdigit import ReferenceDistribution
+from benford_xy.firstdigit import ReferenceDistribution, histogram, rescale_unit
 from benford_xy.violation import Metric, violation
 from benford_xy.windowscan import (
     Observable,
@@ -56,11 +56,21 @@ class TestScanConfig:
             {"n_sites": 7},
             {"n_sites": 2},
             {"gamma": 0.0},
+            {"lambda_step": math.inf},
+            # lattices of more points than one numpy array can hold
+            {"lambda_step": 1e-300},
+            {"window_width": 1e-300},
+            {"samples_per_window": 10**18},
+            {"samples_per_window": 10**400},
         ],
     )
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ConfigurationError):
             small_config(**overrides)
+
+    def test_indexable_grid_accepted_unevaluated(self):
+        # 2e14 windows: numpy can index them; only building them runs out of memory
+        assert small_config(lambda_step=1e-15).lattice.stride == 1
 
     def test_t_tilde_inverse_of_beta(self):
         assert small_config(beta_tilde=200.0).t_tilde == pytest.approx(0.005)
@@ -116,12 +126,12 @@ class TestWindowLattice:
 
         def spy(values, starts, stops):
             seen.extend(values[s:e] for s, e in zip(starts, stops))
-            return [None] * len(starts)
+            return np.zeros((len(starts), 9), dtype=np.int64)
 
         monkeypatch.setattr(windowscan, "evaluate", lambda config, lams: lams.copy())
         monkeypatch.setattr(windowscan, "unit_histograms", spy)
-        rows = window_histograms(config)
-        assert len(rows) == len(seen)
+        mids, counts = window_histograms(config)
+        assert mids.shape == (len(seen),) and counts.shape == (len(seen), 9)
         return seen
 
     def test_windows_are_symmetric_about_their_centers(self, monkeypatch):
@@ -217,6 +227,24 @@ class TestScan:
         assert r.points == ()
         assert len(r.degenerate_windows) == 21
 
+    def test_windows_flat_below_one_are_degenerate(self, monkeypatch):
+        # the observable max(lambda, 1) is flat in every window that lies
+        # wholly at lambda <= 1, and rises in every other one
+        monkeypatch.setattr(windowscan, "evaluate", lambda config, lams: np.maximum(lams, 1.0))
+        config = small_config()
+        lattice, (a, b), half = config.lattice, config.lambda_range, config.window_width / 2
+        flat, scored = [], []
+        for i, c in enumerate(window_centers(config)):
+            lams = a + lattice.offsets(i * lattice.stride, i * lattice.stride + lattice.samples)
+            lams = lams[(lams >= a) & (lams <= b)]
+            mid = 0.5 * (max(a, c - half) + min(b, c + half))
+            (flat if lams.max() <= 1.0 else scored).append(mid)
+        r = scan(config)
+        assert len(flat) == 10 and len(scored) == 11
+        assert r.degenerate_windows == tuple(flat)
+        assert [mid for mid, _ in r.points] == scored
+        assert np.all(np.isfinite(r.deltas())) and np.all(r.deltas() >= 0)
+
     def test_windows_that_do_not_overlap_match_per_window_evaluation(self):
         # scan --window 0.001 --samples 100 at the default range and step:
         # stride 200 lattice points, of which each window holds the first 100
@@ -232,7 +260,7 @@ class TestScan:
         for i, (_, delta) in enumerate(result.points):
             lams = a + lattice.offsets(i * lattice.stride, i * lattice.stride + lattice.samples)
             values = windowscan.evaluate(config, lams[(lams >= a) & (lams <= b)])
-            hist = windowscan.window_histogram(values)
+            hist = histogram(rescale_unit(values))
             assert delta == violation(hist, config.dist, config.metric)
 
     def test_correlator_scan_runs(self):
