@@ -104,7 +104,8 @@ def local_slopes(x: np.ndarray, y: np.ndarray, half: float) -> np.ndarray:
     """Least-squares slope of y over the points within +-half of each x, for
     x sorted ascending (NaN with fewer than 4 such points). Neighbourhoods of
     one length are the rows of one C-contiguous array, and a row reduces with
-    the same pairwise sums as its 1-D slice, so the grouping moves no bits."""
+    the same pairwise sums as its 1-D slice, so the grouping moves no bits.
+    Equal x throughout a neighbourhood give 0 / 0, a NaN slope, silently."""
     s = np.full(x.size, np.nan)
     starts = np.searchsorted(x, x - half, side="left")
     lengths = np.searchsorted(x, x + half, side="right") - starts
@@ -115,7 +116,8 @@ def local_slopes(x: np.ndarray, y: np.ndarray, half: float) -> np.ndarray:
             xs, ys = x[at], y[at]
             dx = xs - xs.mean(axis=1, keepdims=True)
             dy = ys - ys.mean(axis=1, keepdims=True)
-            s[rows] = (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
+            with np.errstate(invalid="ignore"):
+                s[rows] = (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
     return s
 
 

@@ -35,7 +35,9 @@ a scan or a crossover temperature share them.
 The infinite lattice at T = 0 needs no quadrature: Mz, G(-1) and G(+1) are
 complete elliptic integrals (Barouch & McCoy, Phys. Rev. A 3, 786 (1971)),
 evaluated by Bulirsch's cel iteration in a form that stays finite at
-lambda = +-1 (see mz_and_correlators_many).
+lambda = +-1 (see mz_and_correlators_many). Mz needs only the integral X
+and K; the derivative dX/dp is carried through the iteration only for
+G(-1) and G(+1).
 """
 
 from __future__ import annotations
@@ -287,7 +289,7 @@ def _mz_integrand(beta_tilde: float):
 def mz_infinite_many(lams, gamma: float, beta_tilde: float = math.inf) -> np.ndarray:
     """Thermodynamic-limit transverse magnetization for an array of lambda."""
     if math.isinf(beta_tilde):
-        return mz_and_correlators_many(lams, gamma)[0]
+        return mz_and_correlators_many(lams, gamma, correlators=False)
     return -_thermal_quadrature("mz", beta_tilde, lams, gamma, 1.0 / beta_tilde) / math.pi
 
 
@@ -345,8 +347,9 @@ _CEL_STEPS = 10
 _KC_FLOOR = 1e-30
 
 
-def _cel(kc: np.ndarray, p: np.ndarray):
-    """X = cel(kc, p, 1, 0), its derivative dX/dp, and K(kc).
+def _cel(kc: np.ndarray, p: np.ndarray, derivative: bool):
+    """X = cel(kc, p, 1, 0), its derivative dX/dp (None unless derivative is
+    true), and K(kc).
 
     Bulirsch's complete elliptic integral is
         cel(kc, p, a, b) = int_0^{pi/2} (a cos^2 t + b sin^2 t) dt
@@ -354,33 +357,38 @@ def _cel(kc: np.ndarray, p: np.ndarray):
     here for p > 0 (Bulirsch, Numer. Math. 13, 305 (1969)). Each step is a
     Gauss transformation of the integral, under which kc and m run through
     the arithmetic-geometric mean of kc and 1 (scaled by 2 per step); once
-    they meet, the integral is elementary. dX/dp is carried through every
-    step by the chain rule. A fixed number of elementwise steps keeps each
-    value independent of the rest of the array.
+    they meet, the integral is elementary. Only G(+-1) need dX/dp; when asked
+    for, it is carried through every step by the chain rule, from the step's
+    old a, b and s, so X and K have the same bits either way. A fixed number
+    of elementwise steps keeps each value independent of the rest of the
+    array.
     """
     s = np.sqrt(p)
-    ds = 0.5 / s
-    a, da = np.ones_like(kc), np.zeros_like(kc)
-    b, db = np.zeros_like(kc), np.zeros_like(kc)
+    a, b = np.ones_like(kc), np.zeros_like(kc)
+    if derivative:
+        ds, da, db = 0.5 / s, np.zeros_like(kc), np.zeros_like(kc)
     m, e = np.ones_like(kc), kc
     for _ in range(_CEL_STEPS):
         g = e / s
-        dg = -g * ds / s
-        a, b, da, db = (a + b / s, 2.0 * (b + a * g),
-                        da + (db - b * ds / s) / s, 2.0 * (db + da * g + a * dg))
-        s, ds = s + g, ds + dg
+        if derivative:
+            dg = -g * ds / s
+            da, db = da + (db - b * ds / s) / s, 2.0 * (db + da * g + a * dg)
+            ds = ds + dg
+        a, b = a + b / s, 2.0 * (b + a * g)
+        s = s + g
         m, kc = m + kc, 2.0 * np.sqrt(e)
         e = kc * m
     scale = 0.5 * math.pi / (m * (m + s))
     x = (a * m + b) * scale
-    dx = (da * m + db - (a * m + b) * ds / (m + s)) * scale
+    dx = (da * m + db - (a * m + b) * ds / (m + s)) * scale if derivative else None
     # m is 2**_CEL_STEPS times the arithmetic-geometric mean of 1 and kc
     return x, dx, math.pi * 2.0 ** (_CEL_STEPS - 1) / m
 
 
-def mz_and_correlators_many(lams, gamma: float) -> np.ndarray:
+def mz_and_correlators_many(lams, gamma: float, *, correlators: bool = True) -> np.ndarray:
     """Mz, G(-1) and G(+1) at T = 0 on the infinite lattice, as the rows of
-    a (3, lams.size) array, in closed form.
+    a (3, lams.size) array, in closed form. With correlators false it forms
+    the Mz row alone, which needs no M, with the bits it has in the three.
 
     With c = cos phi and L the dispersion, pi Mz = int_0^pi (lambda - c) / L
     and pi G(r) = r gamma S + A, where S = int sin^2 phi / L and
@@ -410,14 +418,17 @@ def mz_and_correlators_many(lams, gamma: float) -> np.ndarray:
     a = gamma * gamma + e
     p = n / a
     kc2 = b / a
-    x, dx, k = _cel(np.maximum(np.sqrt(kc2), _KC_FLOOR), p)
+    x, dx, k = _cel(np.maximum(np.sqrt(kc2), _KC_FLOOR), p, correlators)
     y = kc2 * (k - x) / p
     oy = np.where(outside, y, 0.0)
-    qm = (-2.0 * lam * lam / (a * n)) * dx
     h = 2.0 / (math.pi * np.sqrt(a))
+    mz = h * lam * (x + oy)
+    if not correlators:
+        return mz
+    qm = (-2.0 * lam * lam / (a * n)) * dx
     s = h * (y + qm)
     even = h * (oy - x + qm)
-    return np.stack([h * lam * (x + oy), even - gamma * s, even + gamma * s])
+    return np.stack([mz, even - gamma * s, even + gamma * s])
 
 
 def correlator_g_many(r: int, lams, gamma: float) -> np.ndarray:

@@ -78,7 +78,8 @@ class TestLocalSlopes:
             if hi - lo >= 4:
                 xs, ys = x[lo:hi], y[lo:hi]
                 dx = xs - xs.mean()
-                s[i] = (dx * (ys - ys.mean())).sum() / (dx * dx).sum()
+                with np.errstate(invalid="ignore"):
+                    s[i] = (dx * (ys - ys.mean())).sum() / (dx * dx).sum()
         return s
 
     # irregular and regular x, repeated x, half wider than the range (1.0),

@@ -164,6 +164,19 @@ class TestGroundState:
         want = np.array([_graded_reference(lam, gamma) for lam in lams]).T
         assert np.max(np.abs(got - want)) <= 1e-13
 
+    @pytest.mark.parametrize("gamma", GROUND_GAMMAS)
+    def test_mz_alone_keeps_its_bits(self, gamma):
+        # at T = 0 mz_infinite_many skips the dX/dp chain, which only G(+-1)
+        # read: Mz must keep the bits of the three rows, on the singular
+        # points and on a 10 000-point lattice through lambda = 1, and
+        # G(+-1) must still match graded quadrature
+        ground = _ground_lambdas(gamma)
+        lams = np.concatenate([ground, 1.0 + 1e-4 * np.arange(-5000, 5000)])
+        rows = xy_exact.mz_and_correlators_many(lams, gamma)
+        assert np.array_equal(xy_exact.mz_infinite_many(lams, gamma), rows[0])
+        want = np.array([_graded_reference(lam, gamma) for lam in ground]).T
+        assert np.max(np.abs(rows[1:, : len(ground)] - want[1:])) <= 1e-13
+
     def test_ising_matches_agm_closed_forms(self):
         lams = [0.2, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 + 1e-6, 1.001, 1.5, 3.0, 10.0]
         mz, g_minus, _ = xy_exact.mz_and_correlators_many(lams, 1.0)
