@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument(
         "--t-list",
-        type=_comma_list(float, "numbers"),
+        type=_comma_list(_positive, "positive numbers"),
         default=",".join(repr(float(t)) for t in np.linspace(1e-4, 5e-4, 25)),
         help="comma-separated reduced temperatures",
     )
@@ -473,11 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["both"] + [q.value for q in criticality.CrossoverQuantity],
         default="both",
     )
-    p.add_argument("--span", type=float, default=criticality.RIDGE_SPAN,
+    p.add_argument("--span", type=_positive, default=criticality.RIDGE_SPAN,
                    help="lambda grid half-width in units of t")
-    p.add_argument("--step", type=float, default=criticality.RIDGE_STEP,
+    p.add_argument("--step", type=_positive, default=criticality.RIDGE_STEP,
                    help="lambda grid step in units of t")
-    p.add_argument("--window-ratio", type=float, default=criticality.RIDGE_WINDOW_RATIO,
+    p.add_argument("--window-ratio", type=_positive, default=criticality.RIDGE_WINDOW_RATIO,
                    help="violation window width in units of t")
     p.add_argument("--samples", type=int, default=criticality.RIDGE_SAMPLES)
     _add_dist_flags(p)

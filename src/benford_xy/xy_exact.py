@@ -26,18 +26,20 @@ doubles, each time reusing the values it has, since the point sets are
 nested. Degree n is accepted once its interpolant predicts the values at the
 n points degree 2n adds to within 1e-13 of the largest value, just above the
 rounding of the quadrature itself (up to 6e-14 for dMz/dT next to
-lambda = 1); the bin is then interpolated at degree 2n. A bin that needs a
-degree above 256 (structure much narrower than the bin, as T_tilde -> 0)
-has every lambda integrated directly on its rule. The node values of the
-last 64 (kernel, bin, gamma, T_tilde) are cached, so the one-window calls of
-a scan or a crossover temperature share them.
+lambda = 1); the bin is then interpolated at degree n, the degree that
+passed. A bin in which degree 128 fails the check against 256 (structure
+much narrower than the bin, as T_tilde -> 0) has every lambda integrated
+directly on its rule. The node values of the last 64 (kernel, bin, gamma,
+T_tilde) are cached, so the one-window calls of a scan or a crossover
+temperature share them.
 
 The infinite lattice at T = 0 needs no quadrature: Mz, G(-1) and G(+1) are
 complete elliptic integrals (Barouch & McCoy, Phys. Rev. A 3, 786 (1971)),
 evaluated by Bulirsch's cel iteration in a form that stays finite at
-lambda = +-1 (see mz_and_correlators_many). Mz needs only the integral X
-and K; the derivative dX/dp is carried through the iteration only for
-G(-1) and G(+1).
+lambda = +-1 (see mz_and_correlators_many). Each sample leaves the
+iteration once its own iterates have met, after five steps for most and at
+most ten (see _cel). Mz needs only the integral X and K; the derivative
+dX/dp is carried through the iteration only for G(-1) and G(+1).
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ _BLOCK_CELLS = 1 << 15
 _RULE_BIN = 2e-3
 
 # The per-bin interpolant of the thermal kernels (see _bin_interpolant): its
-# least and greatest degree, its acceptance threshold relative to the bin's
+# least degree, the greatest degree it checks against (it interpolates at
+# half of that at most), its acceptance threshold relative to the bin's
 # largest value, and how many bins' node values are cached. Degree n takes
 # every (_DEGREE_CAP / n)-th point of _CHEBYSHEV, so the point sets nest.
 _DEGREE_MIN = 16
@@ -189,7 +192,8 @@ def _bin_interpolant(kind: str, arg: float, k: float, gamma: float,
 
     Degree n (n + 1 points) is accepted when its interpolant predicts the
     integral at the n points that degree 2n adds to within _INTERP_TOL of
-    the largest value; the bin is then interpolated at degree 2n.
+    the largest value at all 2n + 1; the bin is then interpolated at degree
+    n, the degree that passed.
     """
     rule = _bin_rule(k, gamma, t_tilde)
     integrand = _THERMAL_INTEGRANDS[kind](arg)
@@ -200,14 +204,14 @@ def _bin_interpolant(kind: str, arg: float, k: float, gamma: float,
         added = x[step // 2 :: step]
         new = _row_quadrature(integrand, added, gamma, *rule)
         error = np.max(np.abs(_barycentric(x[::step], f, added) - new))
-        both = np.empty(f.size + new.size)
-        both[::2], both[1::2] = f, new
-        f, step = both, step // 2
-        if error <= _INTERP_TOL * np.max(np.abs(f)):
+        if error <= _INTERP_TOL * max(np.max(np.abs(f)), np.max(np.abs(new))):
             # read-only: the cache hands the same arrays to every caller
             x = x[::step].copy()
             x.flags.writeable = f.flags.writeable = False
             return x, f
+        both = np.empty(f.size + new.size)
+        both[::2], both[1::2] = f, new
+        f, step = both, step // 2
     return None
 
 
@@ -337,13 +341,17 @@ def mz_finite_many(lams, gamma: float, n_sites: int,
     return -(2.0 / n_sites) * (lanes[0] + lanes[1])
 
 
-# Steps of the cel iteration and the floor on its kc. The iteration converges
-# quadratically once kc is within a few decades of 1, and ten steps reach
-# double precision for every 1e-30 <= kc <= 1e30; kc is at most 1 / |gamma|,
-# hence the least |gamma| the T = 0 kernel takes. kc = 0 (lambda = +-1)
-# would never converge; at kc = 1e-30 every term differs from its kc = 0
-# limit by about kc**2 log(1/kc), far below rounding.
+# The cel iteration: its cap on steps, the step after which it finishes every
+# sample whose iterates have met, how near they must be (relative to m), and
+# the floor on its kc. The iteration converges quadratically once kc is within
+# a few decades of 1: five steps meet for most samples, and ten reach double
+# precision for every 1e-30 <= kc <= 1e30; kc is at most 1 / |gamma|, hence
+# the least |gamma| the T = 0 kernel takes. kc = 0 (lambda = +-1) would never
+# converge; at kc = 1e-30 every term differs from its kc = 0 limit by about
+# kc**2 log(1/kc), far below rounding. A looser exit (1e-8) errs by 3.5e-9.
 _CEL_STEPS = 10
+_CEL_CHECKPOINT = 5
+_CEL_TOL = 1e-15
 _KC_FLOOR = 1e-30
 
 
@@ -356,19 +364,22 @@ def _cel(kc: np.ndarray, p: np.ndarray, derivative: bool):
                            / ((cos^2 t + p sin^2 t) sqrt(cos^2 t + kc^2 sin^2 t)),
     here for p > 0 (Bulirsch, Numer. Math. 13, 305 (1969)). Each step is a
     Gauss transformation of the integral, under which kc and m run through
-    the arithmetic-geometric mean of kc and 1 (scaled by 2 per step); once
-    they meet, the integral is elementary. Only G(+-1) need dX/dp; when asked
-    for, it is carried through every step by the chain rule, from the step's
-    old a, b and s, so X and K have the same bits either way. A fixed number
-    of elementwise steps keeps each value independent of the rest of the
-    array.
+    the arithmetic-geometric mean of kc and 1 (scaled by 2 per step), and s
+    tends to m; once they meet, the integral is elementary. After
+    _CEL_CHECKPOINT steps every sample whose kc and s are within _CEL_TOL of
+    m is finished; the rest (lambda next to +-1, large |gamma|) take the
+    remaining steps up to _CEL_STEPS on their own. The exit reads a sample's
+    own iterates only, so each value is independent of the rest of the
+    array. Only G(+-1) need dX/dp; when asked for, it is carried through
+    every step by the chain rule, from the step's old a, b and s, so X, K
+    and the exit have the same bits either way.
     """
     s = np.sqrt(p)
-    a, b = np.ones_like(kc), np.zeros_like(kc)
+    a, b, m, e = np.ones_like(kc), np.zeros_like(kc), np.ones_like(kc), kc
+    da = db = ds = None
     if derivative:
         ds, da, db = 0.5 / s, np.zeros_like(kc), np.zeros_like(kc)
-    m, e = np.ones_like(kc), kc
-    for _ in range(_CEL_STEPS):
+    for step in range(1, _CEL_STEPS + 1):
         g = e / s
         if derivative:
             dg = -g * ds / s
@@ -378,11 +389,29 @@ def _cel(kc: np.ndarray, p: np.ndarray, derivative: bool):
         s = s + g
         m, kc = m + kc, 2.0 * np.sqrt(e)
         e = kc * m
+        if step == _CEL_CHECKPOINT:
+            out = _cel_finish(step, a, b, s, m, da, db, ds)
+            slow = np.flatnonzero((np.abs(kc - m) > _CEL_TOL * m)
+                                  | (np.abs(s - m) > _CEL_TOL * m))
+            if not slow.size:
+                return out
+            a, b, s, m, kc, e = (v[slow] for v in (a, b, s, m, kc, e))
+            if derivative:
+                da, db, ds = da[slow], db[slow], ds[slow]
+    for o, v in zip(out, _cel_finish(_CEL_STEPS, a, b, s, m, da, db, ds)):
+        if o is not None:
+            o[slow] = v
+    return out
+
+
+def _cel_finish(steps: int, a, b, s, m, da, db, ds):
+    """X, dX/dp (None unless ds is carried) and K from the cel iterates after
+    the given number of steps."""
     scale = 0.5 * math.pi / (m * (m + s))
     x = (a * m + b) * scale
-    dx = (da * m + db - (a * m + b) * ds / (m + s)) * scale if derivative else None
-    # m is 2**_CEL_STEPS times the arithmetic-geometric mean of 1 and kc
-    return x, dx, math.pi * 2.0 ** (_CEL_STEPS - 1) / m
+    dx = None if ds is None else (da * m + db - (a * m + b) * ds / (m + s)) * scale
+    # m is 2**steps times the arithmetic-geometric mean of 1 and kc
+    return x, dx, math.pi * 2.0 ** (steps - 1) / m
 
 
 def mz_and_correlators_many(lams, gamma: float, *, correlators: bool = True) -> np.ndarray:

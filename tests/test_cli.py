@@ -362,12 +362,19 @@ class TestWorkers:
             SCALE_ARGS + ["--n-list", "14,15,20"],
             ["digits", "logmantissa:100", "--seed", "-1"],
             ["digits", "logmantissa:100", "--seed", "x"],
+            ["crossover", "--t-list", "inf,1e-4,2e-4"],
+            ["crossover", "--t-list", "nan,1e-4,2e-4"],
+            ["crossover", "--t-list", "1e-4,0,2e-4"],
+            ["crossover", "--t-list", "1e-4,2e-4,3e-4", "--span", "nan"],
+            ["crossover", "--t-list", "1e-4,2e-4,3e-4", "--step", "0"],
+            ["crossover", "--t-list", "1e-4,2e-4,3e-4", "--window-ratio", "-1"],
             *OVERSIZED_GRIDS,
         ],
         ids=["lambda", "t", "n-sites", "n-list", "t-list", "lambda-c", "fit-half-negative",
              "fit-half-zero", "fit-half-nan", "smooth-half", "n-list-repeated",
              "n-list-two", "n-list-odd", "seed-negative", "seed-text",
-             "lambda-step-unindexable", "window-unindexable", "ridge-step-unindexable",
+             "t-list-inf", "t-list-nan", "t-list-zero", "span-nan", "step-zero",
+             "window-ratio-negative", "lambda-step-unindexable", "window-unindexable", "ridge-step-unindexable",
              "window-ratio-unindexable", "ridge-step-unallocatable"],
     )
     def test_malformed_flag_rejected_before_computing(self, tmp_path, capsys, argv):

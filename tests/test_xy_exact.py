@@ -177,6 +177,40 @@ class TestGroundState:
         want = np.array([_graded_reference(lam, gamma) for lam in ground]).T
         assert np.max(np.abs(rows[1:, : len(ground)] - want[1:])) <= 1e-13
 
+    @pytest.mark.parametrize("gamma", GROUND_GAMMAS + [3.0, 30.0])
+    def test_value_independent_of_its_call(self, gamma):
+        # _cel finishes a sample at its checkpoint from the sample's own
+        # iterates, so a lambda keeps its bits whatever else is in the call.
+        # At gamma = 3 and 30 (small p = 1/gamma^2) many samples take every
+        # step. A single call takes about 0.3 ms, so the lattice goes in
+        # chunks of 250 (all exiting far from lambda = 1 at small gamma) and
+        # alone only at every 100th point and the 41 next to lambda = 1.
+        lattice = 1.0 + 1e-4 * np.arange(-5000, 5000)
+        lams = np.concatenate([_ground_lambdas(gamma), [1.0 - 1e-14, 1.0 + 1e-14], lattice])
+        rows = xy_exact.mz_and_correlators_many(lams, gamma)
+        chunks = [xy_exact.mz_and_correlators_many(lattice[i : i + 250], gamma)
+                  for i in range(0, lattice.size, 250)]
+        assert np.array_equal(np.concatenate(chunks, axis=1), rows[:, -lattice.size :])
+        first = lams.size - lattice.size
+        pick = np.r_[:first, first + np.r_[: lattice.size : 100, 4980:5021]]
+        alone = np.hstack([xy_exact.mz_and_correlators_many([lam], gamma) for lam in lams[pick]])
+        assert np.array_equal(alone, rows[:, pick])
+
+    @pytest.mark.parametrize("gamma", GROUND_GAMMAS + [3.0, 30.0])
+    def test_early_exit_matches_every_step(self, gamma, monkeypatch):
+        # a sample finished at the checkpoint is within 2e-15 of its value
+        # after all _CEL_STEPS steps; one that goes on (lambda = +-1 among
+        # them) keeps those bits exactly
+        lams = np.concatenate([_ground_lambdas(gamma), [1.0 - 1e-14, 1.0 + 1e-14],
+                               1.0 + 1e-4 * np.arange(-5000, 5000)])
+        early = xy_exact.mz_and_correlators_many(lams, gamma)
+        monkeypatch.setattr(xy_exact, "_CEL_CHECKPOINT", xy_exact._CEL_STEPS)
+        full = xy_exact.mz_and_correlators_many(lams, gamma)
+        same = np.all(early == full, axis=0)
+        assert np.max(np.abs(early - full)[:, ~same], initial=0.0) <= 2e-15
+        assert 0 < np.count_nonzero(~same)
+        assert same[np.isin(lams, [-1.0, 1.0, 1.0 - 1e-14, 1.0 + 1e-14])].all()
+
     def test_ising_matches_agm_closed_forms(self):
         lams = [0.2, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 + 1e-6, 1.001, 1.5, 3.0, 10.0]
         mz, g_minus, _ = xy_exact.mz_and_correlators_many(lams, 1.0)
