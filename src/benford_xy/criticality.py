@@ -379,12 +379,15 @@ def crossover_lines(
     ts = [float(t) for t in t_grid]
     if not ts:
         raise ConfigurationError("t_grid must hold at least one temperature")
+    grid = lambda_grid or RidgeGrid()
     for t in ts:
         # beta_tilde = 1/t; t = 0 has none and goes in as 0, which is rejected
         xy_exact.check_model(gamma, 1.0 / t if t else 0.0)
+        # at t near the float spacing at 1, 1 + t * u rounds distinct u to one lambda
+        if not (np.diff(grid.centers(t)) > 0.0).all():
+            raise ConfigurationError(f"t_tilde={t:g}: ridge grid 1 + t_tilde * u repeats lambda")
     if not (0.0 < window_ratio < math.inf):
         raise ConfigurationError("window_ratio must be positive and finite")
-    grid = lambda_grid or RidgeGrid()
     check_lattice(2.0 * grid.span / grid.step, grid.step, window_ratio, samples)
     slices = [_ridge_slice(quantity, gamma, t, grid, window_ratio, samples, dist, metric)
               for t in ts]

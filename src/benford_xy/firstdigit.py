@@ -163,9 +163,9 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
     its ends are equal); a window without rising steps is non-increasing and
     is read reversed. The monotone windows of one direction are counted by
     one _sorted_counts call if no step against that direction lies between
-    the first one's start and the last one's stop, else one by one. Windows
-    that are not monotone, or that _sorted_counts leaves, go through
-    histogram.
+    the first one's start and the last one's stop. Windows that are not
+    monotone, that such a step separates, or that _sorted_counts leaves, go
+    through histogram.
     """
     a = np.asarray(values, dtype=float).ravel()
     s = np.asarray(starts, dtype=np.intp)
@@ -190,9 +190,8 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
                 continue
             g0, g1 = s[windows].min(), e[windows].max()
             if not _none_between(steps, g0, g1):
-                # a step against the direction lies between them: one by one
-                for i in windows.tolist():
-                    rows[i] = unit_histograms(a[s[i] : e[i]], [0], [e[i] - s[i]])
+                # a step against the direction lies between them
+                other += windows.tolist()
                 continue
             if sign > 0:
                 b, ws, we = a[g0:g1], s[windows] - g0, e[windows] - g0

@@ -73,10 +73,8 @@ def polyfit(points, degree: int) -> PolyFit:
         raise SingularFitError(f"need more than {degree} points, got {x.size}")
     if np.ptp(x) == 0.0:
         raise SingularFitError("all x values identical")
-    # the products and the column-major layout of polyvander, whose import of
-    # numpy.polynomial costs 4.6 ms and 0.9 MB; the layout picks the BLAS
-    # kernel of design @ coef, and so the last bits of the residual
-    design = np.asfortranarray(np.vander(x, degree + 1, increasing=True))
+    # np.vander, not polyvander: importing numpy.polynomial costs 4.6 ms and 0.9 MB
+    design = np.vander(x, degree + 1, increasing=True)
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < degree + 1:
         raise SingularFitError("design matrix is rank deficient")

@@ -307,15 +307,9 @@ def mz_infinite(params: ModelParams) -> float:
 def mz_finite_many(lams, gamma: float, n_sites: int,
                    beta_tilde: float = math.inf) -> np.ndarray:
     """Finite-chain transverse magnetization for an array of lambda: the Mz
-    integrand summed over the modes phi_p = 2 pi p / N, p = 1..N/2, each mode
-    over the whole lambda array at once.
-
-    The sum keeps the order of np.einsum("ij,j->i") over a row of N/2 terms
-    and unit weights (numpy 2.4), so the values keep the bits they had as
-    einsum row sums: even and odd terms go into two lanes, each block of 8
-    adds t0 + (t2 + (t4 + (t6 + lane))) into lane 0 and its odd terms
-    likewise into lane 1, the rest go in by pairs, and the result is
-    lane 0 + lane 1. A value depends on lambda alone.
+    integrand summed over the modes phi_p = 2 pi p / N, p = 1..N/2, in that
+    order, each mode over the whole lambda array at once. A value depends on
+    lambda alone.
     """
     half = n_sites // 2
     phi = 2.0 * math.pi * np.arange(1, half + 1) / n_sites
@@ -323,11 +317,9 @@ def mz_finite_many(lams, gamma: float, n_sites: int,
     g2s2 = ((gamma * np.sin(phi)) ** 2).tolist()
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     mz = _mz_integrand(beta_tilde)
-    lanes = np.zeros((2, lams.size))
+    total = np.zeros(lams.size)
     d, disp = np.empty((2, lams.size))
-    blocked = half - half % 8
-    order = [k + j for k in range(0, blocked, 8) for j in (6, 4, 2, 0, 7, 5, 3, 1)]
-    for p in order + list(range(blocked, half)):
+    for p in range(half):
         np.subtract(c[p], lams, out=d)
         np.multiply(d, d, out=disp)
         disp += g2s2[p]
@@ -337,8 +329,8 @@ def mz_finite_many(lams, gamma: float, n_sites: int,
             # where d = 0 too) adds 0: d / inf is 0 and tanh(inf) is 1. Only
             # a mode with gamma^2 sin^2 phi = 0 can have disp = 0.
             disp[disp == 0.0] = math.inf
-        lanes[p % 2] += mz(d, disp)
-    return -(2.0 / n_sites) * (lanes[0] + lanes[1])
+        total += mz(d, disp)
+    return -(2.0 / n_sites) * total
 
 
 # The cel iteration: its cap on steps, the step after which it finishes every

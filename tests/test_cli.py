@@ -283,6 +283,16 @@ class TestCrossover:
                         "--samples", "600", "--out", str(out)])
         assert code == 2 and not out.exists()
 
+    # at t_tilde = 1e-17 every centre 1 + t_tilde * u rounds to 1.0
+    @pytest.mark.parametrize("quantity", ["dmzdt", "bvp"])
+    def test_collapsed_ridge_grid_is_configuration_error(self, tmp_path, capsys, quantity):
+        out = tmp_path / "out"
+        code = run_cli(["crossover", "--quantity", quantity, "--t-list", "1e-17,2e-17,3e-17",
+                        "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3 and not out.exists()
+        assert err.startswith("configuration error: t_tilde=1e-17") and "Traceback" not in err
+
     def test_bad_t_list(self, tmp_path):
         assert run_cli(["crossover", "--t-list", "a,b", "--out", str(tmp_path)]) == 3
 
@@ -451,10 +461,14 @@ class TestManifest:
 
 
 class TestOutputPlumbing:
-    def test_out_path_collides_with_file(self, tmp_path):
+    # --out naming a regular file fails in mkdir, an OSError, after the computation
+    def test_out_path_collides_with_file(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("")
-        assert run_cli(["digits", "logmantissa:100", "--out", str(blocker)]) == 3
+        for argv in (["digits", "logmantissa:100"], SCAN_ARGS):
+            assert run_cli(argv + ["--out", str(blocker)]) == 3
+            assert capsys.readouterr().err.startswith("i/o error:")
+        assert blocker.read_text() == ""
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

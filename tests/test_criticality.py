@@ -346,6 +346,18 @@ class TestCrossoverLines:
         with pytest.raises(ConfigurationError):
             crossover_lines(CrossoverQuantity.DMZDT, 1.0, (0.0, 1e-4, 2e-4))
 
+    @pytest.mark.parametrize("quantity", list(CrossoverQuantity))
+    @pytest.mark.parametrize("t", [1e-17, 5e-15])
+    def test_collapsed_ridge_grid_rejected_before_any_ridge(self, monkeypatch, quantity, t):
+        # below about 5e-15, 1 + t * u rounds neighbouring u to one lambda
+        def kernel(*args):
+            raise AssertionError("a ridge was computed")
+
+        monkeypatch.setattr(xy_exact, "mz_infinite_many", kernel)
+        monkeypatch.setattr(xy_exact, "dmz_dT_many", kernel)
+        with pytest.raises(ConfigurationError, match=f"t_tilde={t:g}"):
+            crossover_lines(quantity, 1.0, (1e-4, 2e-4, t))
+
     def test_bvp_window_deltas_finite(self):
         # 600 samples per window still give finite deltas that bracket both
         # ridge extrema on the correct side of lambda = 1
