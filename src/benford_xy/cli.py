@@ -104,17 +104,14 @@ def _n_sites(text: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expects an integer or 'none', got {text!r}") from None
 
 
-def _int_at_least(least: int):
-    def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError:
-            n = least - 1
-        if n < least:
-            raise argparse.ArgumentTypeError(f"expects an integer >= {least}, got {text!r}")
-        return n
-
-    return parse
+def _nonnegative_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expects an integer >= 0, got {text!r}")
+    return n
 
 
 def _comma_list(convert, what: str):
@@ -177,7 +174,7 @@ def _finish(args, config: dict, tables: dict, blocks: dict) -> None:
     """
     outdir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
+    if tables and args.format == "json":
         blocks = {
             f"{stem}.json": [dict(zip(header, row)) for row in rows]
             for stem, (header, rows) in tables.items()
@@ -276,10 +273,10 @@ def cmd_digits(args) -> int:
     return EXIT_OK
 
 
-def _scan_config_from_flags(args) -> ScanConfig:
+def _scan_config(args, observable: Observable, n_sites: int | None) -> ScanConfig:
     a, b, step = args.lambda_range
     return ScanConfig(
-        observable=Observable(args.observable),
+        observable=observable,
         gamma=args.gamma,
         lambda_range=(a, b),
         lambda_step=step,
@@ -288,7 +285,7 @@ def _scan_config_from_flags(args) -> ScanConfig:
         dist=_dist_from_flags(args),
         metric=Metric(args.metric),
         beta_tilde=1.0 / args.t if args.t else math.inf,
-        n_sites=args.n_sites,
+        n_sites=n_sites,
     )
 
 
@@ -308,7 +305,7 @@ def _config_echo(config: ScanConfig) -> dict:
 
 
 def cmd_scan(args) -> int:
-    config = _scan_config_from_flags(args)
+    config = _scan_config(args, Observable(args.observable), args.n_sites)
     result = scan(config)
     print(f"scan: {len(result.points)} points, {len(result.degenerate_windows)} degenerate")
     _finish(
@@ -321,19 +318,19 @@ def cmd_scan(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    base = _scan_config_from_flags(args)
+    configs = [_scan_config(args, Observable.MZ, n) for n in args.n_list]
     signature = criticality.Signature(args.signature) if args.signature != "auto" \
-        else criticality.default_signature(base.dist)
+        else criticality.default_signature(configs[0].dist)
     estimates = []
-    for n in args.n_list:
-        result = scan(dataclasses.replace(base, n_sites=n))
+    for config in configs:
+        result = scan(config)
         try:
             fit_range = criticality.auto_fit_range(
                 result, signature, fit_half=args.fit_half, smooth_half=args.smooth_half
             )
             estimates.append(criticality.locate_transition(result, fit_range, signature))
         except (NoTransitionError, ConfigurationError) as exc:
-            raise NoTransitionError(f"n_sites={n}: {exc}") from exc
+            raise NoTransitionError(f"n_sites={config.n_sites}: {exc}") from exc
     fit = criticality.scaling_exponent(estimates, lambda_c=args.lambda_c)
     fit_block = {
         "exponent": fit.exponent,
@@ -356,7 +353,7 @@ def cmd_scale(args) -> int:
     print(f"scale: exponent = {fit.exponent!r}, prefactor = {fit.prefactor!r}")
     _finish(
         args,
-        _config_echo(base) | {"signature": signature},
+        _config_echo(configs[0]) | {"signature": signature},
         {"scale": (["n_sites", "lambda_c_n"], fit.pairs)},
         {"scale_fit.json": fit_block},
     )
@@ -400,32 +397,31 @@ def cmd_crossover(args) -> int:
     return EXIT_OK
 
 
-def _add_common_output_flags(p: argparse.ArgumentParser) -> None:
+def _add_out_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=_int_at_least(1), default=1,
-                   help="accepted; every command runs on one thread")
 
 
 def _add_dist_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", choices=[k.value for k in DistKind], default="benford")
     p.add_argument("--kappa", type=float, default=None)
-    p.add_argument(
-        "--metric", choices=[m.value for m in Metric], default="mean"
-    )
+
+
+def _add_window_scoring_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of the commands that score windows with one metric and write tables."""
+    _add_dist_flags(p)
+    p.add_argument("--metric", choices=[m.value for m in Metric], default="mean")
+    _add_out_flag(p)
+    p.add_argument("--format", choices=["csv", "json"], default="csv", help="table format")
 
 
 def _add_scan_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--observable", choices=[o.value for o in Observable], default="mz")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--n-sites", type=_n_sites, default="none",
-                   help="even chain length or 'none'")
     p.add_argument("--t", type=_t_tilde, default="zero", help="reduced temperature or 'zero'")
     p.add_argument("--lambda", dest="lambda_range", type=_lambda_range, default="0.8:1.2:0.002",
                    help="start:stop:step")
     p.add_argument("--window", type=float, default=0.02, help="window width in lambda")
     p.add_argument("--samples", type=int, default=10_000, help="samples per window")
-    _add_dist_flags(p)
+    _add_window_scoring_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,17 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("digits", help="first-digit report for a data column")
     p.add_argument("input", help="CSV path or generator spec like logmantissa:10000")
-    p.add_argument("--seed", type=_int_at_least(0), default=0, help="generator seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="generator seed")
     _add_dist_flags(p)
-    _add_common_output_flags(p)
+    _add_out_flag(p)
     p.set_defaults(func=cmd_digits)
 
     p = sub.add_parser("scan", help="violation curve over a lambda range")
+    p.add_argument("--observable", choices=[o.value for o in Observable], default="mz")
+    p.add_argument("--n-sites", type=_n_sites, default="none",
+                   help="even chain length or 'none'")
     _add_scan_flags(p)
-    _add_common_output_flags(p)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("scale", help="finite-size transitions and shift exponent")
+    p = sub.add_parser("scale", help="finite-size transitions of Mz and shift exponent")
     _add_scan_flags(p)
     p.add_argument("--n-list", type=_n_list, default="14,20,24,30,34,40",
                    help="comma-separated chain lengths: at least 3, distinct, even, >= 4")
@@ -457,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-half", type=_positive, default=criticality.FIT_HALF_WIDTH)
     p.add_argument("--smooth-half", type=_positive, default=criticality.SMOOTH_HALF_WIDTH)
     p.add_argument("--lambda-c", type=_finite, default=criticality.LAMBDA_C)
-    _add_common_output_flags(p)
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("crossover", help="finite-temperature crossover lines")
@@ -480,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-ratio", type=_positive, default=criticality.RIDGE_WINDOW_RATIO,
                    help="violation window width in units of t")
     p.add_argument("--samples", type=int, default=criticality.RIDGE_SAMPLES)
-    _add_dist_flags(p)
-    _add_common_output_flags(p)
+    _add_window_scoring_flags(p)
     p.set_defaults(func=cmd_crossover)
 
     return parser

@@ -29,9 +29,10 @@ rounding of the quadrature itself (up to 6e-14 for dMz/dT next to
 lambda = 1); the bin is then interpolated at degree n, the degree that
 passed. A bin in which degree 128 fails the check against 256 (structure
 much narrower than the bin, as T_tilde -> 0) has every lambda integrated
-directly on its rule. The node values of the last 64 (kernel, bin, gamma,
-T_tilde) are cached, so the one-window calls of a scan or a crossover
-temperature share them.
+directly on its rule, as has a bin holding lambda = +-1 once T_tilde is
+below _RULE_BIN / _DEGREE_CAP**2 (see _bin_interpolant). The node values
+of the last 64 (kernel, bin, gamma, T_tilde) are cached, so the one-window
+calls of a scan or a crossover temperature share them.
 
 The infinite lattice at T = 0 needs no quadrature: Mz, G(-1) and G(+1) are
 complete elliptic integrals (Barouch & McCoy, Phys. Rev. A 3, 786 (1971)),
@@ -79,14 +80,18 @@ _CHEBYSHEV = -np.cos(math.pi * np.arange(_DEGREE_CAP + 1) / _DEGREE_CAP)
 def check_model(gamma: float, beta_tilde: float = math.inf,
                 n_sites: int | None = None) -> None:
     """Reject model parameters outside the chain's domain: gamma must be
-    finite and nonzero, beta_tilde positive (inf means T = 0), and n_sites
-    absent (infinite lattice) or an even integer >= 4."""
+    finite and nonzero (|gamma| >= _KC_FLOOR on the infinite lattice at
+    T = 0), beta_tilde positive (inf means T = 0), and n_sites absent
+    (infinite lattice) or an even integer >= 4."""
     if gamma == 0.0 or not np.isfinite(gamma):
         raise ConfigurationError(f"gamma must be finite and nonzero, got {gamma!r}")
     if not (beta_tilde > 0.0):
         raise ConfigurationError(
             f"beta_tilde must be positive (inf means T=0), got {beta_tilde!r}"
         )
+    if math.isinf(beta_tilde) and n_sites is None and not abs(gamma) >= _KC_FLOOR:
+        raise ConfigurationError(
+            f"the infinite lattice at T = 0 needs |gamma| >= {_KC_FLOOR:g}, got {gamma!r}")
     if n_sites is not None and (n_sites < 4 or n_sites % 2):
         raise ConfigurationError(f"n_sites must be an even integer >= 4, got {n_sites!r}")
 
@@ -195,6 +200,12 @@ def _bin_interpolant(kind: str, arg: float, k: float, gamma: float,
     the largest value at all 2n + 1; the bin is then interpolated at degree
     n, the degree that passed.
     """
+    # next to lambda = +-1 the structure is about t_tilde wide; once that is
+    # narrower than the finest spacing of _DEGREE_CAP points, every degree
+    # can miss it alike and pass the check on the values beside it
+    lo, hi = k * _RULE_BIN, (k + 1.0) * _RULE_BIN
+    if t_tilde * _DEGREE_CAP**2 < _RULE_BIN and (lo <= 1.0 <= hi or lo <= -1.0 <= hi):
+        return None
     rule = _bin_rule(k, gamma, t_tilde)
     integrand = _THERMAL_INTEGRANDS[kind](arg)
     x = (k + 0.5) * _RULE_BIN + 0.5 * _RULE_BIN * _CHEBYSHEV

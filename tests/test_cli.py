@@ -132,7 +132,7 @@ class TestScan:
 
     def test_reruns_are_byte_identical(self, tmp_path):
         run_cli(SCAN_ARGS + ["--out", str(tmp_path / "a")])
-        run_cli(SCAN_ARGS + ["--out", str(tmp_path / "b"), "--workers", "4"])
+        run_cli(SCAN_ARGS + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "scan.csv").read_bytes() == (
             tmp_path / "b" / "scan.csv"
         ).read_bytes()
@@ -154,11 +154,11 @@ class TestScan:
         ],
         ids=["t0", "finite_n", "thermal"],
     )
-    def test_worker_count_does_not_change_bytes(self, tmp_path, flags):
+    def test_rerun_does_not_change_bytes(self, tmp_path, flags):
         csvs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"w{workers}"
-            assert run_cli(["scan", *flags, "--workers", workers, "--out", str(out)]) == 0
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert run_cli(["scan", *flags, "--out", str(out)]) == 0
             csvs.append((out / "scan.csv").read_bytes())
         assert len(csvs[0].splitlines()) == 22
         assert csvs[0] == csvs[1]
@@ -186,6 +186,20 @@ class TestScan:
 
     def test_negative_temperature(self, tmp_path):
         assert run_cli(SCAN_ARGS + ["--t", "-3", "--out", str(tmp_path)]) == 3
+
+    # the T = 0 kernel takes |gamma| >= 1e-30; the finite chain and T > 0 do not need it
+    @pytest.mark.parametrize(
+        "flags, code",
+        [([], 3), (["--n-sites", "8"], 0), (["--t", "1e-3"], 0)],
+        ids=["t0", "finite_n", "thermal"],
+    )
+    def test_least_anisotropy(self, tmp_path, capsys, flags, code):
+        out = tmp_path / "out"
+        argv = ["scan", "--gamma", "1e-31", "--lambda", "0.9:1.1:0.01", "--samples", "200"]
+        assert run_cli(argv + flags + ["--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_odd_n_sites(self, tmp_path):
         assert run_cli(["scan", "--n-sites", "9", "--lambda", "0.9:1.1:0.01",
@@ -218,9 +232,9 @@ class TestScale:
         assert len(fit["estimates"]) == 3
         assert all(e["lambda_c_n"] < 1.0 for e in fit["estimates"])
 
-    def test_parallelism_does_not_change_bytes(self, tmp_path):
+    def test_reruns_are_byte_identical(self, tmp_path):
         run_cli(SCALE_ARGS + ["--out", str(tmp_path / "a")])
-        run_cli(SCALE_ARGS + ["--out", str(tmp_path / "b"), "--workers", "3"])
+        run_cli(SCALE_ARGS + ["--out", str(tmp_path / "b")])
         for name in ("scale.csv", "scale_fit.json"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
@@ -293,6 +307,16 @@ class TestCrossover:
         assert code == 3 and not out.exists()
         assert err.startswith("configuration error: t_tilde=1e-17") and "Traceback" not in err
 
+    def test_dmzdt_ridge_next_to_zero_temperature(self, tmp_path):
+        # at t_tilde <= 1e-11 the ridge is narrower than any Chebyshev spacing
+        # of its bin; interpolated, it read 0 and no ridge point was found
+        code = run_cli(["crossover", "--quantity", "dmzdt", "--t-list", "1e-12,2e-12,3e-12",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        lines = json.loads((tmp_path / "crossover_lines.json").read_text())["dmzdt"]
+        assert lines["left"]["slope"] == pytest.approx(-0.594348, rel=5e-3)
+        assert lines["right"]["slope"] == pytest.approx(+0.594348, rel=5e-3)
+
     def test_bad_t_list(self, tmp_path):
         assert run_cli(["crossover", "--t-list", "a,b", "--out", str(tmp_path)]) == 3
 
@@ -316,13 +340,13 @@ class TestCrossover:
         argv = ["crossover", "--t-list", "1e-4,2e-4,5e-4", "--out", str(tmp_path)]
         assert run_cli(argv + flags) == 3
 
-    def test_bvp_quick_and_worker_independent(self, tmp_path):
+    def test_bvp_quick_and_rerun_identical(self, tmp_path):
         csvs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"w{workers}"
+        for run in ("a", "b"):
+            out = tmp_path / run
             code = run_cli([
                 "crossover", "--quantity", "bvp", "--t-list", "1e-4,2e-4,5e-4",
-                "--samples", "600", "--workers", workers, "--out", str(out),
+                "--samples", "600", "--out", str(out),
             ])
             assert code == 0
             csvs.append((out / "crossover_bvp.csv").read_bytes())
@@ -343,16 +367,30 @@ OVERSIZED_GRIDS = [
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("workers", ["0", "-3"])
+    # flags no command reads: --workers (every command runs on one thread),
+    # digits --metric (the report holds every metric) and --format (it writes
+    # no table), scale --n-sites (--n-list gives each chain) and --observable
+    # (a finite chain has Mz alone)
     @pytest.mark.parametrize(
         "argv",
-        [SCAN_ARGS, SCALE_ARGS, ["crossover", "--t-list", "1e-4,2e-4,5e-4"]],
-        ids=["scan", "scale", "crossover"],
+        [
+            ["digits", "logmantissa:100", "--workers", "1"],
+            ["digits", "logmantissa:100", "--metric", "sd"],
+            ["digits", "logmantissa:100", "--format", "json"],
+            SCAN_ARGS + ["--workers", "1"],
+            SCALE_ARGS + ["--workers", "1"],
+            SCALE_ARGS + ["--n-sites", "8"],
+            SCALE_ARGS + ["--observable", "mz"],
+            ["crossover", "--t-list", "1e-4,2e-4,5e-4", "--samples", "600", "--workers", "1"],
+        ],
+        ids=["digits-workers", "digits-metric", "digits-format", "scan-workers",
+             "scale-workers", "scale-n-sites", "scale-observable", "crossover-workers"],
     )
-    def test_nonpositive_workers_rejected_before_computing(self, tmp_path, argv, workers):
+    def test_removed_flag_rejected_before_computing(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
-        assert run_cli(argv + ["--workers", workers, "--out", str(out)]) == 3
+        assert run_cli(argv + ["--out", str(out)]) == 3
         assert not out.exists()
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -408,21 +446,22 @@ class TestManifest:
         "crossover", "--quantity", "both", "--t-list", "1e-4,2e-4,5e-4",
         "--span", "3", "--step", "0.05", "--samples", "600",
     ]
-    SCAN_KEYS = [
-        "observable", "gamma", "lambda_range", "lambda_step", "window_width",
-        "samples_per_window", "dist", "metric", "t_tilde", "n_sites",
+    # the flags of scan and scale in common, and the scan settings derived from them
+    WINDOW_KEYS = [
+        "gamma", "t", "lambda_range", "window", "samples", "dist", "kappa", "metric",
+        "out", "format", "lambda_step", "window_width", "samples_per_window", "t_tilde",
         "lattice_stride", "lattice_spacing", "window_span",
     ]
     CASES = {
         "digits": (
             ["digits", "logmantissa:500", "--dist", "poisson", "--kappa", "5"],
-            ["input", "seed", "dist", "kappa", "metric", "out", "format", "workers"],
+            ["input", "seed", "dist", "kappa", "out"],
             {"input": "logmantissa:500", "seed": 0, "dist": "poisson", "kappa": 5.0},
             ["digits_report.json"],
         ),
         "scan": (
             SCAN_ARGS,
-            SCAN_KEYS + ["degenerate_windows"],
+            WINDOW_KEYS + ["observable", "n_sites", "degenerate_windows"],
             {"observable": "mz", "n_sites": 8, "degenerate_windows": [],
              "lambda_range": [0.9, 1.1], "lambda_step": 0.01, "lattice_stride": 100,
              "window_width": 0.02, "samples_per_window": 200, "dist": "benford",
@@ -431,17 +470,17 @@ class TestManifest:
         ),
         "scale": (
             SCALE_ARGS + ["--format", "json"],
-            SCAN_KEYS + ["n_list", "fit_half", "smooth_half", "lambda_c", "signature"],
-            {"n_list": [20, 24, 30], "n_sites": None, "signature": "derivative",
+            WINDOW_KEYS + ["n_list", "fit_half", "smooth_half", "lambda_c", "signature"],
+            {"n_list": [20, 24, 30], "signature": "derivative",
              "lambda_range": [0.9, 1.06], "lambda_step": 0.005, "format": "json"},
             ["scale.json", "scale_fit.json"],
         ),
         "crossover": (
             CROSSOVER_ARGS,
-            ["gamma", "t_list", "span", "step", "window_ratio", "samples", "dist",
-             "metric", "quantity", "workers"],
+            ["gamma", "t_list", "span", "step", "window_ratio", "samples", "dist", "kappa",
+             "metric", "quantity", "out", "format"],
             {"t_list": [1e-4, 2e-4, 5e-4], "span": 3.0, "step": 0.05, "samples": 600,
-             "dist": "benford", "quantity": "both", "workers": 1},
+             "dist": "benford", "quantity": "both"},
             ["crossover_dmzdt.csv", "crossover_bvp.csv", "crossover_lines.json"],
         ),
     }
@@ -453,7 +492,7 @@ class TestManifest:
         manifest = json.loads((tmp_path / f"{command}_manifest.json").read_text())
         assert manifest["command"] == command
         config = manifest["config"]
-        assert set(keys) <= set(config)
+        assert set(config) == set(keys)
         assert {k: config[k] for k in pinned} == pinned
         assert config["out"] == str(tmp_path)
         assert manifest["outputs"] == outputs

@@ -215,7 +215,7 @@ class TestScan:
             return evaluate(config, lams)
 
         monkeypatch.setattr(windowscan, "evaluate", spy)
-        argv = argv + ["--samples", "200", "--workers", "2", "--out", str(tmp_path)]
+        argv = argv + ["--samples", "200", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         assert threads == {threading.get_ident()}
 

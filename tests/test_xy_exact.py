@@ -39,6 +39,16 @@ class TestModelParams:
         with pytest.raises(ConfigurationError):
             ModelParams(gamma=1.0, lam=0.5, beta_tilde=1.0 / -1e-4)
 
+    def test_least_anisotropy_of_the_zero_temperature_lattice(self):
+        # the T = 0 kernel takes |gamma| >= 1e-30; the finite chain and the
+        # thermal lattice take any nonzero gamma
+        for gamma in (1e-31, -1e-31, 5e-324):
+            with pytest.raises(ConfigurationError, match="needs \\|gamma\\| >= 1e-30"):
+                ModelParams(gamma=gamma, lam=1.0)
+        ModelParams(gamma=1e-30, lam=1.0)
+        ModelParams(gamma=1e-31, lam=1.0, n_sites=8)
+        ModelParams(gamma=1e-31, lam=1.0, beta_tilde=1e3)
+
 
 class TestDispersion:
     def test_ising_at_pi(self):
@@ -535,15 +545,20 @@ class TestThermalInterpolant:
         scale = 1.0 if kind == "mz" else np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("t_tilde", [1e-5, 1e-4, 3e-4, 1e-3])
+    # at t_tilde <= 1e-11 the dMz/dT ridge, about t_tilde wide at lambda = +-1,
+    # falls between the Chebyshev points of every degree, and the check once
+    # passed on the values beside it: the ridge read 0 instead of about 0.3
+    @pytest.mark.parametrize("t_tilde", [1e-12, 1e-11, 1e-5, 1e-4, 3e-4, 1e-3])
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
     def test_matches_direct_quadrature(self, direct, gamma, t_tilde):
         # both sides of the bin edges from 0.99 to 1.01, a spread over them,
-        # and |lambda - 1| = 1e-7 and 1e-10
+        # |lambda - 1| = 1e-7 and 1e-10, and 4 t_tilde about lambda = +-1
         edges = np.arange(495, 506) * xy_exact._RULE_BIN
+        ridge = 1.0 + t_tilde * np.linspace(-4.0, 4.0, 17)
         lams = np.concatenate([
             np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf),
             np.linspace(0.99, 1.01, 101), 1.0 + np.array([-1e-7, 1e-7, -1e-10, 1e-10]),
+            ridge, -ridge,
         ])
         for kind, kernel in _thermal_kernels(gamma, t_tilde).items():
             self.assert_close(kind, kernel(lams), direct(kernel, lams))
