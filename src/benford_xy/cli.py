@@ -40,7 +40,7 @@ from .errors import (
 )
 from .firstdigit import DistKind, ReferenceDistribution, histogram, probabilities
 from .violation import Metric, violation
-from .windowscan import Observable, ScanConfig, scan
+from .windowscan import Observable, ScanConfig, scan, scan_chains
 
 OUTPUT_DIR_ENV = "BENFORD_XY_OUT"
 
@@ -322,15 +322,14 @@ def cmd_scale(args) -> int:
     signature = criticality.Signature(args.signature) if args.signature != "auto" \
         else criticality.default_signature(configs[0].dist)
     estimates = []
-    for config in configs:
-        result = scan(config)
+    for result in scan_chains(configs):
         try:
             fit_range = criticality.auto_fit_range(
                 result, signature, fit_half=args.fit_half, smooth_half=args.smooth_half
             )
             estimates.append(criticality.locate_transition(result, fit_range, signature))
         except (NoTransitionError, ConfigurationError) as exc:
-            raise NoTransitionError(f"n_sites={config.n_sites}: {exc}") from exc
+            raise NoTransitionError(f"n_sites={result.config.n_sites}: {exc}") from exc
     fit = criticality.scaling_exponent(estimates, lambda_c=args.lambda_c)
     fit_block = {
         "exponent": fit.exponent,

@@ -9,7 +9,9 @@ violation ridges: it evaluates the lattice one window of points per call and
 counts the windows in fixed batches, each in one firstdigit.unit_histograms
 call, into one (windows x 9) matrix of digit counts, with a zero row for each
 degenerate window. scan scores the rows that are not zero in one
-violation.violations call. No randomness enters anywhere.
+violation.violations call. scale walks the lattice once for all its chain
+lengths (scan_chains): each call evaluates every chain, and each chain gets
+its own matrix. No randomness enters anywhere.
 """
 
 from __future__ import annotations
@@ -97,30 +99,47 @@ class WindowLattice:
         [lo, hi): a (count x 9) matrix of digit counts.
 
         evaluate(offsets) gives the observable at the lattice points at those
-        offsets (see offsets()), one window of them per call. Points that fall
-        in no window are never evaluated. The windows are counted in batches
-        of _KEPT_WINDOWS * samples // stride + 1 when they overlap, one by one
+        offsets (see offsets()), one window of them per call: an array of
+        their shape, or of (rows x points) for several observables on the
+        one lattice, which gives (rows x count x 9). Points that fall in no
+        window are never evaluated. The windows are counted in batches of
+        _KEPT_WINDOWS * samples // stride + 1 when they overlap, one by one
         when they leave gaps; a batch carries over the points it shares with
-        the next one."""
+        the next one, in one buffer that each batch refills in place."""
         m, n = self.stride, self.samples
         hi = (count - 1) * m + n if hi is None else hi
         bounds = np.clip(m * np.arange(count)[:, None] + [0, n], lo, hi)
         per = _KEPT_WINDOWS * n // m + 1 if m <= n else 1
-        rows = np.empty((count, 9), dtype=np.int64)
-        # values of the lattice points [first, first + kept.size)
-        first, kept = lo, np.empty(0)
+        # one row of values per observable: a batch's points and those its
+        # last call evaluated past it, the lattice points [first, first + kept)
+        lead = rows = buffer = None
+        first, kept = lo, 0
         for i in range(0, count, per):
             batch = bounds[i : i + per]
-            kept, first = kept[batch[0, 0] - first :], batch[0, 0]
-            parts, start = [kept], first + kept.size
+            drop, first = batch[0, 0] - first, batch[0, 0]
+            kept = max(0, kept - drop)
+            if kept:
+                # row by row: numpy moves overlapping 1-D slices without a temporary
+                for row in buffer:
+                    row[:kept] = row[drop : drop + kept]
+            start = first + kept
             while start < batch[-1, 1]:
                 # one window of points, none past the batch if windows leave gaps
                 stop = min(start + n, hi) if m <= n else batch[-1, 1]
-                parts.append(evaluate(self.offsets(start, stop)))
-                start = stop
-            kept = np.concatenate(parts)
-            rows[i : i + per] = unit_histograms(kept, *(batch - first).T)
-        return rows
+                values = evaluate(self.offsets(start, stop))
+                if buffer is None:
+                    lead = values.shape[:-1]
+                    buffer = np.empty((math.prod(lead), (per - 1) * m + 2 * n))
+                    rows = np.zeros((len(buffer), count, 9), dtype=np.int64)
+                buffer[:, kept : kept + stop - start] = values.reshape(len(buffer), -1)
+                kept, start = kept + stop - start, stop
+            if buffer is not None:
+                for row, counts in zip(buffer, rows):
+                    counts[i : i + per] = unit_histograms(row[:kept], *(batch - first).T)
+        if rows is None:
+            # no window held a point
+            return np.zeros((count, 9), dtype=np.int64)
+        return rows.reshape(lead + (count, 9))
 
 
 @dataclass(frozen=True)
@@ -183,8 +202,13 @@ class ScanResult:
         return np.array([p[1] for p in self.points])
 
 
-def evaluate(config: ScanConfig, lams: np.ndarray) -> np.ndarray:
-    """The configured observable at each lambda in lams."""
+def evaluate(config: ScanConfig | list[ScanConfig], lams: np.ndarray) -> np.ndarray:
+    """The configured observable at each lambda in lams; for a list of
+    finite-chain Mz configs that differ in n_sites alone (see scan_chains),
+    one row per config, from one pass over their chains' modes."""
+    if isinstance(config, list):
+        return xy_exact.mz_finite_many(lams, config[0].gamma, [c.n_sites for c in config],
+                                       config[0].beta_tilde)
     obs = config.observable
     if obs is Observable.MZ:
         if config.n_sites is not None:
@@ -204,17 +228,20 @@ def window_centers(config: ScanConfig) -> np.ndarray:
     return a + config.lambda_step * np.arange(m + 1)
 
 
-def window_histograms(config: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
+def window_histograms(config: ScanConfig | list[ScanConfig]) -> tuple[np.ndarray, np.ndarray]:
     """The midpoint of each window, in grid order, and its row of digit
     counts (zeros if degenerate): the part of scan() that is free of the law
-    and the metric.
+    and the metric. A list of configs that differ in n_sites alone (see
+    scan_chains) gives one (windows x 9) matrix of counts per config, from one
+    walk of their lattice.
 
     Window i holds the points of config.lattice that lie inside the scan
     range; its midpoint is that of [center -+ width / 2] clipped to the range.
     """
-    a, b = config.lambda_range
-    centers = window_centers(config)
-    lattice = config.lattice
+    first = config[0] if isinstance(config, list) else config
+    a, b = first.lambda_range
+    centers = window_centers(first)
+    lattice = first.lattice
 
     def point(k: int) -> float:
         return a + float(lattice.offsets(k, k + 1)[0])
@@ -225,8 +252,15 @@ def window_histograms(config: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     k_lo = bisect.bisect_left(every, a, key=point)
     k_hi = bisect.bisect_right(every, b, key=point)
     counts = lattice.histograms(centers.size, lambda x: evaluate(config, a + x), k_lo, k_hi)
-    half = config.window_width / 2.0
+    half = first.window_width / 2.0
     return 0.5 * (np.maximum(a, centers - half) + np.minimum(b, centers + half)), counts
+
+
+def _result(config: ScanConfig, mids: np.ndarray, counts: np.ndarray) -> ScanResult:
+    counted = counts.any(axis=1)
+    deltas = violations(counts[counted], config.dist, config.metric)
+    return ScanResult(points=tuple(zip(mids[counted].tolist(), deltas.tolist())), config=config,
+                      degenerate_windows=tuple(mids[~counted].tolist()))
 
 
 def scan(config: ScanConfig) -> ScanResult:
@@ -235,8 +269,17 @@ def scan(config: ScanConfig) -> ScanResult:
     Degenerate windows (flat observable) are skipped and their midpoints
     recorded, never silently zeroed.
     """
-    mids, counts = window_histograms(config)
-    counted = counts.any(axis=1)
-    deltas = violations(counts[counted], config.dist, config.metric)
-    return ScanResult(points=tuple(zip(mids[counted].tolist(), deltas.tolist())), config=config,
-                      degenerate_windows=tuple(mids[~counted].tolist()))
+    return _result(config, *window_histograms(config))
+
+
+def scan_chains(configs: list[ScanConfig]) -> list[ScanResult]:
+    """scan() of each finite-chain Mz config, in one walk of the lattice they
+    share: the configs must differ in n_sites alone. Each chain's curve has
+    the bits of its own scan()."""
+    shared = vars(configs[0]) | {"n_sites": None}
+    if any(c.observable is not Observable.MZ or c.n_sites is None
+           or vars(c) | {"n_sites": None} != shared for c in configs):
+        raise ConfigurationError("scan_chains takes finite-chain Mz configs that differ"
+                                 " in n_sites alone")
+    mids, counts = window_histograms(configs)
+    return [_result(config, mids, rows) for config, rows in zip(configs, counts)]

@@ -2,12 +2,13 @@
 
 Everything here evaluates exact expressions. The finite-chain magnetization
 is a sum over its N/2 Fourier modes, taken one mode at a time over the whole
-lambda array (see mz_finite_many). The thermal infinite-lattice quantities
-are single integrals over [0, pi], each a row-blocked weighted sum over
-quadrature nodes (_row_quadrature). Zero temperature is the
-distinguished value beta_tilde = inf, in which case the thermal factor
-tanh(beta_tilde * L / 2) is replaced by 1 exactly rather than evaluated at a
-large float.
+lambda array; one call sums several chains, evaluating once each mode that
+has the same bits in more than one of them (see mz_finite_many). The thermal
+infinite-lattice quantities are single integrals over [0, pi], each a
+row-blocked weighted sum over quadrature nodes (_row_quadrature). Zero
+temperature is the distinguished value beta_tilde = inf, in which case the
+thermal factor tanh(beta_tilde * L / 2) is replaced by 1 exactly rather than
+evaluated at a large float.
 
 Temperature-dependent integrands develop structure of width ~T_tilde in the
 dispersion, concentrated where the dispersion is smallest (phi = 0, phi = pi,
@@ -315,33 +316,54 @@ def mz_infinite(params: ModelParams) -> float:
     return float(mz_infinite_many([params.lam], params.gamma, params.beta_tilde)[0])
 
 
-def mz_finite_many(lams, gamma: float, n_sites: int,
-                   beta_tilde: float = math.inf) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _chain_modes(gamma: float, lengths: tuple[int, ...]) -> tuple[tuple[float, float, tuple], ...]:
+    """The modes phi_p = 2 pi p / N, p = 1..N/2, of the chains of the given
+    lengths, as (cos phi, gamma^2 sin^2 phi, the rows of the chains that have
+    it), one entry per pair of floats that differ in their bits, in ascending
+    phi. So each chain meets its own modes in the order p = 1..N/2. Cached,
+    as the one-window calls of a scan share their chains."""
+    modes = {}
+    for row, n in enumerate(lengths):
+        phi = 2.0 * math.pi * np.arange(1, n // 2 + 1) / n
+        for key in zip(phi.tolist(), np.cos(phi).tolist(), ((gamma * np.sin(phi)) ** 2).tolist()):
+            # modes of one (cos phi, gamma^2 sin^2 phi) keep the phi they first had
+            modes.setdefault(key[1:], (key[0], []))[1].append(row)
+    return tuple((c, g2s2, tuple(rows)) for (c, g2s2), (_, rows) in
+                 sorted(modes.items(), key=lambda mode: mode[1][0]))
+
+
+def mz_finite_many(lams, gamma: float, chains, beta_tilde: float = math.inf) -> np.ndarray:
     """Finite-chain transverse magnetization for an array of lambda: the Mz
     integrand summed over the modes phi_p = 2 pi p / N, p = 1..N/2, in that
-    order, each mode over the whole lambda array at once. A value depends on
-    lambda alone.
+    order, each mode over the whole lambda array at once.
+
+    chains is one chain length N, which gives a lambda-shaped array, or a
+    sequence of them, which gives one row per chain. A mode that is the same
+    (cos phi, gamma^2 sin^2 phi) in bits in several chains is evaluated once
+    and added into each of their rows in turn, so a value depends on lambda
+    and N alone: every row has the bits of a call with its chain alone.
     """
-    half = n_sites // 2
-    phi = 2.0 * math.pi * np.arange(1, half + 1) / n_sites
-    c = np.cos(phi).tolist()
-    g2s2 = ((gamma * np.sin(phi)) ** 2).tolist()
+    lengths = np.atleast_1d(chains).tolist()
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     mz = _mz_integrand(beta_tilde)
-    total = np.zeros(lams.size)
+    total = np.zeros((len(lengths), lams.size))
     d, disp = np.empty((2, lams.size))
-    for p in range(half):
-        np.subtract(c[p], lams, out=d)
+    for c, g2s2, rows in _chain_modes(gamma, tuple(lengths)):
+        np.subtract(c, lams, out=d)
         np.multiply(d, d, out=disp)
-        disp += g2s2[p]
+        disp += g2s2
         np.sqrt(disp, out=disp)
-        if g2s2[p] == 0.0:
+        if g2s2 == 0.0:
             # A mode of zero energy (phi = pi at lambda = -1 with tiny gamma,
             # where d = 0 too) adds 0: d / inf is 0 and tanh(inf) is 1. Only
             # a mode with gamma^2 sin^2 phi = 0 can have disp = 0.
             disp[disp == 0.0] = math.inf
-        total += mz(d, disp)
-    return -(2.0 / n_sites) * total
+        term = mz(d, disp)
+        for row in rows:
+            total[row] += term
+    total *= -(2.0 / np.array(lengths, dtype=float))[:, None]
+    return total if np.ndim(chains) else total[0]
 
 
 # The cel iteration: its cap on steps, the step after which it finishes every

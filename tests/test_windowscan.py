@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from benford_xy import cli, windowscan
+from benford_xy import cli, windowscan, xy_exact
 from benford_xy.errors import ConfigurationError
 from benford_xy.firstdigit import ReferenceDistribution, histogram, rescale_unit
 from benford_xy.violation import Metric, violation
@@ -125,7 +125,8 @@ class TestWindowLattice:
         seen = []
 
         def spy(values, starts, stops):
-            seen.extend(values[s:e] for s, e in zip(starts, stops))
+            # copies: values is a buffer that the next batch refills
+            seen.extend(values[s:e].copy() for s, e in zip(starts, stops))
             return np.zeros((len(starts), 9), dtype=np.int64)
 
         monkeypatch.setattr(windowscan, "evaluate", lambda config, lams: lams.copy())
@@ -181,6 +182,32 @@ class TestWindowLattice:
         assert sum(lams.size for lams in evaluated) == 99 * 100 + 2 * 50
         assert all(lams.size <= 100 for lams in evaluated)
 
+    @pytest.mark.parametrize(
+        "lattice, count, lo, hi",
+        [
+            (WindowLattice(0.01, 0.02, 200), 21, 0, None),
+            # stride 200 > 100 samples: windows leave gaps
+            (WindowLattice(0.002, 0.001, 100), 30, 0, None),
+            # the end windows keep half their points
+            (WindowLattice(0.01, 0.02, 200), 21, 100, 2100),
+        ],
+        ids=["overlapping", "gapped", "clipped"],
+    )
+    def test_two_rows_equal_one_row_walks(self, lattice, count, lo, hi):
+        observables = (lambda x: np.cos(40.0 * x), lambda x: np.exp(3.0 * x) - x * x)
+        calls = []
+
+        def both(x):
+            calls.append(x.size)
+            return np.stack([f(x) for f in observables])
+
+        rows = lattice.histograms(count, both, lo, hi)
+        assert rows.shape == (2, count, 9)
+        assert max(calls) <= lattice.samples
+        for row, f in zip(rows, observables):
+            assert row.any(axis=1).all()
+            assert np.array_equal(row, lattice.histograms(count, f, lo, hi))
+
 
 class TestScan:
     def test_midpoints_increasing_and_edges_clipped(self):
@@ -218,6 +245,24 @@ class TestScan:
         argv = argv + ["--samples", "200", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         assert threads == {threading.get_ident()}
+
+    def test_scale_kernel_calls_do_not_depend_on_the_chain_count(self, tmp_path, monkeypatch):
+        mode_sum = xy_exact.mz_finite_many
+        calls = []
+
+        def spy(lams, *args):
+            calls.append(lams.size)
+            return mode_sum(lams, *args)
+
+        monkeypatch.setattr(xy_exact, "mz_finite_many", spy)
+        argv = ["scale", "--gamma", "0.5", "--lambda", "0.9:1.06:0.005", "--samples", "200"]
+        counts = []
+        for i, chains in enumerate(["20,24,30", "20,24,28,30,34,40"]):
+            calls.clear()
+            assert cli.main(argv + ["--n-list", chains, "--out", str(tmp_path / str(i))]) == 0
+            counts.append(len(calls))
+            assert max(calls) <= 200
+        assert counts[0] == counts[1] > 0
 
     def test_flat_observable_marks_windows_degenerate(self, monkeypatch):
         monkeypatch.setattr(

@@ -449,6 +449,32 @@ class TestModeSum:
                   for k in range(self.LAMS.size)]
         assert np.array_equal(whole, single)
 
+    @pytest.mark.parametrize(
+        "chains",
+        [(14, 20, 24, 30, 34, 40), (20, 40), (40, 20), (14, 26, 30, 34)],
+        ids=["default", "nested", "nested_reversed", "pi_bits"],
+    )
+    @pytest.mark.parametrize("gamma", [0.5, 1e-170])
+    @pytest.mark.parametrize("beta_tilde", [math.inf, 50.0])
+    def test_chain_list_rows_equal_in_order_sums(self, chains, gamma, beta_tilde):
+        # one ulp from lambda = -1, d^2 is as small as gamma^2 sin^2 phi of the
+        # float phi = pi, so the phi = pi terms of N = 14 and 30 differ there
+        lams = np.concatenate([self.LAMS, np.nextafter(-1.0, [-2.0, 0.0])])
+        rows = mz_finite_many(lams, gamma, list(chains), beta_tilde)
+        assert rows.shape == (len(chains), lams.size)
+        for row, n in zip(rows, chains):
+            assert np.array_equal(row, self.in_order_mode_sum(lams, gamma, n, beta_tilde)), n
+
+    def test_chain_list_evaluates_each_distinct_mode_once(self):
+        # the default list has 58 distinct p / N among its 81 modes; all but
+        # one share their bits, and phi = pi of N = 30 (and 26) misses the pi
+        # of N = 14 and 34 by one ulp, so 59 modes are evaluated
+        pi = [2.0 * math.pi * (n // 2) / n for n in (14, 26, 30, 34)]
+        assert pi[0] == pi[3] == math.pi and pi[1] > math.pi > pi[2]
+        assert len(xy_exact._chain_modes(0.5, (14, 20, 24, 30, 34, 40))) == 59
+        # every mode of N = 20 is one of N = 40
+        assert len(xy_exact._chain_modes(0.5, (20, 40))) == 20
+
 
 class TestPackageRoot:
     # the scalar entry points the benchmark's probes import from the package
