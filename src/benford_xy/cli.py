@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import enum
 import json
@@ -482,7 +483,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fix_heap_thresholds() -> None:
+    """Keep what one kernel call frees on glibc's heap for the next call,
+    instead of trimming it and faulting it in again: mmap threshold 1 MiB
+    (above the 480 KB rows of a scale walk), then trim threshold 64 MiB,
+    which alone would freeze the mmap threshold at 128 KB. Needs glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+    if mallopt(-3, 1 << 20) == 1:
+        mallopt(-1, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _fix_heap_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

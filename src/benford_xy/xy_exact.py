@@ -276,14 +276,14 @@ def _row_quadrature(integrand, lams: np.ndarray, gamma: float,
     g2s2 = (gamma * np.sin(phi)) ** 2
     out = np.empty(lams.size)
     rows = max(1, min(lams.size, _BLOCK_CELLS // w.size))
-    # the call's two work arrays, refilled block by block: a fresh pair per
-    # block made the heap shrink and grow again between blocks
+    # the call's two work arrays, refilled block by block: one allocation per
+    # call, however many blocks its samples fill
     work = np.empty((2, rows, w.size))
     for i in range(0, lams.size, rows):
         block = lams[i : i + rows, None]
         d, disp = work[:, : block.shape[0]]
         np.subtract(c, block, out=d)
-        np.multiply(d, d, out=disp)
+        np.square(d, out=disp)
         disp += g2s2
         np.sqrt(disp, out=disp)
         out[i : i + rows] = np.einsum("ij,j->i", integrand(d, disp), w)
@@ -351,7 +351,7 @@ def mz_finite_many(lams, gamma: float, chains, beta_tilde: float = math.inf) -> 
     d, disp = np.empty((2, lams.size))
     for c, g2s2, rows in _chain_modes(gamma, tuple(lengths)):
         np.subtract(c, lams, out=d)
-        np.multiply(d, d, out=disp)
+        np.square(d, out=disp)
         disp += g2s2
         np.sqrt(disp, out=disp)
         if g2s2 == 0.0:

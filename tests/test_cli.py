@@ -184,6 +184,19 @@ class TestScan:
     def test_malformed_lambda_range(self, tmp_path):
         assert run_cli(["scan", "--lambda", "0.9:1.1", "--out", str(tmp_path)]) == 3
 
+    def test_negative_lambda_range_needs_the_equals_form(self, tmp_path, capsys):
+        # argparse takes "-1.2:..." after a space for a flag
+        assert run_cli(["scan", "--lambda", "-1.2:-0.8:0.002", "--out", str(tmp_path)]) == 3
+        assert "expected one argument" in capsys.readouterr().err
+        assert run_cli(["scan", "--lambda=-1.2:-0.8:0.002", "--out", str(tmp_path)]) == 0
+        points = np.loadtxt(tmp_path / "scan.csv", delimiter=",", skiprows=1)
+        assert points.shape == (201, 2)
+        config = json.loads((tmp_path / "scan_manifest.json").read_text())["config"]
+        assert config["lambda_range"] == [-1.2, -0.8]
+        # the transition at lambda = -1: the curve's steepest step
+        steepest = np.argmax(np.abs(np.diff(points[:, 1])))
+        assert points[steepest, 0] == pytest.approx(-1.0, abs=0.01)
+
     def test_negative_temperature(self, tmp_path):
         assert run_cli(SCAN_ARGS + ["--t", "-3", "--out", str(tmp_path)]) == 3
 
@@ -521,6 +534,62 @@ class TestOutputPlumbing:
             mid, delta = line.split(",")
             assert repr(float(mid)) == mid
             assert repr(float(delta)) == delta
+
+
+GLIBC = hasattr(os, "confstr") and bool(os.confstr("CS_GNU_LIBC_VERSION"))
+
+
+class TestHeapThresholds:
+    @pytest.mark.skipif(not GLIBC, reason="glibc's mallopt")
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            "xy_exact.mz_and_correlators_many(lams, 1.0)",
+            "xy_exact.mz_finite_many(lams, 0.5, [14, 20, 24, 30, 34, 40])",
+        ],
+        ids=["t0_correlators", "finite_chains"],
+    )
+    def test_one_window_calls_reuse_the_heap(self, kernel):
+        # at glibc's default thresholds each call's freed temporaries are
+        # trimmed and faulted in again by the next: thousands of faults. A
+        # fresh process, as the CLI runs in, since the thresholds glibc
+        # adjusts by itself depend on what the process allocated before.
+        code = (
+            "import resource\nimport numpy as np\nfrom benford_xy import cli, xy_exact\n"
+            "cli._fix_heap_thresholds()\nlams = np.linspace(0.99, 1.01, 10_000)\n"
+            f"{kernel}\nbefore = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"for _ in range(10):\n    {kernel}\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert int(out.stdout) < 100
+
+    @pytest.mark.parametrize(
+        "libc, calls",
+        [("no glibc", []), ("no mallopt", []), (0, [(-3, 1 << 20)]),
+         (1, [(-3, 1 << 20), (-1, 64 << 20)])],
+        ids=["no_glibc", "no_mallopt", "mallopt_fails", "mallopt_succeeds"],
+    )
+    def test_commands_run_whatever_mallopt_does(self, tmp_path, monkeypatch, libc, calls):
+        made = []
+
+        class Libc:
+            if isinstance(libc, int):
+                @staticmethod
+                def mallopt(param, value):
+                    made.append((param, value))
+                    return libc
+
+        if libc == "no glibc":
+            def confstr(name):
+                raise ValueError(name)
+            monkeypatch.setattr(cli.os, "confstr", confstr, raising=False)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+        assert run_cli(["digits", "logmantissa:1000", "--out", str(tmp_path)]) == 0
+        assert made == calls
 
 
 class TestImports:
