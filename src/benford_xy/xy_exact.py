@@ -16,7 +16,13 @@ and an interior minimum for small anisotropy). Uniform panels cannot resolve
 that at T_tilde ~ 1e-5, so the thermal path integrates on panels refined
 geometrically toward those points. The panels are placed per lambda bin
 of width _RULE_BIN, so a thermal value depends on (lambda, gamma, T_tilde)
-alone, never on the other lambda of its call.
+alone, never on the other lambda of its call. The two bins whose closed
+range holds lambda = 1, and the two that hold -1, are cut into 2, 4 or 8
+equal sub-bins at most _GRADED_WIDTH * T_tilde wide when that many suffice
+(T_tilde from 6.25e-5 up to 5e-4), since the structure there is a few
+T_tilde wide; a sub-bin then serves as a bin. A call evaluates each run of
+neighbouring lambda in one bin as one slice (_bin_runs); a lambda that is
+not finite gives NaN and builds no bin.
 
 Within a bin, Mz and dMz/dT are analytic in lambda on the scale of T_tilde,
 so the thermal kernels integrate only at the bin's Chebyshev points of the
@@ -31,9 +37,10 @@ lambda = 1); the bin is then interpolated at degree n, the degree that
 passed. A bin in which degree 128 fails the check against 256 (structure
 much narrower than the bin, as T_tilde -> 0) has every lambda integrated
 directly on its rule, as has a bin holding lambda = +-1 once T_tilde is
-below _RULE_BIN / _DEGREE_CAP**2 (see _bin_interpolant). The node values
-of the last 64 (kernel, bin, gamma, T_tilde) are cached, so the one-window
-calls of a scan or a crossover temperature share them.
+below its width / _DEGREE_CAP**2 (see _bin_interpolant). The node values
+of the last 64 (kernel, bin, gamma, T_tilde) and the rules of the last 64
+(bin, gamma, T_tilde) are cached, so the one-window calls of a scan or a
+crossover temperature share them, and Mz and dMz/dT share a bin's rule.
 
 The infinite lattice at T = 0 needs no quadrature: Mz, G(-1) and G(+1) are
 complete elliptic integrals (Barouch & McCoy, Phys. Rev. A 3, 786 (1971)),
@@ -63,14 +70,26 @@ from .errors import ConfigurationError, DomainError
 _BLOCK_CELLS = 1 << 15
 
 # Every lambda in bin k = floor(lambda / _RULE_BIN) is integrated on the
-# thermal rule built for [k, k + 1) * _RULE_BIN.
+# thermal rule built for [k, k + 1) * _RULE_BIN, except in the bins whose
+# closed range holds +-1 (_GRADED_BINS). Those are cut into the fewest
+# 2**j <= _GRADED_PARTS equal sub-bins at most _GRADED_WIDTH * t_tilde wide,
+# or not at all if more would be needed: below t_tilde = 6.25e-5 the sub-bins
+# would cost more quadrature than they save in interpolation. Sub-bin m of
+# width w = _RULE_BIN / 2**j is [m, m + 1) * w, m = floor(lambda / w).
 _RULE_BIN = 2e-3
+_GRADED_PARTS = 8
+_GRADED_WIDTH = 4.0
+_GRADED_BINS = frozenset(
+    k for c in (-1.0, 1.0)
+    for k in range(math.floor(c / _RULE_BIN) - 1, math.floor(c / _RULE_BIN) + 2)
+    if k * _RULE_BIN <= c <= (k + 1.0) * _RULE_BIN)
 
 # The per-bin interpolant of the thermal kernels (see _bin_interpolant): its
 # least degree, the greatest degree it checks against (it interpolates at
 # half of that at most), its acceptance threshold relative to the bin's
-# largest value, and how many bins' node values are cached. Degree n takes
-# every (_DEGREE_CAP / n)-th point of _CHEBYSHEV, so the point sets nest.
+# largest value, and how many bins' node values, and rules, are cached.
+# Degree n takes every (_DEGREE_CAP / n)-th point of _CHEBYSHEV, so the point
+# sets nest.
 _DEGREE_MIN = 16
 _DEGREE_CAP = 256
 _INTERP_TOL = 1e-13
@@ -174,27 +193,62 @@ def _thermal_quadrature(kind: str, arg: float, lams, gamma: float,
                         t_tilde: float) -> np.ndarray:
     """The thermal integral of kind (built from arg) at each lambda, on the
     rule of its lambda bin: interpolated where the bin has an interpolant,
-    integrated directly where it has none."""
+    integrated directly where it has none. A lambda that is not finite gives
+    NaN."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    bins = np.floor(lams / _RULE_BIN)
     out = np.full(lams.size, math.nan)
-    # a set: np.unique imports numpy.ma on first use (15 ms, 1.7 MB on a 2-core Xeon)
-    for k in set(bins.tolist()):
-        at = bins == k
-        nodes = _bin_interpolant(kind, arg, k, gamma, t_tilde)
+    for m, width, run in _bin_runs(lams, t_tilde):
+        nodes = _bin_interpolant(kind, arg, m, width, gamma, t_tilde)
         if nodes is None:
-            out[at] = _row_quadrature(_THERMAL_INTEGRANDS[kind](arg), lams[at], gamma,
-                                      *_bin_rule(k, gamma, t_tilde))
+            out[run] = _row_quadrature(_THERMAL_INTEGRANDS[kind](arg), lams[run], gamma,
+                                       *_bin_rule(m, width, gamma, t_tilde))
         else:
-            out[at] = _barycentric(*nodes, lams[at])
+            out[run] = _barycentric(*nodes, lams[run])
     return out
 
 
+def _bin_parts(t_tilde: float) -> int:
+    """How many sub-bins each of _GRADED_BINS is cut into at t_tilde."""
+    parts = 1
+    while _RULE_BIN / parts > _GRADED_WIDTH * t_tilde:
+        parts *= 2
+        if parts > _GRADED_PARTS:
+            return 1
+    return parts
+
+
+def _runs(keys: np.ndarray, start: int = 0):
+    """(key, slice) of each run of equal neighbours in keys, the slices
+    shifted by start."""
+    if not keys.size:
+        return
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, keys.size]):
+        yield float(keys[a]), slice(start + a, start + b)
+
+
+def _bin_runs(lams: np.ndarray, t_tilde: float):
+    """(m, w, run) for each run of lams in one bin [m, m + 1) * w: a bin of
+    width _RULE_BIN, or a sub-bin of a graded one. Lambda that is not finite
+    falls in no bin."""
+    q = lams / _RULE_BIN
+    parts = _bin_parts(t_tilde)
+    for k, run in _runs(np.floor(q)):
+        if not math.isfinite(k):
+            continue
+        if parts == 1 or k not in _GRADED_BINS:
+            yield k, _RULE_BIN, run
+        else:
+            # floor(lambda / w) in bits, as w = _RULE_BIN / parts divides exactly
+            for m, part in _runs(np.floor(q[run] * parts), run.start):
+                yield m, _RULE_BIN / parts, part
+
+
 @functools.lru_cache(maxsize=_CACHED_BINS)
-def _bin_interpolant(kind: str, arg: float, k: float, gamma: float,
+def _bin_interpolant(kind: str, arg: float, m: float, width: float, gamma: float,
                      t_tilde: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Chebyshev points of bin k and the thermal integral at them, or None
-    when no degree up to _DEGREE_CAP passes the check.
+    """Chebyshev points of bin [m, m + 1) * width and the thermal integral at
+    them, or None when no degree up to _DEGREE_CAP passes the check.
 
     Degree n (n + 1 points) is accepted when its interpolant predicts the
     integral at the n points that degree 2n adds to within _INTERP_TOL of
@@ -204,12 +258,12 @@ def _bin_interpolant(kind: str, arg: float, k: float, gamma: float,
     # next to lambda = +-1 the structure is about t_tilde wide; once that is
     # narrower than the finest spacing of _DEGREE_CAP points, every degree
     # can miss it alike and pass the check on the values beside it
-    lo, hi = k * _RULE_BIN, (k + 1.0) * _RULE_BIN
-    if t_tilde * _DEGREE_CAP**2 < _RULE_BIN and (lo <= 1.0 <= hi or lo <= -1.0 <= hi):
+    lo, hi = m * width, (m + 1.0) * width
+    if t_tilde * _DEGREE_CAP**2 < width and (lo <= 1.0 <= hi or lo <= -1.0 <= hi):
         return None
-    rule = _bin_rule(k, gamma, t_tilde)
+    rule = _bin_rule(m, width, gamma, t_tilde)
     integrand = _THERMAL_INTEGRANDS[kind](arg)
-    x = (k + 0.5) * _RULE_BIN + 0.5 * _RULE_BIN * _CHEBYSHEV
+    x = (m + 0.5) * width + 0.5 * width * _CHEBYSHEV
     step = _DEGREE_CAP // _DEGREE_MIN
     f = _row_quadrature(integrand, x[::step], gamma, *rule)
     while step > 1:
@@ -227,10 +281,15 @@ def _bin_interpolant(kind: str, arg: float, k: float, gamma: float,
     return None
 
 
-def _bin_rule(k: float, gamma: float, t_tilde: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights of the thermal rule of bin k."""
-    edges = _thermal_edges(gamma, t_tilde, k * _RULE_BIN, (k + 1.0) * _RULE_BIN)
-    return numerics.composite_nodes(edges)
+@functools.lru_cache(maxsize=_CACHED_BINS)
+def _bin_rule(m: float, width: float, gamma: float,
+              t_tilde: float) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes and weights of the thermal rule of bin
+    [m, m + 1) * width, read-only as the cache shares them."""
+    rule = numerics.composite_nodes(_thermal_edges(gamma, t_tilde, m * width, (m + 1.0) * width))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _barycentric(x: np.ndarray, f: np.ndarray, lams: np.ndarray) -> np.ndarray:

@@ -490,13 +490,14 @@ class TestThermalLadderPerCall:
     """Every thermal lambda is integrated on the rule of its fixed lambda bin,
     so one call of mz_infinite_many or dmz_dT_many over any lambda array must
     give the same bits as one call per lambda: over the crossover ridge
-    lattice, a thermal scan range, a wide span and the interior gap minima
-    of small anisotropy."""
+    lattice, a thermal scan range, a wide span, the interior gap minima of
+    small anisotropy, and in any order."""
 
     @staticmethod
     def assert_matches_single_calls(lams, gamma, t_tilde):
-        # 40 spread points, and the two sides of every bin edge in lams
-        bins = np.floor(lams / xy_exact._RULE_BIN)
+        # 40 spread points, and the two sides of every bin edge in lams, as
+        # finely as the bins next to lambda = +-1 are ever cut
+        bins = np.floor(lams / (xy_exact._RULE_BIN / xy_exact._GRADED_PARTS))
         edges = np.flatnonzero(np.diff(bins))
         picked = np.unique(np.concatenate(
             [np.linspace(0, lams.size - 1, 40).astype(int), edges, edges + 1]
@@ -539,6 +540,39 @@ class TestThermalLadderPerCall:
         # gamma^2)), which moves with lambda; a rule over a call's whole span
         # missed the ladders of its inner lambda by up to 6.6e-5
         self.assert_matches_single_calls(np.linspace(-0.6, 0.6, 13), 0.01, t_tilde)
+
+    @pytest.mark.parametrize("t_tilde", [1e-4, 3e-4, 1e-3])
+    @pytest.mark.parametrize("gamma", [0.1, 1.0])
+    def test_shuffled_lambda_give_the_bits_of_the_sorted_call(self, gamma, t_tilde):
+        # a sorted call evaluates each bin's lambda as one run; shuffled, the
+        # runs are single lambda
+        lams = np.linspace(0.995, 1.005, 401)
+        order = np.random.default_rng(0).permutation(lams.size)
+        for kernel in _thermal_kernels(gamma, t_tilde).values():
+            assert np.array_equal(kernel(lams[order]), kernel(lams)[order])
+
+
+class TestThermalInputs:
+    def test_no_lambda_give_an_empty_array(self):
+        for kernel in _thermal_kernels(0.5, 3e-4).values():
+            assert kernel(np.array([])).shape == (0,)
+
+    def test_non_finite_lambda_give_nan_without_building_a_bin(self, monkeypatch):
+        built = []
+        rule = xy_exact._bin_rule
+        monkeypatch.setattr(xy_exact, "_bin_rule", lambda *key: built.append(key) or rule(*key))
+        xy_exact._bin_interpolant.cache_clear()
+        lams = np.array([math.nan] * 50 + [math.inf, -math.inf, math.nan, math.inf])
+        for kernel in _thermal_kernels(0.5, 3e-4).values():
+            assert np.isnan(kernel(lams)).all()
+        assert built == []
+        # among finite lambda, only their own bin is built
+        mixed = np.concatenate([lams, [0.5]])
+        for kernel in _thermal_kernels(0.5, 3e-4).values():
+            got = kernel(mixed)
+            assert np.isnan(got[:-1]).all()
+            assert got[-1] == kernel(mixed[-1:])[0]
+        assert {key[:2] for key in built} == {(math.floor(0.5 / xy_exact._RULE_BIN), xy_exact._RULE_BIN)}
 
 
 @pytest.fixture
@@ -592,12 +626,14 @@ class TestThermalInterpolant:
     @pytest.mark.parametrize("t_tilde", [1e-4, 1e-3])
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
     def test_a_node_returns_its_value(self, direct, gamma, t_tilde):
-        # the interior nodes of the bins next to lambda = 1; a node's value
-        # is its direct quadrature, bit for bit
+        # the interior nodes of the bins from 0.996 to 1.004, sub-bins next to
+        # lambda = 1 included; a node's value is its direct quadrature, bit
+        # for bit
         args = {"mz": 1.0 / t_tilde, "dmz_dT": t_tilde}
+        bins = [run[:2] for run in xy_exact._bin_runs(np.linspace(0.99601, 1.00399, 800), t_tilde)]
         for kind, kernel in _thermal_kernels(gamma, t_tilde).items():
-            for k in (498.0, 499.0, 500.0, 501.0):
-                nodes = xy_exact._bin_interpolant(kind, args[kind], k, gamma, t_tilde)
+            for m, width in bins:
+                nodes = xy_exact._bin_interpolant(kind, args[kind], m, width, gamma, t_tilde)
                 assert nodes is not None
                 x = nodes[0][1:-1]
                 assert np.array_equal(kernel(x), direct(kernel, x))
@@ -607,8 +643,8 @@ class TestThermalInterpolant:
         # bin: no degree up to the cap passes, and the bin is integrated
         beta_tilde = 1e12
         lams = 1.0 + np.array([-1e-8, -1e-10, 0.0, 1e-10, 1e-8])
-        for k in set(np.floor(lams / xy_exact._RULE_BIN).tolist()):
-            assert xy_exact._bin_interpolant("mz", beta_tilde, k, 1.0, 1.0 / beta_tilde) is None
+        for m, width, _ in xy_exact._bin_runs(lams, 1.0 / beta_tilde):
+            assert xy_exact._bin_interpolant("mz", beta_tilde, m, width, 1.0, 1.0 / beta_tilde) is None
         kernel = _thermal_kernels(1.0, 1.0 / beta_tilde)["mz"]
         assert np.array_equal(kernel(lams), direct(kernel, lams))
 
