@@ -13,7 +13,7 @@ from .errors import (
     SingularFitError,
 )
 from .numerics import LineFit, PolyFit, linfit, polyfit
-from .xy_exact import ModelParams, diagonal_correlators, dispersion, mz_infinite
+from .xy_exact import ModelParams, diagonal_correlators, mz_infinite
 from .firstdigit import (
     DigitHistogram,
     ReferenceDistribution,
@@ -69,7 +69,6 @@ __all__ = [
     "crossover_lines",
     "default_signature",
     "diagonal_correlators",
-    "dispersion",
     "expected_counts",
     "histogram",
     "linfit",

@@ -285,7 +285,7 @@ def _scan_config(args, observable: Observable, n_sites: int | None) -> ScanConfi
         samples_per_window=args.samples,
         dist=_dist_from_flags(args),
         metric=Metric(args.metric),
-        beta_tilde=1.0 / args.t if args.t else math.inf,
+        t_tilde=args.t,
         n_sites=n_sites,
     )
 

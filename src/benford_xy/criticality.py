@@ -277,7 +277,7 @@ def _bvp_deltas(gamma: float, t_tilde: float, grid: RidgeGrid, window_ratio: flo
     counts = WindowLattice(grid.step, window_ratio, samples).histograms(
         grid.centers(t_tilde).size,
         lambda x: xy_exact.mz_infinite_many(
-            1.0 + t_tilde * (-grid.span + x), gamma, 1.0 / t_tilde),
+            1.0 + t_tilde * (-grid.span + x), gamma, t_tilde),
     )
     if not counts.any(axis=1).all():
         raise DegenerateWindowError(f"flat violation window at t_tilde={t_tilde:g}")
@@ -381,8 +381,9 @@ def crossover_lines(
         raise ConfigurationError("t_grid must hold at least one temperature")
     grid = lambda_grid or RidgeGrid()
     for t in ts:
-        # beta_tilde = 1/t; t = 0 has none and goes in as 0, which is rejected
-        xy_exact.check_model(gamma, 1.0 / t if t else 0.0)
+        xy_exact.check_model(gamma, t)
+        if not t:
+            raise ConfigurationError("t_tilde = 0 (T = 0) has no crossover ridge")
         # at t near the float spacing at 1, 1 + t * u rounds distinct u to one lambda
         if not (np.diff(grid.centers(t)) > 0.0).all():
             raise ConfigurationError(f"t_tilde={t:g}: ridge grid 1 + t_tilde * u repeats lambda")

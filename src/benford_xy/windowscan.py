@@ -155,7 +155,7 @@ class ScanConfig:
     samples_per_window: int = 10_000
     dist: ReferenceDistribution = ReferenceDistribution.benford()
     metric: Metric = Metric.MEAN_DEVIATION
-    beta_tilde: float = math.inf
+    t_tilde: float = 0.0
     n_sites: int | None = None
 
     def __post_init__(self):
@@ -168,18 +168,12 @@ class ScanConfig:
             raise ConfigurationError("window_width must be positive and smaller than the range")
         check_lattice((b - a) / self.lambda_step, self.lambda_step, self.window_width,
                       self.samples_per_window)
-        xy_exact.check_model(self.gamma, self.beta_tilde, self.n_sites)
-        if self.observable in _CORRELATORS and (
-            self.n_sites is not None or not math.isinf(self.beta_tilde)
-        ):
+        xy_exact.check_model(self.gamma, self.t_tilde, self.n_sites)
+        if self.observable in _CORRELATORS and (self.n_sites is not None or self.t_tilde):
             raise ConfigurationError(
                 f"{self.observable.value} requires the infinite lattice (n_sites absent)"
                 " at zero temperature (t = zero)"
             )
-
-    @property
-    def t_tilde(self) -> float:
-        return 0.0 if math.isinf(self.beta_tilde) else 1.0 / self.beta_tilde
 
     @property
     def lattice(self) -> WindowLattice:
@@ -208,17 +202,18 @@ def evaluate(config: ScanConfig | list[ScanConfig], lams: np.ndarray) -> np.ndar
     one row per config, from one pass over their chains' modes."""
     if isinstance(config, list):
         return xy_exact.mz_finite_many(lams, config[0].gamma, [c.n_sites for c in config],
-                                       config[0].beta_tilde)
+                                       config[0].t_tilde)
     obs = config.observable
     if obs is Observable.MZ:
         if config.n_sites is not None:
-            return xy_exact.mz_finite_many(lams, config.gamma, config.n_sites, config.beta_tilde)
-        return xy_exact.mz_infinite_many(lams, config.gamma, config.beta_tilde)
-    if obs is Observable.CXX:
-        return xy_exact.correlator_g_many(-1, lams, config.gamma)
-    if obs is Observable.CYY:
-        return xy_exact.correlator_g_many(1, lams, config.gamma)
+            return xy_exact.mz_finite_many(lams, config.gamma, config.n_sites, config.t_tilde)
+        return xy_exact.mz_infinite_many(lams, config.gamma, config.t_tilde)
+    # the rows Mz, G(-1) = Cxx, G(+1) = Cyy
     mz, g_minus, g_plus = xy_exact.mz_and_correlators_many(lams, config.gamma)
+    if obs is Observable.CXX:
+        return g_minus
+    if obs is Observable.CYY:
+        return g_plus
     return mz * mz - g_minus * g_plus
 
 

@@ -5,10 +5,10 @@ is a sum over its N/2 Fourier modes, taken one mode at a time over the whole
 lambda array; one call sums several chains, evaluating once each mode that
 has the same bits in more than one of them (see mz_finite_many). The thermal
 infinite-lattice quantities are single integrals over [0, pi], each a
-row-blocked weighted sum over quadrature nodes (_row_quadrature). Zero
-temperature is the distinguished value beta_tilde = inf, in which case the
-thermal factor tanh(beta_tilde * L / 2) is replaced by 1 exactly rather than
-evaluated at a large float.
+row-blocked weighted sum over quadrature nodes (_row_quadrature). The one
+temperature parameter is the reduced temperature t_tilde, and t_tilde = 0 is
+exactly T = 0: the thermal factor tanh(L / (2 t_tilde)) is then replaced by 1
+rather than evaluated at a large argument.
 
 Temperature-dependent integrands develop structure of width ~T_tilde in the
 dispersion, concentrated where the dispersion is smallest (phi = 0, phi = pi,
@@ -97,19 +97,27 @@ _CACHED_BINS = 64
 _CHEBYSHEV = -np.cos(math.pi * np.arange(_DEGREE_CAP + 1) / _DEGREE_CAP)
 
 
-def check_model(gamma: float, beta_tilde: float = math.inf,
+# The least positive t_tilde whose reciprocal, the thermal factor's 1 / t_tilde,
+# is finite in floats.
+_T_TILDE_MIN = 5.56268464626801e-309
+
+
+def check_model(gamma: float, t_tilde: float = 0.0,
                 n_sites: int | None = None) -> None:
     """Reject model parameters outside the chain's domain: gamma must be
     finite and nonzero (|gamma| >= _KC_FLOOR on the infinite lattice at
-    T = 0), beta_tilde positive (inf means T = 0), and n_sites absent
-    (infinite lattice) or an even integer >= 4."""
+    T = 0), t_tilde 0 (T = 0) or from _T_TILDE_MIN up and finite, and
+    n_sites absent (infinite lattice) or an even integer >= 4."""
     if gamma == 0.0 or not np.isfinite(gamma):
         raise ConfigurationError(f"gamma must be finite and nonzero, got {gamma!r}")
-    if not (beta_tilde > 0.0):
+    if not (0.0 <= t_tilde < math.inf):
         raise ConfigurationError(
-            f"beta_tilde must be positive (inf means T=0), got {beta_tilde!r}"
-        )
-    if math.isinf(beta_tilde) and n_sites is None and not abs(gamma) >= _KC_FLOOR:
+            f"t_tilde must be finite and >= 0 (0 means T=0), got {t_tilde!r}")
+    if 0.0 < t_tilde < _T_TILDE_MIN:
+        raise ConfigurationError(
+            f"t_tilde must be 0 or at least {_T_TILDE_MIN!r}, below which 1/t_tilde"
+            f" overflows, got {t_tilde!r}")
+    if not t_tilde and n_sites is None and not abs(gamma) >= _KC_FLOOR:
         raise ConfigurationError(
             f"the infinite lattice at T = 0 needs |gamma| >= {_KC_FLOOR:g}, got {gamma!r}")
     if n_sites is not None and (n_sites < 4 or n_sites % 2):
@@ -118,16 +126,16 @@ def check_model(gamma: float, beta_tilde: float = math.inf,
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical configuration: anisotropy, reduced field, reduced inverse
-    temperature (inf means T = 0), and optional even chain length."""
+    """Physical configuration: anisotropy, reduced field, reduced
+    temperature (0 means T = 0), and optional even chain length."""
 
     gamma: float
     lam: float
-    beta_tilde: float = math.inf
+    t_tilde: float = 0.0
     n_sites: int | None = None
 
     def __post_init__(self):
-        check_model(self.gamma, self.beta_tilde, self.n_sites)
+        check_model(self.gamma, self.t_tilde, self.n_sites)
         if not np.isfinite(self.lam):
             raise ConfigurationError("lambda must be finite")
 
@@ -189,18 +197,16 @@ def _thermal_edges(gamma: float, t_tilde: float, lam_lo: float, lam_hi: float) -
     return np.asarray(out)
 
 
-def _thermal_quadrature(kind: str, arg: float, lams, gamma: float,
-                        t_tilde: float) -> np.ndarray:
-    """The thermal integral of kind (built from arg) at each lambda, on the
-    rule of its lambda bin: interpolated where the bin has an interpolant,
-    integrated directly where it has none. A lambda that is not finite gives
-    NaN."""
+def _thermal_quadrature(kind: str, lams, gamma: float, t_tilde: float) -> np.ndarray:
+    """The thermal integral of kind at each lambda, on the rule of its lambda
+    bin: interpolated where the bin has an interpolant, integrated directly
+    where it has none. A lambda that is not finite gives NaN."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     out = np.full(lams.size, math.nan)
     for m, width, run in _bin_runs(lams, t_tilde):
-        nodes = _bin_interpolant(kind, arg, m, width, gamma, t_tilde)
+        nodes = _bin_interpolant(kind, m, width, gamma, t_tilde)
         if nodes is None:
-            out[run] = _row_quadrature(_THERMAL_INTEGRANDS[kind](arg), lams[run], gamma,
+            out[run] = _row_quadrature(_THERMAL_INTEGRANDS[kind](t_tilde), lams[run], gamma,
                                        *_bin_rule(m, width, gamma, t_tilde))
         else:
             out[run] = _barycentric(*nodes, lams[run])
@@ -245,7 +251,7 @@ def _bin_runs(lams: np.ndarray, t_tilde: float):
 
 
 @functools.lru_cache(maxsize=_CACHED_BINS)
-def _bin_interpolant(kind: str, arg: float, m: float, width: float, gamma: float,
+def _bin_interpolant(kind: str, m: float, width: float, gamma: float,
                      t_tilde: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Chebyshev points of bin [m, m + 1) * width and the thermal integral at
     them, or None when no degree up to _DEGREE_CAP passes the check.
@@ -262,7 +268,7 @@ def _bin_interpolant(kind: str, arg: float, m: float, width: float, gamma: float
     if t_tilde * _DEGREE_CAP**2 < width and (lo <= 1.0 <= hi or lo <= -1.0 <= hi):
         return None
     rule = _bin_rule(m, width, gamma, t_tilde)
-    integrand = _THERMAL_INTEGRANDS[kind](arg)
+    integrand = _THERMAL_INTEGRANDS[kind](t_tilde)
     x = (m + 0.5) * width + 0.5 * width * _CHEBYSHEV
     step = _DEGREE_CAP // _DEGREE_MIN
     f = _row_quadrature(integrand, x[::step], gamma, *rule)
@@ -349,30 +355,34 @@ def _row_quadrature(integrand, lams: np.ndarray, gamma: float,
     return out
 
 
-def _mz_integrand(beta_tilde: float):
-    """(cos phi - lambda) / L * tanh(beta_tilde L / 2), in place."""
+def _mz_integrand(t_tilde: float):
+    """(cos phi - lambda) / L * tanh(L / (2 t_tilde)), in place; the tanh is 1
+    at t_tilde = 0. Its argument is L * (0.5 * beta_tilde), beta_tilde =
+    1 / t_tilde, which has other bits than L / (2 t_tilde)."""
+    half_beta = 0.5 * (1.0 / t_tilde) if t_tilde else None
+
     def integrand(d, disp):
         d /= disp
-        if not math.isinf(beta_tilde):
-            disp *= 0.5 * beta_tilde
+        if half_beta is not None:
+            disp *= half_beta
             d *= np.tanh(disp, out=disp)
         return d
 
     return integrand
 
 
-def mz_infinite_many(lams, gamma: float, beta_tilde: float = math.inf) -> np.ndarray:
+def mz_infinite_many(lams, gamma: float, t_tilde: float = 0.0) -> np.ndarray:
     """Thermodynamic-limit transverse magnetization for an array of lambda."""
-    if math.isinf(beta_tilde):
+    if not t_tilde:
         return mz_and_correlators_many(lams, gamma, correlators=False)
-    return -_thermal_quadrature("mz", beta_tilde, lams, gamma, 1.0 / beta_tilde) / math.pi
+    return -_thermal_quadrature("mz", lams, gamma, t_tilde) / math.pi
 
 
 def mz_infinite(params: ModelParams) -> float:
     """Transverse magnetization in the thermodynamic limit."""
     if params.n_sites is not None:
         raise ConfigurationError("mz_infinite requires n_sites to be absent")
-    return float(mz_infinite_many([params.lam], params.gamma, params.beta_tilde)[0])
+    return float(mz_infinite_many([params.lam], params.gamma, params.t_tilde)[0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -392,7 +402,7 @@ def _chain_modes(gamma: float, lengths: tuple[int, ...]) -> tuple[tuple[float, f
                  sorted(modes.items(), key=lambda mode: mode[1][0]))
 
 
-def mz_finite_many(lams, gamma: float, chains, beta_tilde: float = math.inf) -> np.ndarray:
+def mz_finite_many(lams, gamma: float, chains, t_tilde: float = 0.0) -> np.ndarray:
     """Finite-chain transverse magnetization for an array of lambda: the Mz
     integrand summed over the modes phi_p = 2 pi p / N, p = 1..N/2, in that
     order, each mode over the whole lambda array at once.
@@ -405,7 +415,7 @@ def mz_finite_many(lams, gamma: float, chains, beta_tilde: float = math.inf) -> 
     """
     lengths = np.atleast_1d(chains).tolist()
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    mz = _mz_integrand(beta_tilde)
+    mz = _mz_integrand(t_tilde)
     total = np.zeros((len(lengths), lams.size))
     d, disp = np.empty((2, lams.size))
     for c, g2s2, rows in _chain_modes(gamma, tuple(lengths)):
@@ -544,13 +554,6 @@ def mz_and_correlators_many(lams, gamma: float, *, correlators: bool = True) -> 
     return np.stack([mz, even - gamma * s, even + gamma * s])
 
 
-def correlator_g_many(r: int, lams, gamma: float) -> np.ndarray:
-    """Nearest-neighbour correlator kernel G(r) at T=0, infinite lattice."""
-    if r not in (-1, 1):
-        raise ConfigurationError("r must be -1 or +1")
-    return mz_and_correlators_many(lams, gamma)[1 if r == -1 else 2]
-
-
 def diagonal_correlators(lam: float, gamma: float) -> tuple[float, float, float]:
     """(Cxx, Cyy, Czz) nearest-neighbour correlators at T=0, infinite lattice.
 
@@ -565,7 +568,7 @@ def dmz_dT_many(lams, gamma: float, t_tilde: float) -> np.ndarray:
     if not (t_tilde > 0.0) or not np.isfinite(t_tilde):
         raise DomainError("t_tilde must be positive and finite")
     scale = 2.0 * math.pi * t_tilde * t_tilde
-    return _thermal_quadrature("dmz_dT", t_tilde, lams, gamma, t_tilde) / scale
+    return _thermal_quadrature("dmz_dT", lams, gamma, t_tilde) / scale
 
 
 def _dmz_dT_integrand(t_tilde: float):
@@ -578,7 +581,7 @@ def _dmz_dT_integrand(t_tilde: float):
     return integrand
 
 
-# The thermal integrands by kind, each built from beta_tilde (Mz) or t_tilde
-# (its temperature derivative); _bin_interpolant keys its cache on the kind.
+# The thermal integrands by kind, each built from t_tilde; _bin_interpolant
+# keys its cache on the kind.
 _THERMAL_INTEGRANDS = {"mz": _mz_integrand, "dmz_dT": _dmz_dT_integrand}
 

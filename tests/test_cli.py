@@ -200,6 +200,24 @@ class TestScan:
     def test_negative_temperature(self, tmp_path):
         assert run_cli(SCAN_ARGS + ["--t", "-3", "--out", str(tmp_path)]) == 3
 
+    # 1 / 1e-320 is inf, which must not read as T = 0: a correlator scan at
+    # this nonzero temperature is refused too
+    @pytest.mark.parametrize("observable", ["mz", "czz"])
+    def test_temperature_whose_reciprocal_overflows(self, tmp_path, capsys, observable):
+        out = tmp_path / "out"
+        code = run_cli(["scan", "--observable", observable, "--t", "1e-320",
+                        "--lambda", "0.9:1.1:0.01", "--samples", "100", "--out", str(out)])
+        assert code == 3 and not out.exists()
+        assert "below which 1/t_tilde overflows" in capsys.readouterr().err
+
+    def test_manifest_temperature_is_the_flag(self, tmp_path):
+        # 1 / (1 / t) is not t for this t
+        t = "1.1666666666666667e-4"
+        assert run_cli(["scan", "--t", t, "--lambda", "0.99:1.01:0.01", "--samples", "100",
+                        "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "scan_manifest.json").read_text())["config"]
+        assert config["t_tilde"] == float(t)
+
     # the T = 0 kernel takes |gamma| >= 1e-30; the finite chain and T > 0 do not need it
     @pytest.mark.parametrize(
         "flags, code",
@@ -304,7 +322,7 @@ class TestCrossover:
 
     def test_flat_bvp_window_exits_degenerate(self, tmp_path, monkeypatch):
         monkeypatch.setattr(xy_exact, "mz_infinite_many",
-                            lambda lams, gamma, beta_tilde: np.full(np.size(lams), 0.3))
+                            lambda lams, gamma, t_tilde: np.full(np.size(lams), 0.3))
         out = tmp_path / "out"
         code = run_cli(["crossover", "--quantity", "bvp", "--t-list", "1e-4,2e-4,5e-4",
                         "--samples", "600", "--out", str(out)])

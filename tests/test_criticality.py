@@ -372,7 +372,7 @@ class TestCrossoverLines:
 
     def test_flat_bvp_window_is_degenerate(self, monkeypatch):
         monkeypatch.setattr(xy_exact, "mz_infinite_many",
-                            lambda lams, gamma, beta_tilde: np.full(np.size(lams), 0.3))
+                            lambda lams, gamma, t_tilde: np.full(np.size(lams), 0.3))
         with pytest.raises(DegenerateWindowError, match="t_tilde=0.0001"):
             crossover_lines(CrossoverQuantity.BVP, 1.0, (1e-4, 2e-4, 5e-4), samples=600)
 
@@ -408,9 +408,9 @@ class TestViolationLattice:
         one window of points, and every lattice point is evaluated once."""
         calls = []
 
-        def spy(lams, gamma, beta_tilde):
+        def spy(lams, gamma, t_tilde):
             calls.append(lams)
-            return mz_infinite_many(lams, gamma, beta_tilde)
+            return mz_infinite_many(lams, gamma, t_tilde)
 
         monkeypatch.setattr(xy_exact, "mz_infinite_many", spy)
         deltas = criticality._bvp_deltas(
@@ -446,6 +446,6 @@ class TestViolationLattice:
         assert np.all(np.isfinite(deltas)) and np.all(deltas >= 0)
         for i, got in enumerate(deltas):
             window = lattice[i * m : i * m + self.SAMPLES]
-            values = mz_infinite_many(window, 1.0, 1.0 / self.T)
+            values = mz_infinite_many(window, 1.0, self.T)
             hist = histogram(rescale_unit(values))
             assert got == violation(hist, self.BENFORD, self.METRIC)

@@ -155,7 +155,7 @@ class TestUnitHistogram:
     @pytest.mark.parametrize("center", [0.9, 0.99, 1.0, 1.05])
     def test_finite_chain_windows(self, gamma, n_sites, center):
         lams = np.linspace(center - 0.01, center + 0.01, 10_000)
-        v = xy_exact.mz_finite_many(lams, gamma, n_sites, math.inf)
+        v = xy_exact.mz_finite_many(lams, gamma, n_sites, 0.0)
         assert _row(v) == _reference(v)
         assert _row(v[::-1]) == _reference(v[::-1])
 
@@ -168,7 +168,7 @@ class TestUnitHistogram:
     @pytest.mark.parametrize("center", [1.0 - 3e-4, 1.0, 1.0 + 6e-4])
     def test_thermal_windows(self, center):
         t = 3e-4
-        v = xy_exact.mz_infinite_many(np.linspace(center - t / 2, center + t / 2, 3000), 1.0, 1 / t)
+        v = xy_exact.mz_infinite_many(np.linspace(center - t / 2, center + t / 2, 3000), 1.0, t)
         assert _row(v) == _reference(v)
 
     @pytest.mark.parametrize("ulps", [1, 2, 3])
@@ -245,7 +245,7 @@ class TestUnitHistogram:
             seen.append(np.size(values))
             return digits_of(values)
 
-        v = xy_exact.mz_finite_many(np.linspace(0.99, 1.01, 10_000), 0.5, 20, math.inf)
+        v = xy_exact.mz_finite_many(np.linspace(0.99, 1.01, 10_000), 0.5, 20, 0.0)
         want = _reference(v)
         monkeypatch.setattr(firstdigit, "digits_of", spy)
         assert _row(v) == want
@@ -281,7 +281,7 @@ class TestBatchedCounts:
     LAMS = 0.95 + 1e-5 * np.arange(12_000)
 
     def mz(self, gamma=0.5, n_sites=20):
-        return xy_exact.mz_finite_many(self.LAMS, gamma, n_sites, math.inf)
+        return xy_exact.mz_finite_many(self.LAMS, gamma, n_sites, 0.0)
 
     @pytest.mark.parametrize("gamma,n_sites", [(0.1, 14), (0.5, 20), (1.0, 30)])
     def test_finite_chain_lattice(self, gamma, n_sites):
@@ -299,7 +299,7 @@ class TestBatchedCounts:
 
     def test_thermal_lattice(self):
         t = 3e-4
-        v = xy_exact.mz_infinite_many(1.0 + t * np.linspace(-3.0, 3.0, 3000), 1.0, 1 / t)
+        v = xy_exact.mz_infinite_many(1.0 + t * np.linspace(-3.0, 3.0, 3000), 1.0, t)
         for values in (v, v[::-1]):
             got, want = _lattice_rows(values, 600, 75)
             assert got == want

@@ -40,8 +40,7 @@ class TestScanConfig:
         assert c.samples_per_window == 10_000
         assert c.dist == ReferenceDistribution.benford()
         assert c.metric is Metric.MEAN_DEVIATION
-        assert math.isinf(c.beta_tilde) and c.n_sites is None
-        assert c.t_tilde == 0.0
+        assert c.t_tilde == 0.0 and c.n_sites is None
 
     @pytest.mark.parametrize(
         "overrides",
@@ -52,7 +51,7 @@ class TestScanConfig:
             {"window_width": 0.0},
             {"window_width": 0.5},
             {"samples_per_window": 1},
-            {"beta_tilde": -2.0},
+            {"t_tilde": -0.5},
             {"n_sites": 7},
             {"n_sites": 2},
             {"gamma": 0.0},
@@ -72,8 +71,11 @@ class TestScanConfig:
         # 2e14 windows: numpy can index them; only building them runs out of memory
         assert small_config(lambda_step=1e-15).lattice.stride == 1
 
-    def test_t_tilde_inverse_of_beta(self):
-        assert small_config(beta_tilde=200.0).t_tilde == pytest.approx(0.005)
+    @pytest.mark.parametrize("t_tilde", [1e-320, 5e-324])
+    def test_t_tilde_whose_reciprocal_overflows_rejected(self, t_tilde):
+        # 1 / t_tilde is inf, which must not read as T = 0
+        with pytest.raises(ConfigurationError, match="below which 1/t_tilde overflows"):
+            small_config(t_tilde=t_tilde, n_sites=None)
 
     def test_correlator_config_rejected_when_built(self):
         # evaluate() takes a config without going through scan()
@@ -86,7 +88,7 @@ class TestScanConfig:
         with pytest.raises(ConfigurationError):
             scan(small_config(observable=observable))  # n_sites set
         with pytest.raises(ConfigurationError):
-            scan(small_config(observable=observable, n_sites=None, beta_tilde=100.0))
+            scan(small_config(observable=observable, n_sites=None, t_tilde=0.01))
 
 
 class TestWindowCenters:
@@ -314,7 +316,7 @@ class TestScan:
         assert np.all(r.deltas() >= 0)
 
     def test_thermal_scan_runs(self):
-        r = scan(small_config(beta_tilde=50.0, n_sites=None, samples_per_window=50))
+        r = scan(small_config(t_tilde=0.02, n_sites=None, samples_per_window=50))
         assert len(r.points) == 21
 
     def test_doubling_samples_changes_deltas_below_one_percent(self):

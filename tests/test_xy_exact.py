@@ -9,7 +9,6 @@ from benford_xy.errors import ConfigurationError, DomainError
 from benford_xy.firstdigit import ReferenceDistribution
 from benford_xy.violation import Metric
 from benford_xy.xy_exact import (
-    correlator_g_many,
     diagonal_correlators,
     dispersion,
     dmz_dT_many,
@@ -23,11 +22,20 @@ class TestModelParams:
         with pytest.raises(ConfigurationError):
             ModelParams(gamma=0.0, lam=1.0)
 
-    def test_nonpositive_beta_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ModelParams(gamma=1.0, lam=1.0, beta_tilde=0.0)
-        with pytest.raises(ConfigurationError):
-            ModelParams(gamma=1.0, lam=1.0, beta_tilde=-2.0)
+    def test_non_finite_temperature_rejected(self):
+        for t_tilde in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="t_tilde must be finite"):
+                ModelParams(gamma=1.0, lam=1.0, t_tilde=t_tilde)
+
+    def test_temperature_whose_reciprocal_overflows_rejected(self):
+        # below the bound 1 / t_tilde is inf, which must not read as T = 0
+        bound = xy_exact._T_TILDE_MIN
+        assert math.isfinite(1.0 / bound)
+        assert math.isinf(1.0 / math.nextafter(bound, 0.0))
+        for t_tilde in (1e-320, 5e-324, math.nextafter(bound, 0.0)):
+            with pytest.raises(ConfigurationError, match=f"at least {bound!r}"):
+                ModelParams(gamma=1.0, lam=1.0, t_tilde=t_tilde)
+        ModelParams(gamma=1.0, lam=1.0, t_tilde=bound)
 
     def test_odd_or_small_n_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -37,7 +45,7 @@ class TestModelParams:
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ConfigurationError):
-            ModelParams(gamma=1.0, lam=0.5, beta_tilde=1.0 / -1e-4)
+            ModelParams(gamma=1.0, lam=0.5, t_tilde=-1e-4)
 
     def test_least_anisotropy_of_the_zero_temperature_lattice(self):
         # the T = 0 kernel takes |gamma| >= 1e-30; the finite chain and the
@@ -47,7 +55,7 @@ class TestModelParams:
                 ModelParams(gamma=gamma, lam=1.0)
         ModelParams(gamma=1e-30, lam=1.0)
         ModelParams(gamma=1e-31, lam=1.0, n_sites=8)
-        ModelParams(gamma=1e-31, lam=1.0, beta_tilde=1e3)
+        ModelParams(gamma=1e-31, lam=1.0, t_tilde=1e-3)
 
 
 class TestDispersion:
@@ -100,7 +108,7 @@ class TestMzInfinite:
 
     def test_thermal_value_between_zero_and_ground_state(self):
         cold = mz_infinite(ModelParams(gamma=1.0, lam=1.0))
-        warm = mz_infinite(ModelParams(gamma=1.0, lam=1.0, beta_tilde=1.0 / 0.5))
+        warm = mz_infinite(ModelParams(gamma=1.0, lam=1.0, t_tilde=0.5))
         assert 0.0 < warm < cold
 
 
@@ -261,7 +269,7 @@ class TestGroundState:
         # from the lambda range of the call
         lams = [1.0 + d for d in (-1e-2, -1e-5, -1e-8, 0.0, 1e-8, 1e-5, 1e-2, -0.5, 1.0)]
         cold = xy_exact.mz_infinite_many(lams, gamma)
-        warm = [xy_exact.mz_infinite_many([lam], gamma, 1e12)[0] for lam in lams]
+        warm = [xy_exact.mz_infinite_many([lam], gamma, 1e-12)[0] for lam in lams]
         assert np.max(np.abs(cold - warm)) <= 1e-10
 
 
@@ -300,21 +308,18 @@ class TestMzFinite:
 
 class TestCorrelators:
     def test_cxx_zero_field_ising(self):
-        assert correlator_g_many(-1, [0.0], 1.0)[0] == pytest.approx(-1.0, abs=1e-8)
+        assert xy_exact.mz_and_correlators_many([0.0], 1.0)[1, 0] == pytest.approx(-1.0, abs=1e-8)
 
     def test_cyy_zero_field_ising(self):
-        assert correlator_g_many(1, [0.0], 1.0)[0] == pytest.approx(0.0, abs=1e-8)
-
-    def test_r_restricted(self):
-        with pytest.raises(ConfigurationError):
-            correlator_g_many(0, [0.5], 1.0)
+        assert xy_exact.mz_and_correlators_many([0.0], 1.0)[2, 0] == pytest.approx(0.0, abs=1e-8)
 
     def test_diagonal_construction(self):
         lam, gamma = 0.7, 0.5
         cxx, cyy, czz = diagonal_correlators(lam, gamma)
         mz = mz_infinite(ModelParams(gamma=gamma, lam=lam))
-        assert cxx == pytest.approx(correlator_g_many(-1, [lam], gamma)[0], abs=1e-12)
-        assert cyy == pytest.approx(correlator_g_many(1, [lam], gamma)[0], abs=1e-12)
+        rows = xy_exact.mz_and_correlators_many([lam], gamma)
+        assert cxx == pytest.approx(rows[1, 0], abs=1e-12)
+        assert cyy == pytest.approx(rows[2, 0], abs=1e-12)
         assert czz == pytest.approx(mz * mz - cxx * cyy, abs=1e-12)
 
     @pytest.mark.parametrize("lam", [-2.0, 0.0, 0.5, 1.0, 1.5])
@@ -329,8 +334,8 @@ class TestDmzDT:
         lam, gamma, t = 0.999, 1.0, 2e-3
         h = 1e-6 * t
         fd = (
-            mz_infinite(ModelParams(gamma=gamma, lam=lam, beta_tilde=1.0 / (t + h)))
-            - mz_infinite(ModelParams(gamma=gamma, lam=lam, beta_tilde=1.0 / (t - h)))
+            mz_infinite(ModelParams(gamma=gamma, lam=lam, t_tilde=t + h))
+            - mz_infinite(ModelParams(gamma=gamma, lam=lam, t_tilde=t - h))
         ) / (2 * h)
         assert dmz_dT_many([lam], gamma, t)[0] == pytest.approx(fd, rel=1e-6)
 
@@ -359,14 +364,13 @@ class TestRowBlocks:
     @pytest.mark.parametrize(
         "kernel",
         [
-            lambda lams: xy_exact.mz_infinite_many(lams, 1.0, 1.0 / 3e-4),
-            lambda lams: xy_exact.correlator_g_many(-1, lams, 0.5),
+            lambda lams: xy_exact.mz_infinite_many(lams, 1.0, 3e-4),
             lambda lams: xy_exact.dmz_dT_many(lams, 1.0, 3e-4),
             lambda lams: xy_exact.mz_finite_many(lams, 0.5, 40),
-            lambda lams: xy_exact.mz_finite_many(lams, 0.5, 40, 1.0 / 0.02),
+            lambda lams: xy_exact.mz_finite_many(lams, 0.5, 40, 0.02),
             lambda lams: xy_exact.mz_and_correlators_many(lams, 0.5),
         ],
-        ids=["mz_infinite_many", "correlator_g_many", "dmz_dT_many",
+        ids=["mz_infinite_many", "dmz_dT_many",
              "mz_finite_many_t0", "mz_finite_many_thermal", "mz_and_correlators_many"],
     )
     def test_one_call_equals_calls_on_halves(self, kernel):
@@ -377,21 +381,22 @@ class TestRowBlocks:
         assert np.array_equal(whole, np.concatenate(halves, axis=-1))
 
     def test_one_pass_equals_separate_kernels(self):
-        # the Czz pass takes the same float operations per cell as the
-        # separate Mz and G(r) kernels, so its values are the same bits
+        # the Czz pass forms its Mz row with the same float operations per
+        # cell as the Mz kernel alone, so its values are the same bits
         lams = np.linspace(0.999, 1.001, self.N)
-        mz, g_minus, g_plus = xy_exact.mz_and_correlators_many(lams, 0.5)
+        mz = xy_exact.mz_and_correlators_many(lams, 0.5)[0]
         assert np.array_equal(mz, xy_exact.mz_infinite_many(lams, 0.5))
-        assert np.array_equal(g_minus, xy_exact.correlator_g_many(-1, lams, 0.5))
-        assert np.array_equal(g_plus, xy_exact.correlator_g_many(1, lams, 0.5))
 
 
 class TestModeSum:
+    # T = 0 and t_tilde = 0.02, the ids naming their beta_tilde = 1 / t_tilde
+    TEMPERATURES = pytest.mark.parametrize("t_tilde", [0.0, 0.02], ids=["inf", "50.0"])
+
     # at gamma = 1e-170 the energy of the phi = pi mode underflows to exactly
     # 0 at lambda = -1, the zero-dispersion mode the sum must drop
     @pytest.mark.parametrize("gamma", [0.5, 1e-170])
-    @pytest.mark.parametrize("beta_tilde", [math.inf, 1.0 / 0.02])
-    def test_matches_plain_per_mode_sum(self, gamma, beta_tilde):
+    @TEMPERATURES
+    def test_matches_plain_per_mode_sum(self, gamma, t_tilde):
         n = 40
         lams = np.array([-1.0, -0.3, 0.5, 0.98, 1.0, 1.02, 2.0])
         want = np.zeros(lams.size)
@@ -402,11 +407,11 @@ class TestModeSum:
             term = np.zeros(lams.size)
             live = energy > 0.0
             term[live] = d[live] / energy[live]
-            if not math.isinf(beta_tilde):
-                term *= np.tanh(0.5 * beta_tilde * energy)
+            if t_tilde:
+                term *= np.tanh(0.5 * energy / t_tilde)
             want += term
         want *= -2.0 / n
-        got = mz_finite_many(lams, gamma, n, beta_tilde)
+        got = mz_finite_many(lams, gamma, n, t_tilde)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -417,7 +422,7 @@ class TestModeSum:
     ])
 
     @staticmethod
-    def in_order_mode_sum(lams, gamma, n, beta_tilde):
+    def in_order_mode_sum(lams, gamma, n, t_tilde):
         # the (lambda x modes) term matrix, its columns p = 1..N/2 added one
         # at a time into one accumulator
         phi = 2.0 * math.pi * np.arange(1, n // 2 + 1) / n
@@ -427,25 +432,26 @@ class TestModeSum:
         disp = np.sqrt(disp)
         disp[disp == 0.0] = math.inf
         terms = d / disp
-        if not math.isinf(beta_tilde):
-            terms *= np.tanh(0.5 * beta_tilde * disp)
+        if t_tilde:
+            # beta_tilde = 1 / t_tilde first, as the kernel forms it
+            terms *= np.tanh(0.5 * (1.0 / t_tilde) * disp)
         total = np.zeros(lams.size)
         for p in range(phi.size):
             total += terms[:, p]
         return -(2.0 / n) * total
 
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, -0.7, 1e-170])
-    @pytest.mark.parametrize("beta_tilde", [math.inf, 50.0])
-    def test_bits_equal_in_order_sum(self, gamma, beta_tilde):
+    @TEMPERATURES
+    def test_bits_equal_in_order_sum(self, gamma, t_tilde):
         for n in range(4, 129, 2):
-            want = self.in_order_mode_sum(self.LAMS, gamma, n, beta_tilde)
-            assert np.array_equal(mz_finite_many(self.LAMS, gamma, n, beta_tilde), want), n
+            want = self.in_order_mode_sum(self.LAMS, gamma, n, t_tilde)
+            assert np.array_equal(mz_finite_many(self.LAMS, gamma, n, t_tilde), want), n
 
     @pytest.mark.parametrize("n", [4, 14, 16, 20, 34, 40])
-    @pytest.mark.parametrize("beta_tilde", [math.inf, 50.0])
-    def test_one_call_equals_calls_per_lambda(self, n, beta_tilde):
-        whole = mz_finite_many(self.LAMS, 0.5, n, beta_tilde)
-        single = [mz_finite_many(self.LAMS[k : k + 1], 0.5, n, beta_tilde)[0]
+    @TEMPERATURES
+    def test_one_call_equals_calls_per_lambda(self, n, t_tilde):
+        whole = mz_finite_many(self.LAMS, 0.5, n, t_tilde)
+        single = [mz_finite_many(self.LAMS[k : k + 1], 0.5, n, t_tilde)[0]
                   for k in range(self.LAMS.size)]
         assert np.array_equal(whole, single)
 
@@ -455,15 +461,15 @@ class TestModeSum:
         ids=["default", "nested", "nested_reversed", "pi_bits"],
     )
     @pytest.mark.parametrize("gamma", [0.5, 1e-170])
-    @pytest.mark.parametrize("beta_tilde", [math.inf, 50.0])
-    def test_chain_list_rows_equal_in_order_sums(self, chains, gamma, beta_tilde):
+    @TEMPERATURES
+    def test_chain_list_rows_equal_in_order_sums(self, chains, gamma, t_tilde):
         # one ulp from lambda = -1, d^2 is as small as gamma^2 sin^2 phi of the
         # float phi = pi, so the phi = pi terms of N = 14 and 30 differ there
         lams = np.concatenate([self.LAMS, np.nextafter(-1.0, [-2.0, 0.0])])
-        rows = mz_finite_many(lams, gamma, list(chains), beta_tilde)
+        rows = mz_finite_many(lams, gamma, list(chains), t_tilde)
         assert rows.shape == (len(chains), lams.size)
         for row, n in zip(rows, chains):
-            assert np.array_equal(row, self.in_order_mode_sum(lams, gamma, n, beta_tilde)), n
+            assert np.array_equal(row, self.in_order_mode_sum(lams, gamma, n, t_tilde)), n
 
     def test_chain_list_evaluates_each_distinct_mode_once(self):
         # the default list has 58 distinct p / N among its 81 modes; all but
@@ -503,7 +509,7 @@ class TestThermalLadderPerCall:
             [np.linspace(0, lams.size - 1, 40).astype(int), edges, edges + 1]
         ))
         for kernel in (
-            lambda lams: xy_exact.mz_infinite_many(lams, gamma, 1.0 / t_tilde),
+            lambda lams: xy_exact.mz_infinite_many(lams, gamma, t_tilde),
             lambda lams: xy_exact.dmz_dT_many(lams, gamma, t_tilde),
         ):
             whole = kernel(lams)[picked]
@@ -589,7 +595,7 @@ def direct(monkeypatch):
 
 def _thermal_kernels(gamma, t_tilde):
     return {
-        "mz": lambda lams: xy_exact.mz_infinite_many(lams, gamma, 1.0 / t_tilde),
+        "mz": lambda lams: xy_exact.mz_infinite_many(lams, gamma, t_tilde),
         "dmz_dT": lambda lams: xy_exact.dmz_dT_many(lams, gamma, t_tilde),
     }
 
@@ -629,11 +635,10 @@ class TestThermalInterpolant:
         # the interior nodes of the bins from 0.996 to 1.004, sub-bins next to
         # lambda = 1 included; a node's value is its direct quadrature, bit
         # for bit
-        args = {"mz": 1.0 / t_tilde, "dmz_dT": t_tilde}
         bins = [run[:2] for run in xy_exact._bin_runs(np.linspace(0.99601, 1.00399, 800), t_tilde)]
         for kind, kernel in _thermal_kernels(gamma, t_tilde).items():
             for m, width in bins:
-                nodes = xy_exact._bin_interpolant(kind, args[kind], m, width, gamma, t_tilde)
+                nodes = xy_exact._bin_interpolant(kind, m, width, gamma, t_tilde)
                 assert nodes is not None
                 x = nodes[0][1:-1]
                 assert np.array_equal(kernel(x), direct(kernel, x))
@@ -641,12 +646,25 @@ class TestThermalInterpolant:
     def test_falls_back_to_direct_quadrature_as_t_goes_to_zero(self, direct):
         # at T = 1e-12 the structure next to lambda = 1 is far narrower than a
         # bin: no degree up to the cap passes, and the bin is integrated
-        beta_tilde = 1e12
+        t_tilde = 1e-12
         lams = 1.0 + np.array([-1e-8, -1e-10, 0.0, 1e-10, 1e-8])
-        for m, width, _ in xy_exact._bin_runs(lams, 1.0 / beta_tilde):
-            assert xy_exact._bin_interpolant("mz", beta_tilde, m, width, 1.0, 1.0 / beta_tilde) is None
-        kernel = _thermal_kernels(1.0, 1.0 / beta_tilde)["mz"]
+        for m, width, _ in xy_exact._bin_runs(lams, t_tilde):
+            assert xy_exact._bin_interpolant("mz", m, width, 1.0, t_tilde) is None
+        kernel = _thermal_kernels(1.0, t_tilde)["mz"]
         assert np.array_equal(kernel(lams), direct(kernel, lams))
+
+    def test_mz_and_dmz_dt_share_their_rules(self):
+        # 1 / (1 / t) is not t for this t: Mz must key its rules on t itself
+        # to share them
+        t_tilde = 1.1666666666666667e-4
+        lams = 1.0 + t_tilde * np.linspace(-3.0, 3.0, 301)
+        xy_exact._bin_interpolant.cache_clear()
+        xy_exact._bin_rule.cache_clear()
+        xy_exact.dmz_dT_many(lams, 1.0, t_tilde)
+        misses = xy_exact._bin_rule.cache_info().misses
+        assert misses > 0
+        xy_exact.mz_infinite_many(lams, 1.0, t_tilde)
+        assert xy_exact._bin_rule.cache_info().misses == misses
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0])
     def test_values_do_not_depend_on_the_cache(self, gamma):
