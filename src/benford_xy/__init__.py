@@ -15,14 +15,13 @@ from .errors import (
 from .numerics import LineFit, PolyFit, linfit, polyfit
 from .xy_exact import ModelParams, diagonal_correlators, mz_infinite
 from .firstdigit import (
-    DigitHistogram,
     ReferenceDistribution,
     expected_counts,
     histogram,
     probabilities,
     rescale_unit,
 )
-from .violation import Metric, violation
+from .violation import Metric, violations
 from .windowscan import Observable, ScanConfig, ScanResult, scan
 from .criticality import (
     CrossoverLines,
@@ -46,7 +45,6 @@ __all__ = [
     "CrossoverLines",
     "CrossoverQuantity",
     "DegenerateWindowError",
-    "DigitHistogram",
     "DomainError",
     "EmptyHistogramError",
     "InsufficientRidgeError",
@@ -79,6 +77,6 @@ __all__ = [
     "rescale_unit",
     "scaling_exponent",
     "scan",
-    "violation",
+    "violations",
     "__version__",
 ]

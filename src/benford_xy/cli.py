@@ -40,7 +40,7 @@ from .errors import (
     NoTransitionError,
 )
 from .firstdigit import DistKind, ReferenceDistribution, histogram, probabilities
-from .violation import Metric, violation
+from .violation import Metric, violations
 from .windowscan import Observable, ScanConfig, scan, scan_chains
 
 OUTPUT_DIR_ENV = "BENFORD_XY_OUT"
@@ -250,25 +250,27 @@ def cmd_digits(args) -> int:
     if values.size and np.all(values == values.flat[0]):
         raise DegenerateWindowError("input column is constant")
     dist = _dist_from_flags(args)
-    hist = histogram(values)
+    counts = histogram(values)
+    total = int(counts.sum())
+    skipped = values.size - total
     probs = probabilities(dist)
-    violations = {metric.value: violation(hist, dist, metric) for metric in Metric}
+    scores = {metric.value: float(violations(counts, dist, metric)[0]) for metric in Metric}
     report = {
         "input": args.input,
         "values": int(values.size),
-        "counts": list(hist.counts),
-        "total": hist.total,
-        "skipped": hist.skipped,
+        "counts": counts.tolist(),
+        "total": total,
+        "skipped": skipped,
         "distribution": dist.label(),
         "probabilities": probs,
-        "violations": violations,
+        "violations": scores,
     }
-    freq = hist.frequencies()
-    print(f"digits of {values.size} values ({hist.skipped} skipped):")
+    freq = counts / total
+    print(f"digits of {values.size} values ({skipped} skipped):")
     print("digit  count  observed  expected")
     for d in range(9):
-        print(f"    {d + 1}  {hist.counts[d]:>5}  {freq[d]:8.5f}  {probs[d]:8.5f}")
-    for name, value in violations.items():
+        print(f"    {d + 1}  {counts[d]:>5}  {freq[d]:8.5f}  {probs[d]:8.5f}")
+    for name, value in scores.items():
         print(f"{name}: {value!r}")
     _finish(args, {}, {}, {"digits_report.json": report})
     return EXIT_OK

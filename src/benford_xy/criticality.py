@@ -168,7 +168,7 @@ def locate_transition(
         )
     x, y = mids[sel], deltas[sel]
     x0 = float(x.mean())
-    fit = numerics.polyfit(np.column_stack([x - x0, y]), 3)
+    fit = numerics.polyfit(x - x0, y, 3)
     _, c1, b2, a3 = fit.coefficients
     if signature is Signature.MINIMUM:
         # interior minimizer of the cubic: root of f' with f'' > 0
@@ -230,10 +230,8 @@ def scaling_exponent(
     offenders = [int(e.n_sites) for e in ests if e.lambda_c_n >= lambda_c]
     if offenders:
         raise MixedSideError(offenders)
-    pts = np.array(
-        [[math.log(e.n_sites), math.log(lambda_c - e.lambda_c_n)] for e in ests]
-    )
-    line = numerics.linfit(pts)
+    line = numerics.linfit([math.log(e.n_sites) for e in ests],
+                           [math.log(lambda_c - e.lambda_c_n) for e in ests])
     return ScalingFit(
         exponent=line.slope,
         prefactor=-math.exp(line.intercept),
@@ -304,7 +302,7 @@ def _refine_window(x: np.ndarray, y: np.ndarray, k: int, half: int, want_max: bo
     lo, hi = max(0, k - half), min(x.size, k + half + 1)
     xs, ys = x[lo:hi], y[lo:hi]
     x0, h = xs.mean(), x[1] - x[0]
-    _, b, a = numerics.polyfit(np.column_stack([(xs - x0) / h, ys]), 2).coefficients
+    _, b, a = numerics.polyfit((xs - x0) / h, ys, 2).coefficients
     if (a < 0.0) != want_max or a == 0.0:
         return _refine3(x, y, k)
     return float(x0 - h * b / (2.0 * a))
@@ -395,7 +393,6 @@ def crossover_lines(
 
     warnings: list[str] = []
     points: list[tuple[float, float, str]] = []
-    branches: dict[str, list[tuple[float, float]]] = {"left": [], "right": []}
     for t, (lam_left, lam_right) in zip(ts, slices):
         for branch, lam in (("left", lam_left), ("right", lam_right)):
             if lam is None:
@@ -403,16 +400,16 @@ def crossover_lines(
                     f"t_tilde={t:g}: {branch} extremum not bracketed; point omitted"
                 )
             else:
-                branches[branch].append((lam, t))
                 points.append((lam, t, branch))
 
     lines = {}
-    for branch, pts in branches.items():
-        if len(pts) < 3:
+    for branch in ("left", "right"):
+        lams = [lam for lam, _, b in points if b == branch]
+        if len(lams) < 3:
             raise InsufficientRidgeError(
-                f"{branch} branch has {len(pts)} ridge points; need at least 3"
+                f"{branch} branch has {len(lams)} ridge points; need at least 3"
             )
-        lines[branch] = numerics.linfit(np.asarray(pts))
+        lines[branch] = numerics.linfit(lams, [t for _, t, b in points if b == branch])
 
     return CrossoverLines(
         left=lines["left"],

@@ -12,8 +12,9 @@ windows of one array at once into a (windows x 9) int64 matrix, one row of
 digit counts per window and a zero row per degenerate window. On the windows
 that are monotone it counts by bisection against the digit thresholds
 d * 10**k, in raw values, and leaves to digits_of only the values next to a
-threshold, so each row equals histogram(rescale_unit(window)).counts.
-histogram and its DigitHistogram serve the digits report.
+threshold, so each row equals histogram(rescale_unit(window)). A digit
+histogram is such a row of 9 counts wherever it appears; histogram counts
+the digits report's values into one.
 """
 
 from __future__ import annotations
@@ -78,27 +79,6 @@ class ReferenceDistribution:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class DigitHistogram:
-    """Observed first-digit counts; skipped counts inputs with no significant
-    digit (exact zeros)."""
-
-    counts: tuple[int, ...]
-    total: int
-    skipped: int
-
-    def __post_init__(self):
-        if len(self.counts) != 9 or any(c < 0 for c in self.counts):
-            raise ConfigurationError("counts must be 9 nonnegative integers")
-        if sum(self.counts) != self.total:
-            raise ConfigurationError("counts must sum to total")
-
-    def frequencies(self) -> np.ndarray:
-        if self.total == 0:
-            raise DomainError("histogram with total = 0 has no frequencies")
-        return np.asarray(self.counts, dtype=float) / self.total
-
-
 def digits_of(values) -> np.ndarray:
     """Vectorized first significant digits; 0 marks values with none.
 
@@ -140,19 +120,14 @@ def rescale_unit(values) -> np.ndarray:
     return (a - lo) / (hi - lo)
 
 
-def histogram(values) -> DigitHistogram:
-    """Tally first significant digits; exact zeros go to skipped."""
-    d = digits_of(values)
-    counts = np.bincount(d.ravel(), minlength=10)
-    return DigitHistogram(
-        counts=tuple(int(c) for c in counts[1:10]),
-        total=int(counts[1:10].sum()),
-        skipped=int(counts[0]),
-    )
+def histogram(values) -> np.ndarray:
+    """int64 counts of the first significant digits 1..9; exact zeros,
+    which have none, are not counted."""
+    return np.bincount(digits_of(values).ravel(), minlength=10)[1:]
 
 
 def unit_histograms(values, starts, stops) -> np.ndarray:
-    """(W x 9) int64 digit counts: row i is histogram(rescale_unit(w)).counts
+    """(W x 9) int64 digit counts: row i is histogram(rescale_unit(w))
     of window w = values[starts[i]:stops[i]], or zeros where rescale_unit
     finds w degenerate (flat, or fewer than 2 values); raises DomainError
     where it finds a non-finite window. A window that is not degenerate
@@ -201,7 +176,7 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
             other += windows[~rows[windows].any(axis=1)].tolist()
     for i in other:
         try:
-            rows[i] = histogram(rescale_unit(a[s[i] : e[i]])).counts
+            rows[i] = histogram(rescale_unit(a[s[i] : e[i]]))
         except DegenerateWindowError:
             pass
     return rows
@@ -214,7 +189,7 @@ def _none_between(steps: np.ndarray, start, stop):
 
 
 def _sorted_counts(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """histogram(rescale_unit(b[s:e])).counts of non-flat windows of b, which
+    """histogram(rescale_unit(b[s:e])) of non-flat windows of b, which
     is non-decreasing from the first window's start to the last one's stop,
     as (W x 9) rows; a zero row for a window whose smallest positive rescaled
     value is below 1e-300, or whose values all lie below 1e-290 in magnitude.

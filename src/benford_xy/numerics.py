@@ -2,9 +2,9 @@
 
 Quadrature is composite Gauss-Legendre, one 16-point rule per panel between
 given edges, so node positions are reproducible and never touch a panel edge.
-Fits are solved through an orthogonal decomposition (numpy lstsq), not normal
-equations, because the cubic fits downstream live on narrow, badly scaled
-windows.
+Fits take x and y as separate arrays and are solved through an orthogonal
+decomposition (numpy lstsq), not normal equations, because the cubic fits
+downstream live on narrow, badly scaled windows.
 """
 
 from __future__ import annotations
@@ -59,16 +59,13 @@ def composite_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _as_xy(points) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise SingularFitError("points must be a sequence of (x, y) pairs")
-    return pts[:, 0], pts[:, 1]
-
-
-def polyfit(points, degree: int) -> PolyFit:
-    """Least-squares polynomial of the given degree, constant-first."""
-    x, y = _as_xy(points)
+def polyfit(x, y, degree: int) -> PolyFit:
+    """Least-squares polynomial in x of the given degree through y,
+    constant-first."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise SingularFitError(f"x and y must be 1-D of one length, not {x.shape}, {y.shape}")
     if x.size <= degree:
         raise SingularFitError(f"need more than {degree} points, got {x.size}")
     if np.ptp(x) == 0.0:
@@ -83,9 +80,9 @@ def polyfit(points, degree: int) -> PolyFit:
     return PolyFit(coefficients=coef, degree=degree, rms_residual=rms)
 
 
-def linfit(points) -> LineFit:
-    """Ordinary least-squares straight line through the points."""
-    fit = polyfit(points, 1)
+def linfit(x, y) -> LineFit:
+    """Ordinary least-squares straight line through the points (x, y)."""
+    fit = polyfit(x, y, 1)
     return LineFit(
         slope=float(fit.coefficients[1]),
         intercept=float(fit.coefficients[0]),

@@ -4,9 +4,9 @@ reference digit law.
 Three metrics. MeanDeviation sums |O_D - E_D| / E_D over digits and is
 scale-free because each term is a ratio of counts. StandardDeviation and
 Bhattacharya are computed on relative frequencies, so their values do not
-depend on the sample size either. violations scores the window stage's
-(windows x 9) matrix of digit counts row by row; violation scores one
-DigitHistogram.
+depend on the sample size either. violations scores digit histograms given
+as rows of 9 counts: the window stage's (windows x 9) matrix row by row, or
+the digits report's one row.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import enum
 import numpy as np
 
 from .errors import EmptyHistogramError
-from .firstdigit import DigitHistogram, ReferenceDistribution, expected_counts, probabilities
+from .firstdigit import ReferenceDistribution, expected_counts, probabilities
 
 
 class Metric(enum.Enum):
@@ -25,14 +25,10 @@ class Metric(enum.Enum):
     BHATTACHARYA = "bhattacharya"
 
 
-def violation(hist: DigitHistogram, dist: ReferenceDistribution, metric: Metric) -> float:
-    """Nonnegative distance of hist from dist under the chosen metric."""
-    return float(violations([hist.counts], dist, metric)[0])
-
-
 def violations(counts, dist: ReferenceDistribution, metric: Metric) -> np.ndarray:
-    """violation of each histogram given as a row of 9 digit counts (W x 9),
-    whose total is the row sum.
+    """Nonnegative distance from dist, under the chosen metric, of each
+    histogram given as a row of 9 digit counts (W x 9), whose total is the
+    row sum.
 
     Each row is reduced on its own, over 9 contiguous values, so a row's
     value is that of the same sums over that row alone, bit for bit.

@@ -100,6 +100,9 @@ _CHEBYSHEV = -np.cos(math.pi * np.arange(_DEGREE_CAP + 1) / _DEGREE_CAP)
 # The least positive t_tilde whose reciprocal, the thermal factor's 1 / t_tilde,
 # is finite in floats.
 _T_TILDE_MIN = 5.56268464626801e-309
+# The least t_tilde for which dmz_dT_many's divisor 2 pi t_tilde^2 is a normal
+# float; below it the divisor loses bits, and from about 1e-162 it is 0.
+_DMZ_T_TILDE_MIN = 5.950894918631799e-155
 
 
 def check_model(gamma: float, t_tilde: float = 0.0,
@@ -565,8 +568,10 @@ def diagonal_correlators(lam: float, gamma: float) -> tuple[float, float, float]
 
 def dmz_dT_many(lams, gamma: float, t_tilde: float) -> np.ndarray:
     """Temperature derivative of the infinite-lattice magnetization."""
-    if not (t_tilde > 0.0) or not np.isfinite(t_tilde):
-        raise DomainError("t_tilde must be positive and finite")
+    if not (_DMZ_T_TILDE_MIN <= t_tilde < math.inf):
+        raise DomainError(
+            f"t_tilde must be finite and at least {_DMZ_T_TILDE_MIN!r}, below which"
+            f" 2 pi t_tilde^2 is not a normal float, got {t_tilde!r}")
     scale = 2.0 * math.pi * t_tilde * t_tilde
     return _thermal_quadrature("dmz_dT", lams, gamma, t_tilde) / scale
 

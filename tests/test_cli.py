@@ -75,6 +75,17 @@ class TestDigits:
         report = json.loads((tmp_path / "digits_report.json").read_text())
         assert report["counts"] == [0, 20, 0, 1, 0, 0, 0, 0, 1]  # 4.94e-324, 9.99989e-321
 
+    def test_exact_zeros_are_skipped(self, tmp_path, capsys):
+        values = [0.0, 3.5, -0.0, 12.0, 0.0, 7.25] + [1.5] * 10 + [0.0] * 4
+        src = write_csv(tmp_path / "in.csv", values)
+        assert run_cli(["digits", src, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "digits_report.json").read_text())
+        assert report["values"] == 20
+        assert report["skipped"] == 7
+        assert report["total"] == 20 - 7 == sum(report["counts"])
+        assert report["counts"] == [11, 0, 1, 0, 0, 0, 1, 0, 0]
+        assert "digits of 20 values (7 skipped):" in capsys.readouterr().out
+
     def test_too_few_values(self, tmp_path):
         src = write_csv(tmp_path / "in.csv", [1.0, 2.0, 3.0])
         assert run_cli(["digits", src, "--out", str(tmp_path)]) == 3

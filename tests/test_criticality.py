@@ -25,7 +25,7 @@ from benford_xy.errors import (
 )
 from benford_xy.firstdigit import ReferenceDistribution, histogram, rescale_unit
 from benford_xy.numerics import PolyFit
-from benford_xy.violation import violation
+from benford_xy.violation import violations
 from benford_xy.windowscan import (
     Observable,
     ScanConfig,
@@ -447,5 +447,5 @@ class TestViolationLattice:
         for i, got in enumerate(deltas):
             window = lattice[i * m : i * m + self.SAMPLES]
             values = mz_infinite_many(window, 1.0, self.T)
-            hist = histogram(rescale_unit(values))
-            assert got == violation(hist, self.BENFORD, self.METRIC)
+            counts = histogram(rescale_unit(values))
+            assert got == violations(counts, self.BENFORD, self.METRIC)[0]

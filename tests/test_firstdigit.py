@@ -7,7 +7,6 @@ import pytest
 from benford_xy import firstdigit, windowscan, xy_exact
 from benford_xy.errors import ConfigurationError, DegenerateWindowError, DomainError
 from benford_xy.firstdigit import (
-    DigitHistogram,
     ReferenceDistribution,
     expected_counts,
     histogram,
@@ -80,46 +79,35 @@ class TestRescaleUnit:
 class TestHistogram:
     def test_direct_tally(self):
         h = histogram([0.1, 0.25, 1.7, 0.0])
-        assert h.counts == (2, 1, 0, 0, 0, 0, 0, 0, 0)
-        assert h.total == 3
-        assert h.skipped == 1
+        assert h.dtype == np.int64
+        assert h.tolist() == [2, 1, 0, 0, 0, 0, 0, 0, 0]
 
     def test_rescaled_distinct_values(self):
         v = rescale_unit(np.linspace(3.0, 9.0, 50))
-        h = histogram(v)
-        assert h.total == 49
-        assert h.skipped == 1
+        assert histogram(v).sum() == 49
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(11)
         v = rng.uniform(0.1, 99.0, 500)
-        assert histogram(v) == histogram(v[::-1])
+        assert np.array_equal(histogram(v), histogram(v[::-1]))
 
     def test_additive_over_concatenation(self):
         a = [0.1, 2.0, 35.0]
         b = [0.4, 0.0, 9.1]
-        ha, hb, hab = histogram(a), histogram(b), histogram(a + b)
-        assert tuple(x + y for x, y in zip(ha.counts, hb.counts)) == hab.counts
-        assert ha.skipped + hb.skipped == hab.skipped
+        assert np.array_equal(histogram(a) + histogram(b), histogram(a + b))
 
     def test_log_mantissa_follows_benford(self):
         rng = np.random.default_rng(0)
         h = histogram(10.0 ** rng.random(10_000))
-        freq = np.asarray(h.counts) / h.total
+        freq = h / h.sum()
         assert np.all(np.abs(freq - probabilities(ReferenceDistribution.benford())) < 0.01)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ConfigurationError):
-            DigitHistogram(counts=(1,) * 9, total=8, skipped=0)
-        with pytest.raises(ConfigurationError):
-            DigitHistogram(counts=(1,) * 8, total=8, skipped=0)
 
 
 def _reference(values):
-    """histogram(rescale_unit(values)).counts as a list, or 9 zeros where the
+    """histogram(rescale_unit(values)) as a list, or 9 zeros where the
     window is degenerate: the row the window stage must give."""
     try:
-        return list(histogram(rescale_unit(values)).counts)
+        return histogram(rescale_unit(values)).tolist()
     except DegenerateWindowError:
         return [0] * 9
 
@@ -149,7 +137,7 @@ def _near_thresholds(k_min, ulps):
 
 class TestUnitHistogram:
     """The unit_histograms row of one window v must equal
-    histogram(rescale_unit(v)).counts exactly."""
+    histogram(rescale_unit(v)) exactly."""
 
     @pytest.mark.parametrize("gamma,n_sites", [(0.1, 14), (0.5, 20), (0.5, 40), (1.0, 30)])
     @pytest.mark.parametrize("center", [0.9, 0.99, 1.0, 1.05])
@@ -276,7 +264,7 @@ def _lattice_rows(values, samples, stride, lo=0, hi=None, count=None):
 class TestBatchedCounts:
     """WindowLattice.histograms counts the windows in fixed batches, one
     unit_histograms call each; the row of every window w must equal
-    histogram(rescale_unit(w)).counts, and be zero if w is degenerate."""
+    histogram(rescale_unit(w)), and be zero if w is degenerate."""
 
     LAMS = 0.95 + 1e-5 * np.arange(12_000)
 

@@ -45,7 +45,7 @@ class TestPolyfit:
     def test_exact_cubic_recovery(self):
         x = np.linspace(-1.0, 2.0, 40)
         y = 0.5 - 1.25 * x + 2.0 * x**2 - 0.75 * x**3
-        fit = numerics.polyfit(np.column_stack([x, y]), 3)
+        fit = numerics.polyfit(x, y, 3)
         assert fit.coefficients == pytest.approx([0.5, -1.25, 2.0, -0.75], abs=1e-10)
         assert fit.rms_residual < 1e-12
         assert np.polynomial.polynomial.polyval(0.0, fit.coefficients) == pytest.approx(
@@ -54,14 +54,14 @@ class TestPolyfit:
 
     def test_constant_first_ordering(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
-        fit = numerics.polyfit(np.column_stack([x, 2.0 + 3.0 * x]), 1)
+        fit = numerics.polyfit(x, 2.0 + 3.0 * x, 1)
         assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-12)
         assert fit.coefficients[1] == pytest.approx(3.0, abs=1e-12)
 
     def test_residual_reported(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        fit = numerics.polyfit(np.column_stack([x, y]), 1)
+        fit = numerics.polyfit(x, y, 1)
         pred = np.polynomial.polynomial.polyval(x, fit.coefficients)
         assert fit.rms_residual == pytest.approx(
             math.sqrt(np.mean((y - pred) ** 2)), rel=1e-12
@@ -69,21 +69,23 @@ class TestPolyfit:
 
     def test_underdetermined(self):
         with pytest.raises(SingularFitError):
-            numerics.polyfit([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], 3)
+            numerics.polyfit([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], 3)
 
     def test_identical_abscissas(self):
         with pytest.raises(SingularFitError):
-            numerics.polyfit([(1.0, 0.0), (1.0, 1.0), (1.0, 2.0)], 1)
+            numerics.polyfit([1.0, 1.0, 1.0], [0.0, 1.0, 2.0], 1)
 
     def test_bad_shape(self):
         with pytest.raises(SingularFitError):
-            numerics.polyfit([1.0, 2.0, 3.0], 1)
+            numerics.polyfit([1.0, 2.0, 3.0], [1.0, 2.0], 1)
+        with pytest.raises(SingularFitError):
+            numerics.polyfit([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], 1)
 
 
 class TestLinfit:
     def test_exact_line(self):
-        pts = [(x, -0.5 * x + 4.0) for x in range(6)]
-        line = numerics.linfit(pts)
+        x = np.arange(6.0)
+        line = numerics.linfit(x, -0.5 * x + 4.0)
         assert line.slope == pytest.approx(-0.5, abs=1e-12)
         assert line.intercept == pytest.approx(4.0, abs=1e-12)
         assert line.rms_residual < 1e-12

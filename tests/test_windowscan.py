@@ -7,7 +7,7 @@ import pytest
 from benford_xy import cli, windowscan, xy_exact
 from benford_xy.errors import ConfigurationError
 from benford_xy.firstdigit import ReferenceDistribution, histogram, rescale_unit
-from benford_xy.violation import Metric, violation
+from benford_xy.violation import Metric, violations
 from benford_xy.windowscan import (
     Observable,
     ScanConfig,
@@ -307,8 +307,8 @@ class TestScan:
         for i, (_, delta) in enumerate(result.points):
             lams = a + lattice.offsets(i * lattice.stride, i * lattice.stride + lattice.samples)
             values = windowscan.evaluate(config, lams[(lams >= a) & (lams <= b)])
-            hist = histogram(rescale_unit(values))
-            assert delta == violation(hist, config.dist, config.metric)
+            counts = histogram(rescale_unit(values))
+            assert delta == violations(counts, config.dist, config.metric)[0]
 
     def test_correlator_scan_runs(self):
         r = scan(small_config(observable=Observable.CXX, n_sites=None))

@@ -345,6 +345,22 @@ class TestDmzDT:
         with pytest.raises(DomainError):
             dmz_dT_many([1.0], 1.0, -1e-4)[0]
 
+    @pytest.mark.parametrize("t_tilde", [1e-160, 1e-163, 1e-200])
+    def test_divisor_below_the_normal_floats_rejected(self, t_tilde):
+        # 2 pi t_tilde^2 is subnormal at 1e-160 and rounds to 0 from about
+        # 1e-162, where the quotient would be 0 or NaN
+        with pytest.raises(DomainError, match="5.950894918631799e-155"):
+            dmz_dT_many([1.0], 1.0, t_tilde)
+
+    def test_least_temperature_is_the_first_normal_divisor(self):
+        least = xy_exact._DMZ_T_TILDE_MIN
+        below = float(np.nextafter(least, 0.0))
+        tiny = np.finfo(float).tiny
+        assert 2.0 * math.pi * least * least >= tiny > 2.0 * math.pi * below * below
+        assert np.all(np.isfinite(dmz_dT_many([0.5, 1.0, 1.5], 1.0, least)))
+        with pytest.raises(DomainError):
+            dmz_dT_many([1.0], 1.0, below)
+
     def test_sign_flips_across_transition(self):
         t = 1e-4
         left = dmz_dT_many([1.0 - 2.0 * t], 1.0, t)[0]
