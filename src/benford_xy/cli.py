@@ -141,28 +141,15 @@ def _dist_from_flags(args) -> ReferenceDistribution:
     return ReferenceDistribution(DistKind(args.dist), args.kappa)
 
 
-def _jsonify(value):
+def _json_default(value):
+    """json.dumps hook for the values the json module does not know."""
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, ReferenceDistribution):
         return value.label()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
-
-
-def _csv_cell(v):
-    if isinstance(v, (np.floating, np.integer)):
-        v = v.item()
-    return repr(v) if isinstance(v, float) else v
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _finish(args, config: dict, tables: dict, blocks: dict) -> None:
@@ -187,10 +174,10 @@ def _finish(args, config: dict, tables: dict, blocks: dict) -> None:
         with open(outdir / outputs[-1], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows([_csv_cell(v) for v in row] for row in rows)
+            writer.writerows(rows)
     for name, block in blocks.items():
         outputs.append(name)
-        (outdir / name).write_text(json.dumps(_jsonify(block), indent=2) + "\n")
+        (outdir / name).write_text(json.dumps(block, indent=2, default=_json_default) + "\n")
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = {
         "command": args.command,
@@ -200,7 +187,7 @@ def _finish(args, config: dict, tables: dict, blocks: dict) -> None:
         "outputs": outputs,
     }
     path = outdir / f"{args.command}_manifest.json"
-    path.write_text(json.dumps(_jsonify(manifest), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n")
     print(f"wrote {', '.join(str(outdir / o) for o in outputs)} and {path}")
 
 
@@ -208,8 +195,9 @@ _GENERATOR_RE = re.compile(r"^logmantissa:(\d+)$")
 
 
 def _load_values(spec: str, seed: int) -> np.ndarray:
-    """CSV column (first column, optional header) or a generator spec; a
-    cell that is not a finite number is rejected with its file and line.
+    """CSV column (first column; its first row that is not blank may be a
+    header) or a generator spec; a cell that is not a finite number is
+    rejected with its file and line.
 
     logmantissa:N draws N values 10^u with u uniform on [0, 1); their first
     digits follow the Benford law exactly in distribution.
@@ -218,18 +206,18 @@ def _load_values(spec: str, seed: int) -> np.ndarray:
     if m:
         rng = np.random.default_rng(seed)
         return 10.0 ** rng.random(int(m.group(1)))
-    values = []
+    values, first = [], 0
     try:
         with open(spec, newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or not row[0].strip():
                     continue
-                cell = row[0].strip()
+                cell, first = row[0].strip(), first or lineno
                 try:
                     value = float(cell)
                 except ValueError:
-                    if lineno == 1:
-                        continue  # header line
+                    if lineno == first:
+                        continue  # the first row that is not blank: a header
                     raise ConfigurationError(
                         f"{spec}:{lineno}: not a number: {cell!r}"
                     ) from None
@@ -310,11 +298,11 @@ def _config_echo(config: ScanConfig) -> dict:
 def cmd_scan(args) -> int:
     config = _scan_config(args, Observable(args.observable), args.n_sites)
     result = scan(config)
-    print(f"scan: {len(result.points)} points, {len(result.degenerate_windows)} degenerate")
+    print(f"scan: {result.lambdas.size} points, {result.degenerate_windows.size} degenerate")
     _finish(
         args,
-        _config_echo(config) | {"degenerate_windows": list(result.degenerate_windows)},
-        {"scan": (["lambda_mid", "delta"], result.points)},
+        _config_echo(config) | {"degenerate_windows": result.degenerate_windows},
+        {"scan": (["lambda_mid", "delta"], np.column_stack((result.lambdas, result.deltas)))},
         {},
     )
     return EXIT_OK

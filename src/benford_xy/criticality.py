@@ -132,8 +132,7 @@ def auto_fit_range(
     Only interior windows participate: windows clipped by the scan range have
     off-grid midpoints and their one-sided sampling fakes steep gradients.
     """
-    mids = result.lambdas()
-    deltas = result.deltas()
+    mids, deltas = result.lambdas, result.deltas
     a, b = result.config.lambda_range
     eps = result.config.window_width
     interior = (mids >= a + eps / 2 - 1e-12) & (mids <= b - eps / 2 + 1e-12)
@@ -159,8 +158,7 @@ def locate_transition(
     lo, hi = fit_range
     if not lo < hi:
         raise ConfigurationError("fit_range must be an increasing pair")
-    mids = result.lambdas()
-    deltas = result.deltas()
+    mids, deltas = result.lambdas, result.deltas
     sel = (mids >= lo - 1e-12) & (mids <= hi + 1e-12)
     if sel.sum() < 8:
         raise ConfigurationError(

@@ -43,6 +43,10 @@ _MARGIN = 1e-12
 # Half-width added to those bands, relative to the largest magnitude in the
 # window: more than the rounding of lo + t * scale and of (b - lo) / scale.
 _ULPS = 8 * np.finfo(float).eps
+# The least probability a reference law may give a digit. The mean deviation
+# divides by E_D = n P(D), so each of its terms is at most 1e300 + 1 and their
+# sum is finite; the Poisson law keeps to it for kappa from about 1.6e-37 to 1.6e38.
+_LEAST_PROBABILITY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,11 @@ class ReferenceDistribution:
             if self.kappa is None or not (0 < self.kappa < math.inf):
                 raise ConfigurationError(
                     f"poisson reference requires finite kappa > 0, got {self.kappa!r}"
+                )
+            if probabilities(self).min() < _LEAST_PROBABILITY:
+                raise ConfigurationError(
+                    f"poisson reference with kappa={self.kappa!r} gives a digit a"
+                    f" probability below {_LEAST_PROBABILITY:g}"
                 )
         elif self.kappa is not None:
             raise ConfigurationError("kappa is only meaningful for the poisson kind")

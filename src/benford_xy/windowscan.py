@@ -9,9 +9,11 @@ violation ridges: it evaluates the lattice one window of points per call and
 counts the windows in fixed batches, each in one firstdigit.unit_histograms
 call, into one (windows x 9) matrix of digit counts, with a zero row for each
 degenerate window. scan scores the rows that are not zero in one
-violation.violations call. scale walks the lattice once for all its chain
-lengths (scan_chains): each call evaluates every chain, and each chain gets
-its own matrix. No randomness enters anywhere.
+violation.violations call and hands the delta(lambda) curve on as float64
+arrays (ScanResult): the midpoints of the scored windows and their
+violations, and the midpoints of the degenerate ones. scale walks the lattice
+once for all its chain lengths (scan_chains): each call evaluates every
+chain, and each chain gets its own matrix. No randomness enters anywhere.
 """
 
 from __future__ import annotations
@@ -180,20 +182,17 @@ class ScanConfig:
         return WindowLattice(self.lambda_step, self.window_width, self.samples_per_window)
 
 
-@dataclass(frozen=True)
+# eq=False: an array field has no one truth value for == to return
+@dataclass(frozen=True, eq=False)
 class ScanResult:
-    """delta(lambda) curve: (window midpoint, violation) pairs in increasing
-    lambda order, plus the midpoints of windows skipped as degenerate."""
+    """delta(lambda) curve as float64 arrays: the midpoints of the scored
+    windows in grid order and their violations, plus the midpoints of the
+    windows skipped as degenerate."""
 
-    points: tuple[tuple[float, float], ...]
     config: ScanConfig
-    degenerate_windows: tuple[float, ...] = ()
-
-    def lambdas(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    def deltas(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
+    lambdas: np.ndarray
+    deltas: np.ndarray
+    degenerate_windows: np.ndarray
 
 
 def evaluate(config: ScanConfig | list[ScanConfig], lams: np.ndarray) -> np.ndarray:
@@ -254,8 +253,7 @@ def window_histograms(config: ScanConfig | list[ScanConfig]) -> tuple[np.ndarray
 def _result(config: ScanConfig, mids: np.ndarray, counts: np.ndarray) -> ScanResult:
     counted = counts.any(axis=1)
     deltas = violations(counts[counted], config.dist, config.metric)
-    return ScanResult(points=tuple(zip(mids[counted].tolist(), deltas.tolist())), config=config,
-                      degenerate_windows=tuple(mids[~counted].tolist()))
+    return ScanResult(config, mids[counted], deltas, mids[~counted])
 
 
 def scan(config: ScanConfig) -> ScanResult:

@@ -47,6 +47,28 @@ class TestDigits:
         report = json.loads((tmp_path / "digits_report.json").read_text())
         assert report["counts"][0] == 100 and report["counts"][1] == 50
 
+    # the header is the first row that is not blank, wherever it falls
+    @pytest.mark.parametrize("lead", ["", "\n", "\n  \n,x\n"],
+                             ids=["line1", "after_blank_line", "after_blank_cells"])
+    def test_header_counts_as_no_row(self, tmp_path, lead):
+        values = [1.0] * 100 + [2.5] * 50 + [7.0] * 3
+        reports = []
+        for name, text in [("plain", ""), ("headed", lead + "value\n")]:
+            src = tmp_path / f"{name}.csv"
+            src.write_text(text + "\n".join(map(str, values)) + "\n")
+            assert run_cli(["digits", str(src), "--out", str(tmp_path / name)]) == 0
+            reports.append(json.loads((tmp_path / name / "digits_report.json").read_text()))
+        assert reports[0]["counts"] == reports[1]["counts"] == [100, 50, 0, 0, 0, 0, 3, 0, 0]
+        assert reports[0]["values"] == reports[1]["values"] == 153
+
+    def test_header_alone_is_no_data(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("\nvalue\n\n")
+        out = tmp_path / "out"
+        assert run_cli(["digits", str(src), "--out", str(out)]) == 3
+        assert "no numeric data found" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_uniform_digit_column_scores_against_benford(self, tmp_path):
         values = [float(d) for d in range(1, 10)] * 100
         src = write_csv(tmp_path / "in.csv", values)
@@ -112,6 +134,18 @@ class TestDigits:
     def test_infinite_kappa_is_configuration_error(self, tmp_path, kappa):
         assert run_cli(["digits", "logmantissa:1000", "--dist", "poisson",
                         "--kappa", kappa, "--out", str(tmp_path)]) == 3
+
+    # a digit probability of 0.0 made every mean deviation inf, with exit 0
+    @pytest.mark.parametrize("kappa", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("command", [["digits", "logmantissa:1000"],
+                                         ["scan", "--gamma", "1"], ["scale"]],
+                             ids=["digits", "scan", "scale"])
+    def test_kappa_whose_digit_probabilities_underflow(self, tmp_path, capsys, command, kappa):
+        out = tmp_path / "out"
+        assert run_cli(command + ["--dist", "poisson", "--kappa", kappa,
+                                  "--out", str(out)]) == 3
+        assert "probability below 1e-300" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_dir_env_honoured(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "env_out"))

@@ -44,7 +44,7 @@ def synthetic_result(mids, f, lambda_range=(0.9, 1.06)):
         n_sites=30,
     )
     mids = np.asarray(mids, dtype=float)
-    return ScanResult(points=tuple(zip(mids, f(mids))), config=config)
+    return ScanResult(config, mids, np.asarray(f(mids), dtype=float), np.empty(0))
 
 
 GRID = np.arange(0.93, 1.03 + 1e-9, 0.005)
@@ -283,6 +283,13 @@ class TestRidgeGrid:
         assert c[-1] == pytest.approx(1.0 + 3e-4)
         assert 1.0 in c
 
+    @pytest.mark.parametrize(
+        "span, step", [(0.0, 0.025), (math.inf, 0.025), (3.0, 0.0), (3.0, math.inf)]
+    )
+    def test_span_and_step_must_be_positive_and_finite(self, span, step):
+        with pytest.raises(ConfigurationError, match="span and step must be positive and finite"):
+            RidgeGrid(span=span, step=step)
+
 
 class TestCrossoverLines:
     def test_dmzdt_slopes_and_intercepts(self):
@@ -341,6 +348,16 @@ class TestCrossoverLines:
                 RidgeGrid(span=1.0, step=0.05),
             )
         assert "left" in str(exc.value) or "right" in str(exc.value)
+
+    @pytest.mark.parametrize("quantity", list(CrossoverQuantity))
+    def test_empty_temperature_grid_rejected(self, quantity):
+        with pytest.raises(ConfigurationError, match="at least one temperature"):
+            crossover_lines(quantity, 1.0, [])
+
+    @pytest.mark.parametrize("ratio", [0.0, math.inf, math.nan])
+    def test_window_ratio_must_be_positive_and_finite(self, ratio):
+        with pytest.raises(ConfigurationError, match="window_ratio must be positive and finite"):
+            crossover_lines(CrossoverQuantity.BVP, 1.0, (1e-4, 2e-4, 5e-4), window_ratio=ratio)
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigurationError):

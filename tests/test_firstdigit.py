@@ -14,6 +14,7 @@ from benford_xy.firstdigit import (
     rescale_unit,
     unit_histograms,
 )
+from benford_xy.violation import Metric, violations
 from benford_xy.windowscan import Observable, ScanConfig, WindowLattice, evaluate
 
 
@@ -436,6 +437,24 @@ class TestReferenceDistributions:
     def test_kappa_rejected_elsewhere(self):
         with pytest.raises(ConfigurationError):
             ReferenceDistribution(firstdigit.DistKind.BENFORD, kappa=2.0)
+
+    @pytest.mark.parametrize("kappa", [1e-300, 1e300])
+    def test_poisson_whose_digit_probabilities_underflow_rejected(self, kappa):
+        # P(9) (small kappa) or P(1) (large kappa) is 0.0 in floats, and the
+        # mean deviation divides by it
+        with pytest.raises(ConfigurationError, match="probability below 1e-300"):
+            ReferenceDistribution.poisson(kappa)
+
+    @pytest.mark.parametrize("kappa", [1.7e-37, 1.5e38])
+    def test_most_lopsided_poisson_laws_score_finitely(self, kappa):
+        # next to either end of the accepted kappa: one count of the least
+        # likely digit gives the largest mean deviation
+        dist = ReferenceDistribution.poisson(kappa)
+        p = probabilities(dist)
+        assert 1e-300 <= p.min() < 1e-299
+        counts = np.eye(9, dtype=np.int64)[np.argmin(p)]
+        for metric in Metric:
+            assert np.isfinite(violations(counts, dist, metric)).all()
 
 
 class TestExpectedCounts:

@@ -1,5 +1,6 @@
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from benford_xy.windowscan import (
     ScanConfig,
     WindowLattice,
     scan,
+    scan_chains,
     window_centers,
     window_histograms,
 )
@@ -214,7 +216,7 @@ class TestWindowLattice:
 class TestScan:
     def test_midpoints_increasing_and_edges_clipped(self):
         r = scan(small_config())
-        mids = r.lambdas()
+        mids = r.lambdas
         assert np.all(np.diff(mids) > 0)
         # edge windows are clipped to the scan range, shifting their midpoint
         assert mids[0] == pytest.approx(0.9 + 0.02 / 4)
@@ -224,7 +226,7 @@ class TestScan:
 
     def test_deltas_finite_and_nonnegative(self):
         r = scan(small_config())
-        d = r.deltas()
+        d = r.deltas
         assert np.all(np.isfinite(d)) and np.all(d >= 0)
 
     @pytest.mark.parametrize(
@@ -271,7 +273,7 @@ class TestScan:
             windowscan, "evaluate", lambda config, lams: np.zeros_like(lams)
         )
         r = scan(small_config())
-        assert r.points == ()
+        assert r.lambdas.size == r.deltas.size == 0
         assert len(r.degenerate_windows) == 21
 
     def test_windows_flat_below_one_are_degenerate(self, monkeypatch):
@@ -288,9 +290,10 @@ class TestScan:
             (flat if lams.max() <= 1.0 else scored).append(mid)
         r = scan(config)
         assert len(flat) == 10 and len(scored) == 11
-        assert r.degenerate_windows == tuple(flat)
-        assert [mid for mid, _ in r.points] == scored
-        assert np.all(np.isfinite(r.deltas())) and np.all(r.deltas() >= 0)
+        assert r.lambdas.dtype == r.deltas.dtype == r.degenerate_windows.dtype == np.float64
+        assert r.degenerate_windows.tolist() == flat
+        assert r.lambdas.tolist() == scored
+        assert np.all(np.isfinite(r.deltas)) and np.all(r.deltas >= 0)
 
     def test_windows_that_do_not_overlap_match_per_window_evaluation(self):
         # scan --window 0.001 --samples 100 at the default range and step:
@@ -302,22 +305,31 @@ class TestScan:
         lattice = config.lattice
         a, b = config.lambda_range
         result = scan(config)
-        assert result.degenerate_windows == ()
-        assert len(result.points) == window_centers(config).size == 201
-        for i, (_, delta) in enumerate(result.points):
+        assert result.degenerate_windows.size == 0
+        assert result.deltas.size == window_centers(config).size == 201
+        for i, delta in enumerate(result.deltas):
             lams = a + lattice.offsets(i * lattice.stride, i * lattice.stride + lattice.samples)
             values = windowscan.evaluate(config, lams[(lams >= a) & (lams <= b)])
             counts = histogram(rescale_unit(values))
             assert delta == violations(counts, config.dist, config.metric)[0]
 
     def test_correlator_scan_runs(self):
-        r = scan(small_config(observable=Observable.CXX, n_sites=None))
-        assert len(r.points) == 21
-        assert np.all(r.deltas() >= 0)
+        for observable in (Observable.CXX, Observable.CYY, Observable.CZZ):
+            r = scan(small_config(observable=observable, n_sites=None))
+            assert r.deltas.size == 21
+            assert np.all(r.deltas >= 0)
+
+    # the rows of mz_and_correlators_many are Mz, G(-1) = Cxx and G(+1) = Cyy
+    @pytest.mark.parametrize("observable, row", [(Observable.CXX, 1), (Observable.CYY, 2)])
+    def test_correlator_windows_are_their_row_of_the_kernel(self, observable, row):
+        config = small_config(observable=observable, n_sites=None)
+        lams = config.lambda_range[0] + config.lattice.offsets(0, config.lattice.samples)
+        want = xy_exact.mz_and_correlators_many(lams, config.gamma)[row]
+        assert np.array_equal(windowscan.evaluate(config, lams), want)
 
     def test_thermal_scan_runs(self):
         r = scan(small_config(t_tilde=0.02, n_sites=None, samples_per_window=50))
-        assert len(r.points) == 21
+        assert r.deltas.size == 21
 
     def test_doubling_samples_changes_deltas_below_one_percent(self):
         base = ScanConfig(
@@ -336,6 +348,46 @@ class TestScan:
             samples_per_window=20_000,
             n_sites=30,
         )
-        d1 = scan(base).deltas()
-        d2 = scan(doubled).deltas()
+        d1 = scan(base).deltas
+        d2 = scan(doubled).deltas
         assert np.max(np.abs(d2 - d1) / d1) < 0.01
+
+
+class TestScanChains:
+    @pytest.mark.parametrize(
+        "lattice",
+        [{}, {"window_width": 0.001, "samples_per_window": 2000}],
+        ids=["default", "gapped"],
+    )
+    def test_each_chain_has_the_bits_of_its_own_scan(self, lattice):
+        n_list = cli.build_parser().parse_args(["scale"]).n_list
+        configs = [ScanConfig(Observable.MZ, 0.5, (0.8, 1.2), n_sites=n, **lattice)
+                   for n in n_list]
+        # stride 4000 lattice points, of which each gapped window holds the first 2000
+        assert configs[0].lattice.stride == (1000 if not lattice else 4000)
+        results = scan_chains(configs)
+        assert len(results) == len(n_list) == 6
+        for config, got in zip(configs, results):
+            want = scan(config)
+            assert got.config == config
+            for name in ("lambdas", "deltas", "degenerate_windows"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+            assert got.deltas.size == 201
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"gamma": 1.0},
+            {"observable": Observable.CXX, "n_sites": None},
+            {"n_sites": None},
+            {"samples_per_window": 5000},
+            {"window_width": 0.01},
+            {"lambda_step": 0.004},
+        ],
+        ids=["gamma", "observable", "infinite_lattice", "samples", "width", "step"],
+    )
+    def test_configs_that_differ_beyond_n_sites_rejected(self, other):
+        base = ScanConfig(Observable.MZ, 0.5, (0.8, 1.2), n_sites=14)
+        with pytest.raises(ConfigurationError, match="differ in n_sites alone"):
+            scan_chains([base, replace(base, **({"n_sites": 20} | other))])
