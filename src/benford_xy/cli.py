@@ -227,7 +227,7 @@ def _load_values(spec: str, seed: int) -> np.ndarray:
     except OSError as exc:
         raise ConfigurationError(f"cannot read {spec}: {exc}") from exc
     if not values:
-        raise ConfigurationError(f"{spec}:1: no numeric data found")
+        raise ConfigurationError(f"{spec}: no numeric data found")
     return np.asarray(values)
 
 

@@ -274,7 +274,8 @@ def _bvp_deltas(gamma: float, t_tilde: float, grid: RidgeGrid, window_ratio: flo
         grid.centers(t_tilde).size,
         lambda x: xy_exact.mz_infinite_many(
             1.0 + t_tilde * (-grid.span + x), gamma, t_tilde),
-    )
+        1,
+    )[0]
     if not counts.any(axis=1).all():
         raise DegenerateWindowError(f"flat violation window at t_tilde={t_tilde:g}")
     return violations(counts, dist, metric)

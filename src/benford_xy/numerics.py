@@ -37,7 +37,6 @@ class PolyFit:
     """Polynomial least-squares fit; coefficients ordered constant-first."""
 
     coefficients: np.ndarray
-    degree: int
     rms_residual: float
 
 
@@ -77,7 +76,7 @@ def polyfit(x, y, degree: int) -> PolyFit:
         raise SingularFitError("design matrix is rank deficient")
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid**2)))
-    return PolyFit(coefficients=coef, degree=degree, rms_residual=rms)
+    return PolyFit(coefficients=coef, rms_residual=rms)
 
 
 def linfit(x, y) -> LineFit:

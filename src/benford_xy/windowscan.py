@@ -5,15 +5,16 @@ digits, and score against a reference law.
 Every window is a slice of one lambda lattice (WindowLattice), so
 neighbouring windows share their points and each point is evaluated once. Its
 histograms stage is the one window pipeline of scan, scale and the crossover
-violation ridges: it evaluates the lattice one window of points per call and
-counts the windows in fixed batches, each in one firstdigit.unit_histograms
-call, into one (windows x 9) matrix of digit counts, with a zero row for each
-degenerate window. scan scores the rows that are not zero in one
-violation.violations call and hands the delta(lambda) curve on as float64
-arrays (ScanResult): the midpoints of the scored windows and their
-violations, and the midpoints of the degenerate ones. scale walks the lattice
-once for all its chain lengths (scan_chains): each call evaluates every
-chain, and each chain gets its own matrix. No randomness enters anywhere.
+violation ridges: it evaluates the lattice one window of points per call, for
+rows of observables at once, and counts the windows in fixed batches, each in
+one firstdigit.unit_histograms call per row, into a (rows x windows x 9)
+array of digit counts, with a zero row for each degenerate window.
+scan_chains walks the lattice once for the configs that share it, one row
+per config: the chain lengths of scale, or the one config of scan. It scores
+each config's counts that are not zero in one violation.violations call and
+hands the delta(lambda) curve on as float64 arrays (ScanResult): the
+midpoints of the scored windows and their violations, and the midpoints of
+the degenerate ones. No randomness enters anywhere.
 """
 
 from __future__ import annotations
@@ -95,15 +96,16 @@ class WindowLattice:
         window's centre."""
         return (np.arange(start, stop) - 0.5 * (self.samples - 1)) * self.spacing
 
-    def histograms(self, count: int, evaluate, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """firstdigit.unit_histograms of windows 0..count-1, window i holding
-        the lattice points of [i * stride, i * stride + samples) inside
-        [lo, hi): a (count x 9) matrix of digit counts.
+    def histograms(self, count: int, evaluate, rows: int, lo: int = 0,
+                   hi: int | None = None) -> np.ndarray:
+        """firstdigit.unit_histograms of windows 0..count-1 of each of `rows`
+        observables on the one lattice, window i holding the lattice points
+        of [i * stride, i * stride + samples) inside [lo, hi): a
+        (rows x count x 9) array of digit counts.
 
-        evaluate(offsets) gives the observable at the lattice points at those
-        offsets (see offsets()), one window of them per call: an array of
-        their shape, or of (rows x points) for several observables on the
-        one lattice, which gives (rows x count x 9). Points that fall in no
+        evaluate(offsets) gives the observables at the lattice points at
+        those offsets (see offsets()), one window of them per call: an array
+        of (rows x points), or of points for one row. Points that fall in no
         window are never evaluated. The windows are counted in batches of
         _KEPT_WINDOWS * samples // stride + 1 when they overlap, one by one
         when they leave gaps; a batch carries over the points it shares with
@@ -114,7 +116,8 @@ class WindowLattice:
         per = _KEPT_WINDOWS * n // m + 1 if m <= n else 1
         # one row of values per observable: a batch's points and those its
         # last call evaluated past it, the lattice points [first, first + kept)
-        lead = rows = buffer = None
+        buffer = np.empty((rows, (per - 1) * m + 2 * n))
+        counts = np.zeros((rows, count, 9), dtype=np.int64)
         first, kept = lo, 0
         for i in range(0, count, per):
             batch = bounds[i : i + per]
@@ -128,20 +131,11 @@ class WindowLattice:
             while start < batch[-1, 1]:
                 # one window of points, none past the batch if windows leave gaps
                 stop = min(start + n, hi) if m <= n else batch[-1, 1]
-                values = evaluate(self.offsets(start, stop))
-                if buffer is None:
-                    lead = values.shape[:-1]
-                    buffer = np.empty((math.prod(lead), (per - 1) * m + 2 * n))
-                    rows = np.zeros((len(buffer), count, 9), dtype=np.int64)
-                buffer[:, kept : kept + stop - start] = values.reshape(len(buffer), -1)
+                buffer[:, kept : kept + stop - start] = evaluate(self.offsets(start, stop))
                 kept, start = kept + stop - start, stop
-            if buffer is not None:
-                for row, counts in zip(buffer, rows):
-                    counts[i : i + per] = unit_histograms(row[:kept], *(batch - first).T)
-        if rows is None:
-            # no window held a point
-            return np.zeros((count, 9), dtype=np.int64)
-        return rows.reshape(lead + (count, 9))
+            for row, row_counts in zip(buffer, counts):
+                row_counts[i : i + per] = unit_histograms(row[:kept], *(batch - first).T)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -195,17 +189,17 @@ class ScanResult:
     degenerate_windows: np.ndarray
 
 
-def evaluate(config: ScanConfig | list[ScanConfig], lams: np.ndarray) -> np.ndarray:
-    """The configured observable at each lambda in lams; for a list of
-    finite-chain Mz configs that differ in n_sites alone (see scan_chains),
-    one row per config, from one pass over their chains' modes."""
-    if isinstance(config, list):
-        return xy_exact.mz_finite_many(lams, config[0].gamma, [c.n_sites for c in config],
-                                       config[0].t_tilde)
+def evaluate(configs: list[ScanConfig], lams: np.ndarray) -> np.ndarray:
+    """The configured observable at each lambda in lams, for configs that
+    share one walk (see scan_chains): of one config, an array of lams' shape;
+    of finite-chain Mz configs, one row per config, from one pass over their
+    chains' modes."""
+    config = configs[0]
     obs = config.observable
     if obs is Observable.MZ:
         if config.n_sites is not None:
-            return xy_exact.mz_finite_many(lams, config.gamma, config.n_sites, config.t_tilde)
+            return xy_exact.mz_finite_many(lams, config.gamma, [c.n_sites for c in configs],
+                                           config.t_tilde)
         return xy_exact.mz_infinite_many(lams, config.gamma, config.t_tilde)
     # the rows Mz, G(-1) = Cxx, G(+1) = Cyy
     mz, g_minus, g_plus = xy_exact.mz_and_correlators_many(lams, config.gamma)
@@ -222,20 +216,19 @@ def window_centers(config: ScanConfig) -> np.ndarray:
     return a + config.lambda_step * np.arange(m + 1)
 
 
-def window_histograms(config: ScanConfig | list[ScanConfig]) -> tuple[np.ndarray, np.ndarray]:
-    """The midpoint of each window, in grid order, and its row of digit
-    counts (zeros if degenerate): the part of scan() that is free of the law
-    and the metric. A list of configs that differ in n_sites alone (see
-    scan_chains) gives one (windows x 9) matrix of counts per config, from one
-    walk of their lattice.
+def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint of each window, in grid order, and for each config its
+    (windows x 9) matrix of digit counts, a zero row for each degenerate
+    window, from one walk of the lattice the configs share (see
+    scan_chains): the part of scan() that is free of the law and the metric.
 
     Window i holds the points of config.lattice that lie inside the scan
     range; its midpoint is that of [center -+ width / 2] clipped to the range.
     """
-    first = config[0] if isinstance(config, list) else config
-    a, b = first.lambda_range
-    centers = window_centers(first)
-    lattice = first.lattice
+    config = configs[0]
+    a, b = config.lambda_range
+    centers = window_centers(config)
+    lattice = config.lattice
 
     def point(k: int) -> float:
         return a + float(lattice.offsets(k, k + 1)[0])
@@ -245,8 +238,9 @@ def window_histograms(config: ScanConfig | list[ScanConfig]) -> tuple[np.ndarray
     every = range((centers.size - 1) * lattice.stride + lattice.samples)
     k_lo = bisect.bisect_left(every, a, key=point)
     k_hi = bisect.bisect_right(every, b, key=point)
-    counts = lattice.histograms(centers.size, lambda x: evaluate(config, a + x), k_lo, k_hi)
-    half = first.window_width / 2.0
+    counts = lattice.histograms(centers.size, lambda x: evaluate(configs, a + x),
+                                len(configs), k_lo, k_hi)
+    half = config.window_width / 2.0
     return 0.5 * (np.maximum(a, centers - half) + np.minimum(b, centers + half)), counts
 
 
@@ -262,16 +256,16 @@ def scan(config: ScanConfig) -> ScanResult:
     Degenerate windows (flat observable) are skipped and their midpoints
     recorded, never silently zeroed.
     """
-    return _result(config, *window_histograms(config))
+    return scan_chains([config])[0]
 
 
 def scan_chains(configs: list[ScanConfig]) -> list[ScanResult]:
-    """scan() of each finite-chain Mz config, in one walk of the lattice they
-    share: the configs must differ in n_sites alone. Each chain's curve has
-    the bits of its own scan()."""
+    """scan() of each config, in one walk of the lattice they share: several
+    configs must be finite-chain Mz configs that differ in n_sites alone.
+    Each chain's curve has the bits of its own scan()."""
     shared = vars(configs[0]) | {"n_sites": None}
-    if any(c.observable is not Observable.MZ or c.n_sites is None
-           or vars(c) | {"n_sites": None} != shared for c in configs):
+    if len(configs) > 1 and any(c.observable is not Observable.MZ or c.n_sites is None
+                                or vars(c) | {"n_sites": None} != shared for c in configs):
         raise ConfigurationError("scan_chains takes finite-chain Mz configs that differ"
                                  " in n_sites alone")
     mids, counts = window_histograms(configs)

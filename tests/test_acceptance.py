@@ -92,7 +92,8 @@ def _window_rows(config: ScanConfig) -> tuple:
     key = (config.observable, config.gamma, config.n_sites,
            config.lambda_step, config.samples_per_window)
     if key not in _ROWS:
-        _ROWS[key] = windowscan.window_histograms(config)
+        mids, (counts,) = windowscan.window_histograms([config])
+        _ROWS[key] = mids, counts
     return _ROWS[key]
 
 
@@ -368,7 +369,7 @@ def test_criterion_12_numerics_bundle():
     fd_ok = worst < 1e-6
 
     synth_ok = True
-    dummy = PolyFit(coefficients=np.zeros(4), degree=3, rms_residual=0.0)
+    dummy = PolyFit(coefficients=np.zeros(4), rms_residual=0.0)
     for alpha in (-1.0, -2.0, -3.0):
         ests = [
             TransitionEstimate(lambda_c_n=1.0 - 0.5 * n ** alpha, n_sites=n, fit=dummy,

@@ -66,7 +66,7 @@ class TestDigits:
         src.write_text("\nvalue\n\n")
         out = tmp_path / "out"
         assert run_cli(["digits", str(src), "--out", str(out)]) == 3
-        assert "no numeric data found" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"configuration error: {src}: no numeric data found\n"
         assert not out.exists()
 
     def test_uniform_digit_column_scores_against_benford(self, tmp_path):

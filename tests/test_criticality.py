@@ -224,7 +224,7 @@ def _estimate(n, lam):
     return TransitionEstimate(
         lambda_c_n=lam,
         n_sites=n,
-        fit=PolyFit(coefficients=np.zeros(4), degree=3, rms_residual=0.0),
+        fit=PolyFit(coefficients=np.zeros(4), rms_residual=0.0),
         signature=Signature.DERIVATIVE_MIN,
         fit_range=(0.9, 1.0),
         fit_center=0.95,

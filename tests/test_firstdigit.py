@@ -151,7 +151,7 @@ class TestUnitHistogram:
     @pytest.mark.parametrize("center", [0.95, 1.0, 1.003])
     def test_zero_temperature_czz_windows(self, center):
         config = ScanConfig(Observable.CZZ, 1.0, (0.8, 1.2))
-        v = evaluate(config, np.linspace(center - 0.01, center + 0.01, 10_000))
+        v = evaluate([config], np.linspace(center - 0.01, center + 0.01, 10_000))
         assert _row(v) == _reference(v)
 
     @pytest.mark.parametrize("center", [1.0 - 3e-4, 1.0, 1.0 + 6e-4])
@@ -255,7 +255,7 @@ def _lattice_rows(values, samples, stride, lo=0, hi=None, count=None):
     def evaluate(x):
         return values[np.rint(x + 0.5 * (samples - 1)).astype(int)]
 
-    got = lattice.histograms(count, evaluate, lo, hi)
+    got = lattice.histograms(count, evaluate, 1, lo, hi)[0]
     assert got.shape == (count, 9) and got.dtype == np.int64
     want = [_reference(values[max(i * stride, lo) : min(i * stride + samples, hi)])
             for i in range(count)]
@@ -281,7 +281,7 @@ class TestBatchedCounts:
 
     def test_zero_temperature_czz_lattice(self):
         config = ScanConfig(Observable.CZZ, 1.0, (0.8, 1.2))
-        v = evaluate(config, 0.97 + 1e-5 * np.arange(6000))
+        v = evaluate([config], 0.97 + 1e-5 * np.arange(6000))
         for values in (v, v[::-1]):
             got, want = _lattice_rows(values, 1000, 100)
             assert got == want
@@ -357,7 +357,7 @@ class TestBatchedCounts:
         want = _lattice_rows(v, 2000, 200)[1]
         monkeypatch.setattr(windowscan, "unit_histograms", spy)
         got = WindowLattice(200.0, 2000.0, 2000).histograms(
-            51, lambda x: calls.append(x.size) or v[np.rint(x + 999.5).astype(int)])
+            51, lambda x: calls.append(x.size) or v[np.rint(x + 999.5).astype(int)], 1)[0]
         assert got.tolist() == want
         # _KEPT_WINDOWS * samples // stride + 1 windows a batch, and the rest
         per = windowscan._KEPT_WINDOWS * 2000 // 200 + 1
@@ -379,7 +379,7 @@ class TestBatchedCounts:
         want = _lattice_rows(v, 100, 200, count=60)[1]
         monkeypatch.setattr(windowscan, "unit_histograms", spy)
         got = WindowLattice(200.0, 100.0, 100).histograms(
-            60, lambda x: calls.append(x.size) or v[np.rint(x + 49.5).astype(int)])
+            60, lambda x: calls.append(x.size) or v[np.rint(x + 49.5).astype(int)], 1)[0]
         assert got.tolist() == want
         # the points between windows are never evaluated
         assert batches == [1] * 60 and calls == [100] * 60

@@ -109,6 +109,19 @@ class TestWindowCenters:
 
 
 class TestWindowLattice:
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_range_without_points_gives_zero_counts_unevaluated(self, rows):
+        def evaluate(x):
+            raise AssertionError("evaluated a point outside [lo, hi)")
+
+        # 21 windows of 200 points, 100 apart, cover lattice points 0..2199:
+        # none of them lies in [500, 500) or [2200, 2300)
+        lattice = WindowLattice(0.01, 0.02, 200)
+        for lo, hi in [(500, 500), (2200, 2300)]:
+            counts = lattice.histograms(21, evaluate, rows, lo, hi)
+            assert counts.shape == (rows, 21, 9) and counts.dtype == np.int64
+            assert not counts.any()
+
     def test_stride_spacing_and_span_at_the_defaults(self):
         lattice = WindowLattice(step=0.002, width=0.02, samples=10_000)
         assert lattice.stride == 1000
@@ -135,8 +148,8 @@ class TestWindowLattice:
 
         monkeypatch.setattr(windowscan, "evaluate", lambda config, lams: lams.copy())
         monkeypatch.setattr(windowscan, "unit_histograms", spy)
-        mids, counts = window_histograms(config)
-        assert mids.shape == (len(seen),) and counts.shape == (len(seen), 9)
+        mids, counts = window_histograms([config])
+        assert mids.shape == (len(seen),) and counts.shape == (1, len(seen), 9)
         return seen
 
     def test_windows_are_symmetric_about_their_centers(self, monkeypatch):
@@ -166,7 +179,7 @@ class TestWindowLattice:
         monkeypatch.setattr(
             windowscan, "evaluate", lambda config, lams: evaluated.append(lams) or lams
         )
-        window_histograms(config)
+        window_histograms([config])
         points = np.concatenate(evaluated)
         # 0.2 / 1e-4 lattice points lie inside the range, none twice, and no
         # call holds more than one window of them
@@ -182,7 +195,7 @@ class TestWindowLattice:
         monkeypatch.setattr(
             windowscan, "evaluate", lambda config, lams: evaluated.append(lams) or lams
         )
-        window_histograms(config)
+        window_histograms([config])
         assert sum(lams.size for lams in evaluated) == 99 * 100 + 2 * 50
         assert all(lams.size <= 100 for lams in evaluated)
 
@@ -205,12 +218,12 @@ class TestWindowLattice:
             calls.append(x.size)
             return np.stack([f(x) for f in observables])
 
-        rows = lattice.histograms(count, both, lo, hi)
+        rows = lattice.histograms(count, both, 2, lo, hi)
         assert rows.shape == (2, count, 9)
         assert max(calls) <= lattice.samples
         for row, f in zip(rows, observables):
             assert row.any(axis=1).all()
-            assert np.array_equal(row, lattice.histograms(count, f, lo, hi))
+            assert np.array_equal(row, lattice.histograms(count, f, 1, lo, hi)[0])
 
 
 class TestScan:
@@ -309,7 +322,7 @@ class TestScan:
         assert result.deltas.size == window_centers(config).size == 201
         for i, delta in enumerate(result.deltas):
             lams = a + lattice.offsets(i * lattice.stride, i * lattice.stride + lattice.samples)
-            values = windowscan.evaluate(config, lams[(lams >= a) & (lams <= b)])
+            values = windowscan.evaluate([config], lams[(lams >= a) & (lams <= b)])
             counts = histogram(rescale_unit(values))
             assert delta == violations(counts, config.dist, config.metric)[0]
 
@@ -325,7 +338,7 @@ class TestScan:
         config = small_config(observable=observable, n_sites=None)
         lams = config.lambda_range[0] + config.lattice.offsets(0, config.lattice.samples)
         want = xy_exact.mz_and_correlators_many(lams, config.gamma)[row]
-        assert np.array_equal(windowscan.evaluate(config, lams), want)
+        assert np.array_equal(windowscan.evaluate([config], lams), want)
 
     def test_thermal_scan_runs(self):
         r = scan(small_config(t_tilde=0.02, n_sites=None, samples_per_window=50))
