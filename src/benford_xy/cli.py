@@ -321,30 +321,27 @@ def cmd_scale(args) -> int:
             estimates.append(criticality.locate_transition(result, fit_range, signature))
         except (NoTransitionError, ConfigurationError) as exc:
             raise NoTransitionError(f"n_sites={result.config.n_sites}: {exc}") from exc
-    fit = criticality.scaling_exponent(estimates, lambda_c=args.lambda_c)
-    fit_block = {
-        "exponent": fit.exponent,
-        "prefactor": fit.prefactor,
-        "intercept": fit.line.intercept,
-        "rms_residual": fit.line.rms_residual,
+    lambda_c_n = [e.lambda_c_n for e in estimates]
+    fit = criticality.scaling_exponent(args.n_list, lambda_c_n, lambda_c=args.lambda_c)
+    fit_block = dataclasses.asdict(fit) | {
         "lambda_c": args.lambda_c,
         "signature": signature,
         "estimates": [
             {
-                "n_sites": e.n_sites,
+                "n_sites": n,
                 "lambda_c_n": e.lambda_c_n,
                 "signature": e.signature,
                 "fit_range": list(e.fit_range),
                 "fit_rms_residual": e.fit.rms_residual,
             }
-            for e in estimates
+            for n, e in zip(args.n_list, estimates)
         ],
     }
     print(f"scale: exponent = {fit.exponent!r}, prefactor = {fit.prefactor!r}")
     _finish(
         args,
         _config_echo(configs[0]) | {"signature": signature},
-        {"scale": (["n_sites", "lambda_c_n"], fit.pairs)},
+        {"scale": (["n_sites", "lambda_c_n"], zip(args.n_list, lambda_c_n))},
         {"scale_fit.json": fit_block},
     )
     return EXIT_OK

@@ -77,7 +77,6 @@ def default_signature(dist: ReferenceDistribution) -> Signature:
 @dataclass(frozen=True)
 class TransitionEstimate:
     lambda_c_n: float
-    n_sites: int | None
     fit: PolyFit  # the cubic in u = lambda - fit_center
     signature: Signature
     fit_range: tuple[float, float]
@@ -88,8 +87,8 @@ class TransitionEstimate:
 class ScalingFit:
     exponent: float
     prefactor: float
-    line: LineFit
-    pairs: tuple[tuple[int, float], ...]
+    intercept: float
+    rms_residual: float
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,6 @@ def locate_transition(
 
     return TransitionEstimate(
         lambda_c_n=float(x0 + u_star),
-        n_sites=result.config.n_sites,
         fit=fit,
         signature=kind,
         fit_range=(float(lo), float(hi)),
@@ -205,37 +203,27 @@ def locate_transition(
     )
 
 
-def scaling_exponent(
-    estimates,
-    lambda_c: float = LAMBDA_C,
-) -> ScalingFit:
-    """Fit ln(lambda_c - lambda_c_n) against ln n_sites.
+def scaling_exponent(n_sites, lambda_c_n, lambda_c: float = LAMBDA_C) -> ScalingFit:
+    """Fit ln(lambda_c - lambda_c_n) against ln n_sites, one lambda_c^N per
+    chain length.
 
     The transition shift lambda_c^N = lambda_c + k N^alpha turns into a line
-    with slope alpha and intercept ln(-k); all estimates must approach the
+    with slope alpha and intercept ln(-k); every lambda_c^N must approach the
     critical point from the same side for the logs to exist.
     """
     if not math.isfinite(lambda_c):
         raise ConfigurationError(f"lambda_c must be finite, got {lambda_c!r}")
-    ests = list(estimates)
-    if len(ests) < 3:
-        raise ConfigurationError("scaling fit needs at least 3 transition estimates")
-    sizes = [e.n_sites for e in ests]
-    if any(n is None for n in sizes):
-        raise ConfigurationError("scaling fit needs finite-chain estimates (n_sites set)")
+    sizes, lams = list(n_sites), list(lambda_c_n)
+    if len(sizes) < 3 or len(lams) != len(sizes):
+        raise ConfigurationError("scaling fit needs at least 3 chain lengths, one lambda_c_n each")
     if len(set(sizes)) != len(sizes):
         raise ConfigurationError("n_sites values must be distinct")
-    offenders = [int(e.n_sites) for e in ests if e.lambda_c_n >= lambda_c]
+    offenders = [int(n) for n, lam in zip(sizes, lams) if lam >= lambda_c]
     if offenders:
         raise MixedSideError(offenders)
-    line = numerics.linfit([math.log(e.n_sites) for e in ests],
-                           [math.log(lambda_c - e.lambda_c_n) for e in ests])
-    return ScalingFit(
-        exponent=line.slope,
-        prefactor=-math.exp(line.intercept),
-        line=line,
-        pairs=tuple((int(e.n_sites), float(e.lambda_c_n)) for e in ests),
-    )
+    line = numerics.linfit([math.log(n) for n in sizes],
+                           [math.log(lambda_c - lam) for lam in lams])
+    return ScalingFit(line.slope, -math.exp(line.intercept), line.intercept, line.rms_residual)
 
 
 class CrossoverQuantity(enum.Enum):
@@ -316,6 +304,9 @@ def _branch_extremum(
 ) -> float | None:
     mask = centers < 1.0 if side == "left" else centers > 1.0
     idx = np.flatnonzero(mask)
+    # fewer than 3 centres on this side cannot bracket an extremum
+    if idx.size < 3:
+        return None
     vals = values[idx]
     k = idx[int(np.nanargmax(vals) if want_max else np.nanargmin(vals))]
     # the extremum must be bracketed inside this side's subgrid

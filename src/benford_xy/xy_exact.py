@@ -129,16 +129,15 @@ def check_model(gamma: float, t_tilde: float = 0.0,
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical configuration: anisotropy, reduced field, reduced
-    temperature (0 means T = 0), and optional even chain length."""
+    """Physical configuration of the infinite lattice: anisotropy, reduced
+    field, and reduced temperature (0 means T = 0)."""
 
     gamma: float
     lam: float
     t_tilde: float = 0.0
-    n_sites: int | None = None
 
     def __post_init__(self):
-        check_model(self.gamma, self.t_tilde, self.n_sites)
+        check_model(self.gamma, self.t_tilde)
         if not np.isfinite(self.lam):
             raise ConfigurationError("lambda must be finite")
 
@@ -382,9 +381,7 @@ def mz_infinite_many(lams, gamma: float, t_tilde: float = 0.0) -> np.ndarray:
 
 
 def mz_infinite(params: ModelParams) -> float:
-    """Transverse magnetization in the thermodynamic limit."""
-    if params.n_sites is not None:
-        raise ConfigurationError("mz_infinite requires n_sites to be absent")
+    """Transverse magnetization on the infinite lattice."""
     return float(mz_infinite_many([params.lam], params.gamma, params.t_tilde)[0])
 
 

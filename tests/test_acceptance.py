@@ -39,7 +39,6 @@ from benford_xy.firstdigit import (
     histogram,
     probabilities,
 )
-from benford_xy.numerics import PolyFit
 from benford_xy.violation import Metric, violations
 from benford_xy.windowscan import Observable, ScanConfig, ScanResult, scan
 from benford_xy.xy_exact import (
@@ -111,11 +110,11 @@ def _locate(result: ScanResult, signature: Signature, fit: dict) -> TransitionEs
 def _shift_exponent(gamma: float, grid: dict, fit: dict,
                     dist: ReferenceDistribution, metric: Metric) -> float:
     sig = default_signature(dist)
-    ests = [
-        _locate(_scored(_config(gamma, n, grid), dist, metric), sig, fit)
+    lams = [
+        _locate(_scored(_config(gamma, n, grid), dist, metric), sig, fit).lambda_c_n
         for n in CHAIN_LENGTHS
     ]
-    return scaling_exponent(ests).exponent
+    return scaling_exponent(CHAIN_LENGTHS, lams).exponent
 
 
 def test_cached_windows_match_public_scan():
@@ -369,15 +368,8 @@ def test_criterion_12_numerics_bundle():
     fd_ok = worst < 1e-6
 
     synth_ok = True
-    dummy = PolyFit(coefficients=np.zeros(4), rms_residual=0.0)
     for alpha in (-1.0, -2.0, -3.0):
-        ests = [
-            TransitionEstimate(lambda_c_n=1.0 - 0.5 * n ** alpha, n_sites=n, fit=dummy,
-                               signature=Signature.DERIVATIVE_MIN,
-                               fit_range=(0.9, 1.1), fit_center=1.0)
-            for n in CHAIN_LENGTHS
-        ]
-        fit = scaling_exponent(ests)
+        fit = scaling_exponent(CHAIN_LENGTHS, [1.0 - 0.5 * n ** alpha for n in CHAIN_LENGTHS])
         synth_ok &= abs(fit.exponent - alpha) < 1e-9 and abs(fit.prefactor + 0.5) < 1e-9
 
     report(12, conv_ok and fd_ok and synth_ok,

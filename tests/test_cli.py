@@ -305,8 +305,15 @@ class TestScale:
         assert fit["exponent"] < 0
         assert fit["prefactor"] < 0
         assert fit["signature"].startswith("derivative")
-        assert len(fit["estimates"]) == 3
+        assert list(fit) == ["exponent", "prefactor", "intercept", "rms_residual",
+                             "lambda_c", "signature", "estimates"]
+        assert [e["n_sites"] for e in fit["estimates"]] == [20, 24, 30]
         assert all(e["lambda_c_n"] < 1.0 for e in fit["estimates"])
+        # the exponent is the slope of ln(1 - lambda_c^N) against ln N
+        pairs = [(int(n), float(v)) for n, v in (l.split(",") for l in lines[1:])]
+        slope = np.polyfit([math.log(n) for n, _ in pairs],
+                           [math.log(1.0 - v) for _, v in pairs], 1)[0]
+        assert fit["exponent"] == pytest.approx(slope, rel=1e-9)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         run_cli(SCALE_ARGS + ["--out", str(tmp_path / "a")])
@@ -364,6 +371,17 @@ class TestCrossover:
             "--span", "3", "--step", "0.05", "--out", str(tmp_path),
         ])
         assert code == 4
+
+    # a ridge grid with no centre on one side of lambda = 1 once exited 1
+    # with a ValueError from nanargmax / nanargmin
+    @pytest.mark.parametrize("flags", [["--quantity", "dmzdt", "--step", "10"],
+                                       ["--span", "0.01", "--step", "0.025"]], ids=" ".join)
+    def test_side_without_centres_fails_numerically(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        code = run_cli(["crossover", "--t-list", "1e-4,2e-4,3e-4", "--out", str(out)] + flags)
+        err = capsys.readouterr().err
+        assert code == 4 and not out.exists()
+        assert err.startswith("numerical failure:") and "Traceback" not in err
 
     def test_flat_bvp_window_exits_degenerate(self, tmp_path, monkeypatch):
         monkeypatch.setattr(xy_exact, "mz_infinite_many",

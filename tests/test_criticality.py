@@ -8,7 +8,6 @@ from benford_xy.criticality import (
     CrossoverQuantity,
     RidgeGrid,
     Signature,
-    TransitionEstimate,
     auto_fit_range,
     crossover_lines,
     default_signature,
@@ -24,7 +23,6 @@ from benford_xy.errors import (
     NoTransitionError,
 )
 from benford_xy.firstdigit import ReferenceDistribution, histogram, rescale_unit
-from benford_xy.numerics import PolyFit
 from benford_xy.violation import violations
 from benford_xy.windowscan import (
     Observable,
@@ -108,7 +106,6 @@ class TestLocateTransition:
         est = locate_transition(r, (0.93, 1.03), Signature.DERIVATIVE_MIN)
         assert est.lambda_c_n == pytest.approx(0.98, abs=1e-9)
         assert est.signature is Signature.DERIVATIVE_MIN
-        assert est.n_sites == 30
 
     def test_mirrored_cubic_derivative_maximum(self):
         r = synthetic_result(GRID, lambda x: -((x - 0.98) ** 3) + 0.01 * (x - 0.98))
@@ -220,58 +217,46 @@ class TestAutoFitRange:
             auto_fit_range(r, Signature.DERIVATIVE_EXTREMUM)
 
 
-def _estimate(n, lam):
-    return TransitionEstimate(
-        lambda_c_n=lam,
-        n_sites=n,
-        fit=PolyFit(coefficients=np.zeros(4), rms_residual=0.0),
-        signature=Signature.DERIVATIVE_MIN,
-        fit_range=(0.9, 1.0),
-        fit_center=0.95,
-    )
+SIZES = [14, 20, 24, 30, 34, 40]
 
 
 class TestScalingExponent:
     @pytest.mark.parametrize("alpha", [-1.0, -2.0, -3.0])
     def test_recovers_synthetic_power_law(self, alpha):
-        ests = [_estimate(n, 1.0 - 0.5 * n ** alpha) for n in (14, 20, 24, 30, 34, 40)]
-        fit = scaling_exponent(ests)
+        fit = scaling_exponent(SIZES, [1.0 - 0.5 * n ** alpha for n in SIZES])
         assert fit.exponent == pytest.approx(alpha, abs=1e-9)
         assert fit.prefactor == pytest.approx(-0.5, abs=1e-9)
-        assert fit.line.rms_residual < 1e-10
-        assert fit.pairs[0] == (14, ests[0].lambda_c_n)
+        assert fit.intercept == pytest.approx(math.log(0.5), abs=1e-9)
+        assert fit.rms_residual < 1e-10
 
     def test_custom_critical_point(self):
-        ests = [_estimate(n, 1.2 - 0.5 * n ** -2.0) for n in (10, 20, 40)]
-        fit = scaling_exponent(ests, lambda_c=1.2)
+        sizes = [10, 20, 40]
+        fit = scaling_exponent(sizes, [1.2 - 0.5 * n ** -2.0 for n in sizes], lambda_c=1.2)
         assert fit.exponent == pytest.approx(-2.0, abs=1e-9)
 
     def test_wrong_side_estimates_rejected_with_offenders(self):
-        ests = [_estimate(10, 0.95), _estimate(20, 0.99), _estimate(40, 1.01)]
         with pytest.raises(MixedSideError) as exc:
-            scaling_exponent(ests)
+            scaling_exponent([10, 20, 40], [0.95, 0.99, 1.01])
         assert exc.value.offenders == [40]
         assert "40" in str(exc.value)
 
     @pytest.mark.parametrize("lambda_c", [math.nan, math.inf])
     def test_non_finite_critical_point_rejected(self, lambda_c):
-        ests = [_estimate(n, 1.0 - 0.3 * n ** -2.0) for n in (14, 20, 30)]
+        sizes = [14, 20, 30]
         with pytest.raises(ConfigurationError, match="lambda_c"):
-            scaling_exponent(ests, lambda_c=lambda_c)
+            scaling_exponent(sizes, [1.0 - 0.3 * n ** -2.0 for n in sizes], lambda_c=lambda_c)
 
     def test_needs_three_estimates(self):
-        with pytest.raises(ConfigurationError):
-            scaling_exponent([_estimate(10, 0.95), _estimate(20, 0.99)])
+        with pytest.raises(ConfigurationError, match="at least 3"):
+            scaling_exponent([10, 20], [0.95, 0.99])
+
+    def test_needs_one_lambda_c_n_per_size(self):
+        with pytest.raises(ConfigurationError, match="one lambda_c_n each"):
+            scaling_exponent([10, 20, 40], [0.95, 0.99])
 
     def test_needs_distinct_sizes(self):
-        ests = [_estimate(10, 0.95), _estimate(10, 0.96), _estimate(20, 0.99)]
-        with pytest.raises(ConfigurationError):
-            scaling_exponent(ests)
-
-    def test_needs_finite_chains(self):
-        ests = [_estimate(10, 0.95), _estimate(20, 0.97), _estimate(None, 0.99)]
-        with pytest.raises(ConfigurationError):
-            scaling_exponent(ests)
+        with pytest.raises(ConfigurationError, match="distinct"):
+            scaling_exponent([10, 10, 20], [0.95, 0.96, 0.99])
 
 
 class TestRidgeGrid:
@@ -348,6 +333,13 @@ class TestCrossoverLines:
                 RidgeGrid(span=1.0, step=0.05),
             )
         assert "left" in str(exc.value) or "right" in str(exc.value)
+
+    # a side of lambda = 1 with no centre once crashed in nanargmax / nanargmin
+    @pytest.mark.parametrize("quantity", list(CrossoverQuantity))
+    @pytest.mark.parametrize("span, step", [(3.0, 10.0), (0.01, 0.025)])
+    def test_side_without_centres_is_insufficient_ridge(self, quantity, span, step):
+        with pytest.raises(InsufficientRidgeError, match="left branch has 0 ridge points"):
+            crossover_lines(quantity, 1.0, (1e-4, 2e-4, 3e-4), RidgeGrid(span=span, step=step))
 
     @pytest.mark.parametrize("quantity", list(CrossoverQuantity))
     def test_empty_temperature_grid_rejected(self, quantity):

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,9 +41,9 @@ class TestModelParams:
 
     def test_odd_or_small_n_rejected(self):
         with pytest.raises(ConfigurationError):
-            ModelParams(gamma=1.0, lam=1.0, n_sites=15)
+            xy_exact.check_model(1.0, n_sites=15)
         with pytest.raises(ConfigurationError):
-            ModelParams(gamma=1.0, lam=1.0, n_sites=2)
+            xy_exact.check_model(1.0, n_sites=2)
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -54,7 +56,7 @@ class TestModelParams:
             with pytest.raises(ConfigurationError, match="needs \\|gamma\\| >= 1e-30"):
                 ModelParams(gamma=gamma, lam=1.0)
         ModelParams(gamma=1e-30, lam=1.0)
-        ModelParams(gamma=1e-31, lam=1.0, n_sites=8)
+        xy_exact.check_model(1e-31, n_sites=8)
         ModelParams(gamma=1e-31, lam=1.0, t_tilde=1e-3)
 
 
@@ -89,10 +91,6 @@ class TestMzInfinite:
     def test_monotone_in_lambda_at_gamma_one(self):
         vals = [mz_infinite(ModelParams(gamma=1.0, lam=l)) for l in np.linspace(0.0, 2.0, 21)]
         assert np.all(np.diff(vals) > 0)
-
-    def test_rejects_finite_chain(self):
-        with pytest.raises(ConfigurationError):
-            mz_infinite(ModelParams(gamma=1.0, lam=1.0, n_sites=10))
 
     def test_node_doubling_away_from_critical(self):
         # the closed form agrees with graded quadrature at 32 and at 64 nodes
@@ -506,6 +504,14 @@ class TestPackageRoot:
         cxx, cyy, czz = benford_xy.diagonal_correlators(lam, 1.0)
         assert all(type(v) is float for v in (mz, cxx, cyy, czz))
         assert czz == mz * mz - cxx * cyy
+
+    def test_readme_library_example_runs(self):
+        # the README's python block runs as written, so it cannot drift from the API
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        namespace = {}
+        exec(block, namespace)
+        assert namespace["fit"].exponent == pytest.approx(-2.117, abs=1e-3)
 
 
 class TestThermalLadderPerCall:
