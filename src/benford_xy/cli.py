@@ -208,7 +208,8 @@ def _load_values(spec: str, seed: int) -> np.ndarray:
         return 10.0 ** rng.random(int(m.group(1)))
     values, first = [], 0
     try:
-        with open(spec, newline="") as fh:
+        # utf-8-sig: a byte-order mark would otherwise glue onto the first cell
+        with open(spec, newline="", encoding="utf-8-sig") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or not row[0].strip():
                     continue
@@ -224,7 +225,7 @@ def _load_values(spec: str, seed: int) -> np.ndarray:
                 if not math.isfinite(value):
                     raise ConfigurationError(f"{spec}:{lineno}: not a finite number: {cell!r}")
                 values.append(value)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {spec}: {exc}") from exc
     if not values:
         raise ConfigurationError(f"{spec}: no numeric data found")
@@ -369,7 +370,9 @@ def cmd_crossover(args) -> int:
         )
         tables[f"crossover_{quantity.value}"] = (
             ["t_tilde", "lambda", "branch"],
-            [(t, lam, branch) for lam, t, branch in lines.ridge_points],
+            [(t, lam, branch)
+             for t, lams in zip(lines.t_tilde.tolist(), lines.ridge.T.tolist())
+             for branch, lam in zip(criticality.BRANCHES, lams) if not math.isnan(lam)],
         )
         lines_block[quantity.value] = {
             "left": dataclasses.asdict(lines.left),

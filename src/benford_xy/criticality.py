@@ -56,6 +56,8 @@ RIDGE_WINDOW_RATIO = 1.0
 RIDGE_SAMPLES = 12_000
 # half-width, in grid points, of the refinement parabola on violation ridges
 RIDGE_REFINE_POINTS = 12
+# the rows of CrossoverLines.ridge: either side of lambda = 1
+BRANCHES = ("left", "right")
 
 
 class Signature(enum.Enum):
@@ -91,12 +93,26 @@ class ScalingFit:
     rms_residual: float
 
 
-@dataclass(frozen=True)
+# eq=False: an array field has no one truth value for == to return
+@dataclass(frozen=True, eq=False)
 class CrossoverLines:
+    """The two lines and the ridge they fit: at each temperature of t_tilde,
+    the lambda of the left (ridge[0]) and right (ridge[1]) extremum, or NaN."""
+
     left: LineFit
     right: LineFit
-    ridge_points: tuple[tuple[float, float, str], ...]
-    warnings: tuple[str, ...] = ()
+    t_tilde: np.ndarray
+    ridge: np.ndarray
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """One line per unbracketed extremum, by temperature, left before right."""
+        return tuple(
+            f"t_tilde={t:g}: {branch} extremum not bracketed; point omitted"
+            for t, lams in zip(self.t_tilde.tolist(), self.ridge.T.tolist())
+            for branch, lam in zip(BRANCHES, lams)
+            if math.isnan(lam)
+        )
 
 
 def local_slopes(x: np.ndarray, y: np.ndarray, half: float) -> np.ndarray:
@@ -295,55 +311,37 @@ def _refine_window(x: np.ndarray, y: np.ndarray, k: int, half: int, want_max: bo
     return float(x0 - h * b / (2.0 * a))
 
 
-def _branch_extremum(
-    centers: np.ndarray,
-    values: np.ndarray,
-    side: str,
-    want_max: bool,
-    refine_points: int = 0,
-) -> float | None:
-    mask = centers < 1.0 if side == "left" else centers > 1.0
-    idx = np.flatnonzero(mask)
+def _branch_extremum(centers: np.ndarray, values: np.ndarray, side: np.ndarray,
+                     want_max: bool, refine_points: int) -> float:
+    idx = np.flatnonzero(side)
     # fewer than 3 centres on this side cannot bracket an extremum
     if idx.size < 3:
-        return None
+        return math.nan
     vals = values[idx]
     k = idx[int(np.nanargmax(vals) if want_max else np.nanargmin(vals))]
     # the extremum must be bracketed inside this side's subgrid
     if k <= idx[0] or k >= idx[-1]:
-        return None
+        return math.nan
     if refine_points:
         return _refine_window(centers, values, k, refine_points, want_max)
     return _refine3(centers, values, k)
 
 
-def _ridge_slice(
-    quantity: CrossoverQuantity,
-    gamma: float,
-    t: float,
-    grid: RidgeGrid,
-    window_ratio: float,
-    samples: int,
-    dist: ReferenceDistribution,
-    metric: Metric,
-) -> tuple[float | None, float | None]:
+def _ridge_slice(quantity: CrossoverQuantity, gamma: float, t: float, grid: RidgeGrid,
+                 window_ratio: float, samples: int, dist: ReferenceDistribution,
+                 metric: Metric) -> tuple[float, float]:
+    """The left and right extremum's lambda at temperature t, NaN if unbracketed."""
     centers = grid.centers(t)
     if quantity is CrossoverQuantity.DMZDT:
-        values = xy_exact.dmz_dT_many(centers, gamma, t)
         # ridge of maxima on the ordered side, minima on the paramagnetic side;
         # the surface is smooth, so three-point interpolation is unbiased
-        left = _branch_extremum(centers, values, "left", want_max=True)
-        right = _branch_extremum(centers, values, "right", want_max=False)
+        values, left_max, refine = xy_exact.dmz_dT_many(centers, gamma, t), True, 0
     else:
-        values = _bvp_deltas(gamma, t, grid, window_ratio, samples, dist, metric)
         # the violation curve dips left of the transition and peaks right of it
-        left = _branch_extremum(
-            centers, values, "left", want_max=False, refine_points=RIDGE_REFINE_POINTS
-        )
-        right = _branch_extremum(
-            centers, values, "right", want_max=True, refine_points=RIDGE_REFINE_POINTS
-        )
-    return left, right
+        values = _bvp_deltas(gamma, t, grid, window_ratio, samples, dist, metric)
+        left_max, refine = False, RIDGE_REFINE_POINTS
+    return (_branch_extremum(centers, values, centers < 1.0, left_max, refine),
+            _branch_extremum(centers, values, centers > 1.0, not left_max, refine))
 
 
 def crossover_lines(
@@ -378,32 +376,16 @@ def crossover_lines(
     if not (0.0 < window_ratio < math.inf):
         raise ConfigurationError("window_ratio must be positive and finite")
     check_lattice(2.0 * grid.span / grid.step, grid.step, window_ratio, samples)
-    slices = [_ridge_slice(quantity, gamma, t, grid, window_ratio, samples, dist, metric)
-              for t in ts]
-
-    warnings: list[str] = []
-    points: list[tuple[float, float, str]] = []
-    for t, (lam_left, lam_right) in zip(ts, slices):
-        for branch, lam in (("left", lam_left), ("right", lam_right)):
-            if lam is None:
-                warnings.append(
-                    f"t_tilde={t:g}: {branch} extremum not bracketed; point omitted"
-                )
-            else:
-                points.append((lam, t, branch))
-
-    lines = {}
-    for branch in ("left", "right"):
-        lams = [lam for lam, _, b in points if b == branch]
-        if len(lams) < 3:
+    ridge = np.column_stack([
+        _ridge_slice(quantity, gamma, t, grid, window_ratio, samples, dist, metric) for t in ts
+    ])
+    t_tilde = np.array(ts)
+    fits = []
+    for branch, lams in zip(BRANCHES, ridge):
+        found = ~np.isnan(lams)
+        if found.sum() < 3:
             raise InsufficientRidgeError(
-                f"{branch} branch has {len(lams)} ridge points; need at least 3"
+                f"{branch} branch has {int(found.sum())} ridge points; need at least 3"
             )
-        lines[branch] = numerics.linfit(lams, [t for _, t, b in points if b == branch])
-
-    return CrossoverLines(
-        left=lines["left"],
-        right=lines["right"],
-        ridge_points=tuple(points),
-        warnings=tuple(warnings),
-    )
+        fits.append(numerics.linfit(lams[found], t_tilde[found]))
+    return CrossoverLines(*fits, t_tilde, ridge)

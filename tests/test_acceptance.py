@@ -272,12 +272,14 @@ def test_criterion_07_crossover_lines():
     in_band = (LEFT_BAND[0] <= bvp_left <= LEFT_BAND[1]
                and RIGHT_BAND[0] <= bvp_right <= RIGHT_BAND[1])
     signs = all(sl < 0.0 < sr for sl, sr in slopes.values())
-    ridge = {q: {(t, br): lam for lam, t, br in r.ridge_points} for q, r in runs.items()}
-    keys = set(ridge["dmzdt"]) & set(ridge["bvp"])
-    diffs = {k: abs(ridge["bvp"][k] - ridge["dmzdt"][k]) for k in keys}
-    gap = max(diffs[k] / abs(ridge["dmzdt"][k]) for k in keys)
-    gap_offset = max(diffs[k] / abs(ridge["dmzdt"][k] - 1.0) for k in keys)
-    complete = len(keys) == 2 * CROSSOVER_TS.size
+    # both runs share t_tilde, so one (branch, temperature) is one ridge entry
+    assert all(np.array_equal(r.t_tilde, CROSSOVER_TS) for r in runs.values())
+    shared = ~np.isnan(runs["dmzdt"].ridge) & ~np.isnan(runs["bvp"].ridge)
+    dmzdt, bvp = runs["dmzdt"].ridge[shared], runs["bvp"].ridge[shared]
+    gap = float(np.max(np.abs(bvp - dmzdt) / np.abs(dmzdt)))
+    gap_offset = float(np.max(np.abs(bvp - dmzdt) / np.abs(dmzdt - 1.0)))
+    n_shared = int(shared.sum())
+    complete = n_shared == 2 * CROSSOVER_TS.size
     ok = on_closed_form and in_band and signs and gap <= 0.01 and complete
     report(7, ok,
            f"dmzdt slopes {slopes['dmzdt'][0]:+.4f}/{slopes['dmzdt'][1]:+.4f} vs closed form "
@@ -285,7 +287,7 @@ def test_criterion_07_crossover_lines():
            f"bvp slopes {bvp_left:+.4f}/{bvp_right:+.4f} vs bands "
            f"[{LEFT_BAND[0]:.4f},{LEFT_BAND[1]:.4f}] and [{RIGHT_BAND[0]:.4f},{RIGHT_BAND[1]:.4f}]; "
            f"max ridge gap {gap * 100:.3f}% of lambda (tol 1%), "
-           f"{gap_offset * 100:.1f}% of |lambda-1| over {len(keys)} shared points")
+           f"{gap_offset * 100:.1f}% of |lambda-1| over {n_shared} shared points")
 
 
 def test_criterion_08_qualitative_signatures():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -60,6 +61,31 @@ class TestDigits:
             reports.append(json.loads((tmp_path / name / "digits_report.json").read_text()))
         assert reports[0]["counts"] == reports[1]["counts"] == [100, 50, 0, 0, 0, 0, 3, 0, 0]
         assert reports[0]["values"] == reports[1]["values"] == 153
+
+    # a byte-order mark once glued onto the first cell, which then read as a
+    # header and was dropped
+    @pytest.mark.parametrize("header", ["", "value\n"], ids=["bare", "headed"])
+    def test_byte_order_mark_counts_every_value(self, tmp_path, header):
+        values = [1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 12.0]
+        text = header + "\n".join(map(str, values)) + "\n"
+        reports = []
+        for name, bom in [("plain", b""), ("bom", b"\xef\xbb\xbf")]:
+            src = tmp_path / f"{name}.csv"
+            src.write_bytes(bom + text.encode())
+            assert run_cli(["digits", str(src), "--out", str(tmp_path / name)]) == 0
+            reports.append(json.loads((tmp_path / name / "digits_report.json").read_text()))
+        assert reports[0]["counts"] == reports[1]["counts"] == [2, 1, 1, 1, 1, 1, 1, 1, 1]
+        assert reports[0]["values"] == reports[1]["values"] == 10
+
+    # bytes that are not UTF-8 once escaped main as a UnicodeDecodeError
+    def test_file_that_is_not_utf8_is_configuration_error(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_bytes("temp\xe9rature\n".encode("latin-1") + b"1\n2\n3\n4\n5\n6\n7\n8\n9\n12\n")
+        out = tmp_path / "out"
+        assert run_cli(["digits", str(src), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read {src}: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_header_alone_is_no_data(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -364,6 +390,29 @@ class TestCrossover:
         assert block["dmzdt"]["right"]["slope"] == pytest.approx(+0.594, abs=0.05)
         manifest = json.loads((tmp_path / "crossover_manifest.json").read_text())
         assert manifest["config"]["t_list"] == [1e-4, 2e-4, 5e-4]
+
+    # at t_tilde = 0.05 and 0.1 the left extremum lies beyond the grid's
+    # span of 1.75 t_tilde: the writers leave those two points out
+    def test_partly_bracketed_ridge_omits_and_warns(self, tmp_path):
+        flags = ["crossover", "--quantity", "dmzdt", "--span", "1.75",
+                 "--t-list", "1e-4,1e-3,1e-2,0.05,0.1"]
+        assert run_cli(flags + ["--out", str(tmp_path / "c")]) == 0
+        assert run_cli(flags + ["--format", "json", "--out", str(tmp_path / "j")]) == 0
+        with open(tmp_path / "c" / "crossover_dmzdt.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["t_tilde", "lambda", "branch"]
+        assert [(t, b) for t, _, b in rows] == [
+            (t, b) for t in ("0.0001", "0.001", "0.01") for b in ("left", "right")
+        ] + [("0.05", "right"), ("0.1", "right")]
+        records = json.loads((tmp_path / "j" / "crossover_dmzdt.json").read_text())
+        assert [[repr(r["t_tilde"]), repr(r["lambda"]), r["branch"]] for r in records] == rows
+        for out in ("c", "j"):
+            block = json.loads((tmp_path / out / "crossover_lines.json").read_text())["dmzdt"]
+            assert block["warnings"] == [
+                "t_tilde=0.05: left extremum not bracketed; point omitted",
+                "t_tilde=0.1: left extremum not bracketed; point omitted",
+            ]
+            assert math.isfinite(block["left"]["slope"])
 
     def test_two_temperatures_fail_numerically(self, tmp_path, capsys):
         code = run_cli([

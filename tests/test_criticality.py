@@ -291,7 +291,7 @@ class TestCrossoverLines:
         for line in (lines.left, lines.right):
             assert -line.intercept / line.slope == pytest.approx(1.0, abs=1e-5)
         assert lines.warnings == ()
-        assert len(lines.ridge_points) == 6
+        assert lines.ridge.shape == (2, 3) and np.isfinite(lines.ridge).all()
 
     def test_string_quantity_accepted(self):
         lines = crossover_lines(
@@ -302,14 +302,16 @@ class TestCrossoverLines:
     def test_unbracketed_points_warn_and_are_omitted(self, monkeypatch):
         def fake_slice(quantity, gamma, t, grid, window_ratio, samples, dist, metric):
             if t == 1e-4:
-                return None, 1.0 + 0.5 * t
+                return math.nan, 1.0 + 0.5 * t
             return 1.0 - 0.5 * t, 1.0 + 0.5 * t
 
         monkeypatch.setattr(criticality, "_ridge_slice", fake_slice)
-        lines = crossover_lines(CrossoverQuantity.DMZDT, 1.0, (1e-4, 2e-4, 3e-4, 4e-4))
-        assert len(lines.warnings) == 1
-        assert "left" in lines.warnings[0] and "not bracketed" in lines.warnings[0]
-        assert len([p for p in lines.ridge_points if p[2] == "left"]) == 3
+        grid = (1e-4, 2e-4, 3e-4, 4e-4)
+        lines = crossover_lines(CrossoverQuantity.DMZDT, 1.0, grid)
+        assert lines.ridge.shape == (2, 4)
+        assert lines.t_tilde.tolist() == list(grid)
+        assert np.isnan(lines.ridge).tolist() == [[True, False, False, False], [False] * 4]
+        assert lines.warnings == ("t_tilde=0.0001: left extremum not bracketed; point omitted",)
         assert lines.left.slope == pytest.approx(-2.0, abs=1e-9)
         assert lines.right.slope == pytest.approx(+2.0, abs=1e-9)
         assert -lines.left.intercept / lines.left.slope == pytest.approx(1.0, abs=1e-9)
@@ -374,10 +376,8 @@ class TestCrossoverLines:
             CrossoverQuantity.BVP, 1.0, (1e-4, 2e-4, 5e-4), samples=600
         )
         assert lines.warnings == ()
-        assert len(lines.ridge_points) == 6
-        for lam, _, branch in lines.ridge_points:
-            assert np.isfinite(lam)
-            assert (lam < 1.0) == (branch == "left")
+        assert lines.ridge.shape == (2, 3)
+        assert (lines.ridge[0] < 1.0).all() and (1.0 < lines.ridge[1]).all()
 
     def test_flat_bvp_window_is_degenerate(self, monkeypatch):
         monkeypatch.setattr(xy_exact, "mz_infinite_many",
