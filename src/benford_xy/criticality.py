@@ -359,12 +359,15 @@ def crossover_lines(
 
     For each temperature the quantity's extremum is located on each side of
     lambda = 1; unbracketed extrema drop that branch point with a warning.
-    Each branch needs at least 3 surviving points.
+    The temperatures must differ, and each branch needs at least 3 surviving
+    points.
     """
     quantity = CrossoverQuantity(quantity)
     ts = [float(t) for t in t_grid]
     if not ts:
         raise ConfigurationError("t_grid must hold at least one temperature")
+    if len(set(ts)) < len(ts):
+        raise ConfigurationError("t_grid repeats a temperature; each ridge point needs its own")
     grid = lambda_grid or RidgeGrid()
     for t in ts:
         xy_exact.check_model(gamma, t)

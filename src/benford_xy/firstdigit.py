@@ -9,12 +9,13 @@ not depend on locale or repr behaviour.
 
 unit_histograms is the window pipeline's digit stage: it counts a batch of
 windows of one array at once into a (windows x 9) int64 matrix, one row of
-digit counts per window and a zero row per degenerate window. On the windows
-that are monotone it counts by bisection against the digit thresholds
-d * 10**k, in raw values, and leaves to digits_of only the values next to a
-threshold, so each row equals histogram(rescale_unit(window)). A digit
-histogram is such a row of 9 counts wherever it appears; histogram counts
-the digits report's values into one.
+digit counts per window and a zero row per degenerate window. It tests the
+batch once: if the batch is monotone, it counts every window by bisection
+against the digit thresholds d * 10**k, in raw values, and leaves to
+digits_of only the values next to a threshold; otherwise each window goes
+through histogram. Either way each row equals histogram(rescale_unit(window)).
+A digit histogram is such a row of 9 counts wherever it appears; histogram
+counts the digits report's values into one.
 """
 
 from __future__ import annotations
@@ -142,14 +143,11 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
     where it finds a non-finite window. A window that is not degenerate
     rescales its maximum to exactly 1.0, a digit 1, so its row is not zero.
 
-    The windows are counted together. One pass over the values finds the
-    steps that fall, so a window without them is non-decreasing (and flat if
-    its ends are equal); a window without rising steps is non-increasing and
-    is read reversed. The monotone windows of one direction are counted by
-    one _sorted_counts call if no step against that direction lies between
-    the first one's start and the last one's stop. Windows that are not
-    monotone, that such a step separates, or that _sorted_counts leaves, go
-    through histogram.
+    The windows are counted together. If the batch never falls, one
+    _sorted_counts call counts its windows that are not flat; if it never
+    rises, the same call counts them on the batch read reversed. Windows of
+    a batch that does both, and those that _sorted_counts leaves, go through
+    histogram.
     """
     a = np.asarray(values, dtype=float).ravel()
     s = np.asarray(starts, dtype=np.intp)
@@ -157,32 +155,17 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
     rows = np.zeros((s.size, 9), dtype=np.int64)
     # windows left to histogram(rescale_unit(...)), which raises DomainError
     # on the non-finite ones and DegenerateWindowError (a zero row) on short ones
-    other = list(range(s.size))
+    other = range(s.size)
     if np.isfinite(a).all():
-        long = np.flatnonzero(e - s >= 2)
-        s2, e2 = s[long], e[long]
-        head, tail = a[s2], a[e2 - 1]
-        falls = np.flatnonzero(a[1:] < a[:-1])
-        no_fall = _none_between(falls, s2, e2)
-        falling = tail < head
-        rises = np.flatnonzero(a[1:] > a[:-1]) if falling.any() else falls[:0]
-        falling &= _none_between(rises, s2, e2)
-        other = long[~(no_fall | falling)].tolist()
-        for sign, steps, windows in ((1, falls, long[no_fall & (tail > head)]),
-                                     (-1, rises, long[falling])):
-            if not windows.size:
-                continue
-            g0, g1 = s[windows].min(), e[windows].max()
-            if not _none_between(steps, g0, g1):
-                # a step against the direction lies between them
-                other += windows.tolist()
-                continue
-            if sign > 0:
-                b, ws, we = a[g0:g1], s[windows] - g0, e[windows] - g0
-            else:
-                b, ws, we = a[g0:g1][::-1].copy(), g1 - e[windows], g1 - s[windows]
-            rows[windows] = _sorted_counts(b, ws, we)
-            other += windows[~rows[windows].any(axis=1)].tolist()
+        falls = (a[1:] < a[:-1]).any()
+        if falls and not (a[1:] > a[:-1]).any():
+            # read reversed, the batch never falls; each window holds the same values
+            a, s, e, falls = a[::-1].copy(), a.size - e, a.size - s, False
+        if not falls:
+            long = np.flatnonzero(e - s >= 2)
+            up = long[a[e[long] - 1] > a[s[long]]]  # flat windows keep a zero row
+            rows[up] = _sorted_counts(a, s[up], e[up])
+            other = up[~rows[up].any(axis=1)]
     for i in other:
         try:
             rows[i] = histogram(rescale_unit(a[s[i] : e[i]]))
@@ -191,17 +174,11 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
     return rows
 
 
-def _none_between(steps: np.ndarray, start, stop):
-    """Whether none of the sorted step indices lies among the steps of the
-    values [start, stop); vectorized over start and stop."""
-    return np.searchsorted(steps, stop - 1) == np.searchsorted(steps, start)
-
-
 def _sorted_counts(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
     """histogram(rescale_unit(b[s:e])) of non-flat windows of b, which
-    is non-decreasing from the first window's start to the last one's stop,
-    as (W x 9) rows; a zero row for a window whose smallest positive rescaled
-    value is below 1e-300, or whose values all lie below 1e-290 in magnitude.
+    is non-decreasing, as (W x 9) rows; a zero row for a window whose
+    smallest positive rescaled value is below 1e-300, or whose values all lie
+    below 1e-290 in magnitude.
 
     A window's rescaled values r = (b - lo) / scale are sorted: its exact
     zeros are a prefix, and the values between two digit thresholds d * 10**k

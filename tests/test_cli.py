@@ -450,6 +450,16 @@ class TestCrossover:
         assert code == 3 and not out.exists()
         assert err.startswith("configuration error: t_tilde=1e-17") and "Traceback" not in err
 
+    # a repeated temperature once exited 4 ("all x values identical"), or 0
+    # with each branch's 3 points on 2 temperatures
+    @pytest.mark.parametrize("t_list", ["1e-4,1e-4,1e-4", "1e-4,2e-4,2e-4"])
+    def test_repeated_temperature_is_configuration_error(self, tmp_path, capsys, t_list):
+        out = tmp_path / "out"
+        code = run_cli(["crossover", "--quantity", "dmzdt", "--t-list", t_list, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3 and not out.exists()
+        assert err.startswith("configuration error: t_grid repeats a temperature")
+
     def test_dmzdt_ridge_next_to_zero_temperature(self, tmp_path):
         # at t_tilde <= 1e-11 the ridge is narrower than any Chebyshev spacing
         # of its bin; interpolated, it read 0 and no ridge point was found

@@ -353,6 +353,19 @@ class TestCrossoverLines:
         with pytest.raises(ConfigurationError, match="window_ratio must be positive and finite"):
             crossover_lines(CrossoverQuantity.BVP, 1.0, (1e-4, 2e-4, 5e-4), window_ratio=ratio)
 
+    # a repeated temperature once failed numerically ("all x values
+    # identical"), or fitted a branch's 3 points through 2 temperatures
+    @pytest.mark.parametrize("quantity", list(CrossoverQuantity))
+    @pytest.mark.parametrize("ts", [(1e-4, 1e-4, 1e-4), (1e-4, 2e-4, 2e-4)])
+    def test_repeated_temperature_rejected_before_any_ridge(self, monkeypatch, quantity, ts):
+        def kernel(*args):
+            raise AssertionError("a ridge was computed")
+
+        monkeypatch.setattr(xy_exact, "mz_infinite_many", kernel)
+        monkeypatch.setattr(xy_exact, "dmz_dT_many", kernel)
+        with pytest.raises(ConfigurationError, match="repeats a temperature"):
+            crossover_lines(quantity, 1.0, ts)
+
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigurationError):
             crossover_lines(CrossoverQuantity.DMZDT, 1.0, (0.0, 1e-4, 2e-4))

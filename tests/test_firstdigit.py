@@ -4,7 +4,8 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from benford_xy import firstdigit, windowscan, xy_exact
+from benford_xy import cli, firstdigit, windowscan, xy_exact
+from benford_xy.criticality import crossover_lines
 from benford_xy.errors import ConfigurationError, DegenerateWindowError, DomainError
 from benford_xy.firstdigit import (
     ReferenceDistribution,
@@ -15,7 +16,14 @@ from benford_xy.firstdigit import (
     unit_histograms,
 )
 from benford_xy.violation import Metric, violations
-from benford_xy.windowscan import Observable, ScanConfig, WindowLattice, evaluate
+from benford_xy.windowscan import (
+    Observable,
+    ScanConfig,
+    WindowLattice,
+    evaluate,
+    scan,
+    scan_chains,
+)
 
 
 class TestFirstSignificantDigit:
@@ -237,8 +245,11 @@ class TestUnitHistogram:
         v = xy_exact.mz_finite_many(np.linspace(0.99, 1.01, 10_000), 0.5, 20, 0.0)
         want = _reference(v)
         monkeypatch.setattr(firstdigit, "digits_of", spy)
-        assert _row(v) == want
-        assert sum(seen) < 1000
+        # a rising window, and the same window falling, read reversed
+        for values in (v, v[::-1]):
+            seen.clear()
+            assert _row(values) == want
+            assert sum(seen) < 1000
 
 
 def _lattice_rows(values, samples, stride, lo=0, hi=None, count=None):
@@ -330,7 +341,8 @@ class TestBatchedCounts:
 
     def test_monotone_windows_apart(self):
         # two rising windows with a fall between them, two falling ones with a
-        # rise between them, and windows that hold the steps between
+        # rise between them, and windows that hold the steps between; the
+        # batch both rises and falls, so every window goes through histogram
         up = self.mz()[:3000]
         v = np.concatenate([up, up - 0.01, up[::-1], up[::-1] + 0.01])
         starts = [0, 3000, 6000, 9000, 0, 2500, 1000]
@@ -383,6 +395,43 @@ class TestBatchedCounts:
         assert got.tolist() == want
         # the points between windows are never evaluated
         assert batches == [1] * 60 and calls == [100] * 60
+
+
+def _default_chains(gamma):
+    """scale's default walk: every chain of its --n-list on the default grid."""
+    n_list = cli.build_parser().parse_args(["scale"]).n_list
+    return [ScanConfig(Observable.MZ, gamma, (0.8, 1.2), n_sites=n) for n in n_list]
+
+
+# The runs the benchmark measures: each batch of their windows is monotone,
+# which is what lets unit_histograms test a batch once and bisect it whole
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: scan(ScanConfig(Observable.MZ, 1.0, (0.8, 1.2))),
+        lambda: scan(ScanConfig(Observable.CZZ, 1.0, (0.8, 1.2))),
+        lambda: scan_chains(_default_chains(0.1)),
+        lambda: scan_chains(_default_chains(0.5)),
+        lambda: crossover_lines("bvp", 1.0, [1e-4, 3e-4, 5e-4], samples=3000),
+    ],
+    ids=["scan mz", "scan czz", "scale gamma 0.1", "scale gamma 0.5", "crossover bvp"],
+)
+def test_measured_runs_never_count_window_by_window(monkeypatch, run):
+    batches, fallbacks = [], []
+    count, histogram = windowscan.unit_histograms, firstdigit.histogram
+
+    def count_spy(values, starts, stops):
+        batches.append(len(starts))
+        return count(values, starts, stops)
+
+    def histogram_spy(values):
+        fallbacks.append(np.size(values))
+        return histogram(values)
+
+    monkeypatch.setattr(windowscan, "unit_histograms", count_spy)
+    monkeypatch.setattr(firstdigit, "histogram", histogram_spy)
+    run()
+    assert batches and fallbacks == []
 
 
 class TestReferenceDistributions:
