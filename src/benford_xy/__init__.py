@@ -26,7 +26,6 @@ from .windowscan import Observable, ScanConfig, ScanResult, scan
 from .criticality import (
     CrossoverLines,
     CrossoverQuantity,
-    RidgeGrid,
     ScalingFit,
     Signature,
     TransitionEstimate,
@@ -56,7 +55,6 @@ __all__ = [
     "Observable",
     "PolyFit",
     "ReferenceDistribution",
-    "RidgeGrid",
     "ScalingFit",
     "ScanConfig",
     "ScanResult",

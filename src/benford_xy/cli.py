@@ -354,7 +354,6 @@ def cmd_crossover(args) -> int:
         if args.quantity != "both"
         else list(criticality.CrossoverQuantity)
     )
-    grid = criticality.RidgeGrid(span=args.span, step=args.step)
     dist = _dist_from_flags(args)
     tables, lines_block = {}, {}
     for quantity in quantities:
@@ -362,7 +361,8 @@ def cmd_crossover(args) -> int:
             quantity,
             args.gamma,
             args.t_list,
-            grid,
+            span=args.span,
+            step=args.step,
             window_ratio=args.window_ratio,
             samples=args.samples,
             dist=dist,

@@ -10,14 +10,15 @@ minimum signature) is found first, using a locally regressed slope rather
 than pointwise differences because digit counts move in discrete steps and
 make raw gradients noisy.
 
-Crossover lines: at each temperature in a grid, the chosen quantity's ridge
-extrema on either side of lambda = 1 are located on a lambda grid scaled by
-the temperature and refined by a parabolic fit - three-point interpolation
-for the smooth magnetization derivative, a least-squares parabola over a
-wider neighbourhood for violation ridges, whose digit-count staircase makes
-pointwise interpolation noisy - and each branch's (lambda, T) points are
-fitted with a straight line. The violation windows go through the same
-window stage as scan windows (windowscan.WindowLattice.histograms).
+Crossover lines: at each temperature t in a grid, the chosen quantity's
+ridge extrema on either side of lambda = 1 are located on the grid lambda =
+1 + t * u, u from -span to +span in steps of step (two plain numbers that
+crossover_lines alone checks), and refined by a parabolic fit - three-point
+interpolation for the smooth magnetization derivative, a least-squares
+parabola over a wider neighbourhood for violation ridges, whose digit-count
+staircase makes pointwise interpolation noisy - and each branch's (lambda,
+T) points are fitted with a straight line. The violation windows go through
+the same window stage as scan windows (windowscan.WindowLattice.histograms).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
 from .firstdigit import DistKind, ReferenceDistribution
 from .numerics import LineFit, PolyFit
 from .violation import Metric, violations
-from .windowscan import MAX_GRID_POINTS, ScanResult, WindowLattice, check_lattice
+from .windowscan import ScanResult, WindowLattice, check_lattice
 
 LAMBDA_C = 1.0
 
@@ -247,37 +248,24 @@ class CrossoverQuantity(enum.Enum):
     BVP = "bvp"
 
 
-@dataclass(frozen=True)
-class RidgeGrid:
-    """Per-temperature lambda grid around lambda = 1, in units of t_tilde."""
-
-    span: float = RIDGE_SPAN
-    step: float = RIDGE_STEP
-
-    def __post_init__(self):
-        if not (0.0 < self.span < math.inf and 0.0 < self.step < math.inf):
-            raise ConfigurationError("ridge span and step must be positive and finite")
-        if not 2.0 * self.span / self.step <= MAX_GRID_POINTS:
-            raise ConfigurationError(f"ridge grid of more than {MAX_GRID_POINTS} points")
-
-    def centers(self, t_tilde: float) -> np.ndarray:
-        u = np.arange(-self.span, self.span + 1e-12, self.step)
-        return 1.0 + t_tilde * u
+def _ridge_offsets(span: float, step: float) -> np.ndarray:
+    """u from -span to within half a step of +span, counted as window_centers
+    counts; np.arange's elements depend on its start and step alone."""
+    count = math.floor(2.0 * span / step + 1e-9) + 1
+    return np.arange(-span, -span + (count - 0.5) * step, step)
 
 
-def _bvp_deltas(gamma: float, t_tilde: float, grid: RidgeGrid, window_ratio: float,
-                samples: int, dist: ReferenceDistribution, metric: Metric) -> np.ndarray:
-    """Violation parameter of each window centred on grid.centers(t_tilde).
+def _bvp_deltas(gamma: float, t_tilde: float, u: np.ndarray, lattice: WindowLattice,
+                dist: ReferenceDistribution, metric: Metric) -> np.ndarray:
+    """Violation parameter of each window centred on 1 + t_tilde * u.
 
-    The windows are those of WindowLattice(grid.step, window_ratio, samples)
-    at lambda = 1 + t_tilde * (-grid.span + offset), through its histograms
-    stage; each spans (samples - 1) * step * t_tilde / stride, which is
-    (1 - 1/samples) * t_tilde at the defaults.
+    The windows are those of the lattice at lambda = 1 + t_tilde * (u[0] +
+    offset), through its histograms stage; each spans (samples - 1) * step *
+    t_tilde / stride, which is (1 - 1/samples) * t_tilde at the defaults.
     """
-    counts = WindowLattice(grid.step, window_ratio, samples).histograms(
-        grid.centers(t_tilde).size,
-        lambda x: xy_exact.mz_infinite_many(
-            1.0 + t_tilde * (-grid.span + x), gamma, t_tilde),
+    counts = lattice.histograms(
+        u.size,
+        lambda x: xy_exact.mz_infinite_many(1.0 + t_tilde * (u[0] + x), gamma, t_tilde),
         1,
     )[0]
     if not counts.any(axis=1).all():
@@ -327,18 +315,18 @@ def _branch_extremum(centers: np.ndarray, values: np.ndarray, side: np.ndarray,
     return _refine3(centers, values, k)
 
 
-def _ridge_slice(quantity: CrossoverQuantity, gamma: float, t: float, grid: RidgeGrid,
-                 window_ratio: float, samples: int, dist: ReferenceDistribution,
+def _ridge_slice(quantity: CrossoverQuantity, gamma: float, t: float, u: np.ndarray,
+                 centers: np.ndarray, lattice: WindowLattice, dist: ReferenceDistribution,
                  metric: Metric) -> tuple[float, float]:
-    """The left and right extremum's lambda at temperature t, NaN if unbracketed."""
-    centers = grid.centers(t)
+    """The left and right extremum's lambda at temperature t, on the centres
+    1 + t * u, NaN if unbracketed."""
     if quantity is CrossoverQuantity.DMZDT:
         # ridge of maxima on the ordered side, minima on the paramagnetic side;
         # the surface is smooth, so three-point interpolation is unbiased
         values, left_max, refine = xy_exact.dmz_dT_many(centers, gamma, t), True, 0
     else:
         # the violation curve dips left of the transition and peaks right of it
-        values = _bvp_deltas(gamma, t, grid, window_ratio, samples, dist, metric)
+        values = _bvp_deltas(gamma, t, u, lattice, dist, metric)
         left_max, refine = False, RIDGE_REFINE_POINTS
     return (_branch_extremum(centers, values, centers < 1.0, left_max, refine),
             _branch_extremum(centers, values, centers > 1.0, not left_max, refine))
@@ -348,8 +336,9 @@ def crossover_lines(
     quantity: CrossoverQuantity | str,
     gamma: float,
     t_grid,
-    lambda_grid: RidgeGrid | None = None,
     *,
+    span: float = RIDGE_SPAN,
+    step: float = RIDGE_STEP,
     window_ratio: float = RIDGE_WINDOW_RATIO,
     samples: int = RIDGE_SAMPLES,
     dist: ReferenceDistribution = ReferenceDistribution.benford(),
@@ -357,10 +346,11 @@ def crossover_lines(
 ) -> CrossoverLines:
     """Fit the two finite-temperature crossover lines T = s (lambda - 1).
 
-    For each temperature the quantity's extremum is located on each side of
-    lambda = 1; unbracketed extrema drop that branch point with a warning.
-    The temperatures must differ, and each branch needs at least 3 surviving
-    points.
+    At each temperature t the quantity's extremum is located on each side of
+    lambda = 1, on the grid 1 + t * u, u from -span to +span in steps of
+    step; unbracketed extrema drop that branch point with a warning. The
+    temperatures must differ, and each branch needs at least 3 surviving
+    points. The grid settings are checked here alone, before any grid point.
     """
     quantity = CrossoverQuantity(quantity)
     ts = [float(t) for t in t_grid]
@@ -368,19 +358,23 @@ def crossover_lines(
         raise ConfigurationError("t_grid must hold at least one temperature")
     if len(set(ts)) < len(ts):
         raise ConfigurationError("t_grid repeats a temperature; each ridge point needs its own")
-    grid = lambda_grid or RidgeGrid()
     for t in ts:
         xy_exact.check_model(gamma, t)
         if not t:
             raise ConfigurationError("t_tilde = 0 (T = 0) has no crossover ridge")
+    if not all(0.0 < v < math.inf for v in (span, step, window_ratio)):
+        raise ConfigurationError("ridge span, step and window_ratio must be positive and finite")
+    check_lattice(2.0 * span / step, step, window_ratio, samples)
+    u = _ridge_offsets(span, step)
+    lattice = WindowLattice(step, window_ratio, samples)
+    centers = [1.0 + t * u for t in ts]
+    for t, c in zip(ts, centers):
         # at t near the float spacing at 1, 1 + t * u rounds distinct u to one lambda
-        if not (np.diff(grid.centers(t)) > 0.0).all():
+        if not (np.diff(c) > 0.0).all():
             raise ConfigurationError(f"t_tilde={t:g}: ridge grid 1 + t_tilde * u repeats lambda")
-    if not (0.0 < window_ratio < math.inf):
-        raise ConfigurationError("window_ratio must be positive and finite")
-    check_lattice(2.0 * grid.span / grid.step, grid.step, window_ratio, samples)
     ridge = np.column_stack([
-        _ridge_slice(quantity, gamma, t, grid, window_ratio, samples, dist, metric) for t in ts
+        _ridge_slice(quantity, gamma, t, u, c, lattice, dist, metric)
+        for t, c in zip(ts, centers)
     ])
     t_tilde = np.array(ts)
     fits = []

@@ -508,8 +508,8 @@ class TestCrossover:
         assert csvs[0] == csvs[1]
 
 
-# Grids too large for numpy to index (rejected by ScanConfig or RidgeGrid) or
-# to allocate (a MemoryError), each far above 2**48 bytes.
+# Grids too large for numpy to index (rejected by ScanConfig or
+# crossover_lines) or to allocate (a MemoryError), each far above 2**48 bytes.
 OVERSIZED_GRIDS = [
     SCAN_ARGS + ["--lambda", "0.8:1.2:1e-300"],
     SCAN_ARGS + ["--window", "1e-300"],

@@ -5,8 +5,9 @@ import pytest
 
 from benford_xy import criticality, xy_exact
 from benford_xy.criticality import (
+    RIDGE_SPAN,
+    RIDGE_STEP,
     CrossoverQuantity,
-    RidgeGrid,
     Signature,
     auto_fit_range,
     crossover_lines,
@@ -261,19 +262,25 @@ class TestScalingExponent:
 
 class TestRidgeGrid:
     def test_centers_scale_with_temperature(self):
-        grid = RidgeGrid(span=3.0, step=0.025)
-        c = grid.centers(1e-4)
+        c = 1.0 + 1e-4 * criticality._ridge_offsets(3.0, 0.025)
         assert c.size == 241
         assert c[0] == pytest.approx(1.0 - 3e-4)
         assert c[-1] == pytest.approx(1.0 + 3e-4)
         assert 1.0 in c
 
+    def test_default_offsets_keep_their_bits(self):
+        u = criticality._ridge_offsets(RIDGE_SPAN, RIDGE_STEP)
+        assert u.tobytes() == np.arange(-3.0, 3.0 + 1e-12, 0.025).tobytes()
+
+    # a stop of span + 1e-12 once dropped +span at large scales and ran
+    # 9 steps past it at small ones
     @pytest.mark.parametrize(
-        "span, step", [(0.0, 0.025), (math.inf, 0.025), (3.0, 0.0), (3.0, math.inf)]
+        "span, step, count", [(1e4, 1.0, 20_001), (5e3, 0.5, 20_001), (1e-10, 1e-13, 2001)]
     )
-    def test_span_and_step_must_be_positive_and_finite(self, span, step):
-        with pytest.raises(ConfigurationError, match="span and step must be positive and finite"):
-            RidgeGrid(span=span, step=step)
+    def test_offsets_end_at_plus_span_at_any_scale(self, span, step, count):
+        u = criticality._ridge_offsets(span, step)
+        assert u.size == count
+        assert u[0] == -span and abs(u[-1] - span) < 0.5 * step
 
 
 class TestCrossoverLines:
@@ -282,7 +289,8 @@ class TestCrossoverLines:
             CrossoverQuantity.DMZDT,
             gamma=1.0,
             t_grid=(1e-4, 2e-4, 5e-4),
-            lambda_grid=RidgeGrid(span=3.0, step=0.025),
+            span=3.0,
+            step=0.025,
         )
         assert lines.left.slope == pytest.approx(-0.5943, abs=0.02)
         assert lines.right.slope == pytest.approx(+0.5943, abs=0.02)
@@ -295,12 +303,12 @@ class TestCrossoverLines:
 
     def test_string_quantity_accepted(self):
         lines = crossover_lines(
-            "dmzdt", 1.0, (2e-4, 3e-4, 4e-4), RidgeGrid(span=3.0, step=0.05)
+            "dmzdt", 1.0, (2e-4, 3e-4, 4e-4), span=3.0, step=0.05
         )
         assert lines.left.slope < 0 < lines.right.slope
 
     def test_unbracketed_points_warn_and_are_omitted(self, monkeypatch):
-        def fake_slice(quantity, gamma, t, grid, window_ratio, samples, dist, metric):
+        def fake_slice(quantity, gamma, t, u, centers, lattice, dist, metric):
             if t == 1e-4:
                 return math.nan, 1.0 + 0.5 * t
             return 1.0 - 0.5 * t, 1.0 + 0.5 * t
@@ -322,7 +330,8 @@ class TestCrossoverLines:
                 CrossoverQuantity.DMZDT,
                 1.0,
                 (2e-4, 4e-4),
-                RidgeGrid(span=3.0, step=0.05),
+                span=3.0,
+                step=0.05,
             )
 
     def test_branch_named_when_extrema_unbracketed(self):
@@ -332,7 +341,8 @@ class TestCrossoverLines:
                 CrossoverQuantity.DMZDT,
                 1.0,
                 (1e-4, 2e-4, 5e-4),
-                RidgeGrid(span=1.0, step=0.05),
+                span=1.0,
+                step=0.05,
             )
         assert "left" in str(exc.value) or "right" in str(exc.value)
 
@@ -341,7 +351,7 @@ class TestCrossoverLines:
     @pytest.mark.parametrize("span, step", [(3.0, 10.0), (0.01, 0.025)])
     def test_side_without_centres_is_insufficient_ridge(self, quantity, span, step):
         with pytest.raises(InsufficientRidgeError, match="left branch has 0 ridge points"):
-            crossover_lines(quantity, 1.0, (1e-4, 2e-4, 3e-4), RidgeGrid(span=span, step=step))
+            crossover_lines(quantity, 1.0, (1e-4, 2e-4, 3e-4), span=span, step=step)
 
     @pytest.mark.parametrize("quantity", list(CrossoverQuantity))
     def test_empty_temperature_grid_rejected(self, quantity):
@@ -398,10 +408,30 @@ class TestCrossoverLines:
         with pytest.raises(DegenerateWindowError, match="t_tilde=0.0001"):
             crossover_lines(CrossoverQuantity.BVP, 1.0, (1e-4, 2e-4, 5e-4), samples=600)
 
+    @staticmethod
+    def fail_on_any_grid(monkeypatch):
+        def fail(*args):
+            raise AssertionError("a ridge grid or kernel was computed")
+
+        for module, name in [(xy_exact, "mz_infinite_many"), (xy_exact, "dmz_dT_many"),
+                             (criticality, "_ridge_offsets")]:
+            monkeypatch.setattr(module, name, fail)
+
+    # crossover_lines is the one place that checks its grid settings
+    @pytest.mark.parametrize("quantity", list(CrossoverQuantity))
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("setting", ["span", "step", "window_ratio"])
+    def test_grid_settings_checked_before_any_kernel(self, monkeypatch, setting, value, quantity):
+        self.fail_on_any_grid(monkeypatch)
+        with pytest.raises(ConfigurationError,
+                           match="span, step and window_ratio must be positive and finite"):
+            crossover_lines(quantity, 1.0, (1e-4, 2e-4, 5e-4), **{setting: value})
+
     @pytest.mark.parametrize("step", [1e-300, 1e-320])
-    def test_grid_too_large_to_index_rejected(self, step):
-        with pytest.raises(ConfigurationError, match="ridge grid of more than"):
-            RidgeGrid(span=3.0, step=step)
+    def test_grid_too_large_to_index_rejected(self, monkeypatch, step):
+        self.fail_on_any_grid(monkeypatch)
+        with pytest.raises(ConfigurationError, match="grid of more than"):
+            crossover_lines(CrossoverQuantity.DMZDT, 1.0, (1e-4, 2e-4, 5e-4), step=step)
 
 
 class TestRefineWindow:
@@ -409,7 +439,7 @@ class TestRefineWindow:
     @pytest.mark.parametrize("want_max", [False, True])
     def test_vertex_of_a_parabola_at_any_step(self, t, want_max):
         # a ridge grid at temperature t: steps of 0.025 t about lambda = 1
-        x = RidgeGrid().centers(t)
+        x = 1.0 + t * criticality._ridge_offsets(RIDGE_SPAN, RIDGE_STEP)
         c = 1.0 + 0.3 * t
         y = ((x - c) / t) ** 2 * (-1.0 if want_max else 1.0)
         k = int(np.argmax(y) if want_max else np.argmin(y))
@@ -420,7 +450,8 @@ class TestRefineWindow:
 class TestViolationLattice:
     T = 2e-4
     SAMPLES = 600
-    GRID = RidgeGrid()
+    U = criticality._ridge_offsets(RIDGE_SPAN, RIDGE_STEP)
+    LATTICE = WindowLattice(RIDGE_STEP, 1.0, SAMPLES)
     BENFORD = ReferenceDistribution.benford()
     METRIC = criticality.Metric.MEAN_DEVIATION
 
@@ -436,7 +467,7 @@ class TestViolationLattice:
 
         monkeypatch.setattr(xy_exact, "mz_infinite_many", spy)
         deltas = criticality._bvp_deltas(
-            1.0, self.T, self.GRID, 1.0, self.SAMPLES, self.BENFORD, self.METRIC
+            1.0, self.T, self.U, self.LATTICE, self.BENFORD, self.METRIC
         )
         assert all(lams.size <= self.SAMPLES for lams in calls)
         lattice = np.concatenate(calls)
@@ -450,10 +481,10 @@ class TestViolationLattice:
 
     def test_windows_are_symmetric_slices_around_centers(self, monkeypatch):
         _, lattice = self.bvp_deltas(monkeypatch)
-        m = WindowLattice(self.GRID.step, 1.0, self.SAMPLES).stride
-        centers = self.GRID.centers(self.T)
+        m = self.LATTICE.stride
+        centers = 1.0 + self.T * self.U
         assert lattice.size == (centers.size - 1) * m + self.SAMPLES
-        assert np.allclose(np.diff(lattice), self.GRID.step * self.T / m, rtol=1e-9, atol=0)
+        assert np.allclose(np.diff(lattice), RIDGE_STEP * self.T / m, rtol=1e-9, atol=0)
         for i, c in enumerate(centers):
             window = lattice[i * m : i * m + self.SAMPLES]
             assert np.allclose(window - c, (c - window)[::-1], rtol=0, atol=1e-15)
@@ -463,8 +494,8 @@ class TestViolationLattice:
 
     def test_lattice_deltas_match_per_window_evaluation(self, monkeypatch):
         deltas, lattice = self.bvp_deltas(monkeypatch)
-        m = WindowLattice(self.GRID.step, 1.0, self.SAMPLES).stride
-        assert deltas.shape == self.GRID.centers(self.T).shape
+        m = self.LATTICE.stride
+        assert deltas.shape == self.U.shape
         assert np.all(np.isfinite(deltas)) and np.all(deltas >= 0)
         for i, got in enumerate(deltas):
             window = lattice[i * m : i * m + self.SAMPLES]

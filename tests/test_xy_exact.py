@@ -512,6 +512,8 @@ class TestPackageRoot:
         namespace = {}
         exec(block, namespace)
         assert namespace["fit"].exponent == pytest.approx(-2.117, abs=1e-3)
+        lines = namespace["lines"]
+        assert (lines.left.slope, lines.right.slope) == pytest.approx((-0.594, 0.595), abs=1e-3)
 
 
 class TestThermalLadderPerCall:
@@ -541,11 +543,10 @@ class TestThermalLadderPerCall:
     @pytest.mark.parametrize("t_tilde", [1e-4, 3e-4, 5e-4])
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
     def test_crossover_ridge_lattice(self, gamma, t_tilde):
-        grid = criticality.RidgeGrid()
-        lattice = windowscan.WindowLattice(grid.step, 1.0, 3000)
-        count = grid.centers(t_tilde).size
-        offsets = lattice.offsets(0, (count - 1) * lattice.stride + lattice.samples)
-        self.assert_matches_single_calls(1.0 + t_tilde * (-grid.span + offsets), gamma, t_tilde)
+        u = criticality._ridge_offsets(criticality.RIDGE_SPAN, criticality.RIDGE_STEP)
+        lattice = windowscan.WindowLattice(criticality.RIDGE_STEP, 1.0, 3000)
+        offsets = lattice.offsets(0, (u.size - 1) * lattice.stride + lattice.samples)
+        self.assert_matches_single_calls(1.0 + t_tilde * (u[0] + offsets), gamma, t_tilde)
 
     @pytest.mark.parametrize("t_tilde", [1e-3, 3e-4])
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
