@@ -310,11 +310,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    configs = [_scan_config(args, Observable.MZ, n) for n in args.n_list]
+    # built as a finite chain: the infinite lattice at T = 0 rejects a gamma the chains take
+    config = _scan_config(args, Observable.MZ, args.n_list[0])
     signature = criticality.Signature(args.signature) if args.signature != "auto" \
-        else criticality.default_signature(configs[0].dist)
+        else criticality.default_signature(config.dist)
     estimates = []
-    for result in scan_chains(configs):
+    for result in scan_chains(config, args.n_list):
         try:
             fit_range = criticality.auto_fit_range(
                 result, signature, fit_half=args.fit_half, smooth_half=args.smooth_half
@@ -341,7 +342,7 @@ def cmd_scale(args) -> int:
     print(f"scale: exponent = {fit.exponent!r}, prefactor = {fit.prefactor!r}")
     _finish(
         args,
-        _config_echo(configs[0]) | {"signature": signature},
+        _config_echo(config) | {"signature": signature},
         {"scale": (["n_sites", "lambda_c_n"], zip(args.n_list, lambda_c_n))},
         {"scale_fit.json": fit_block},
     )
@@ -407,10 +408,12 @@ def _add_window_scoring_flags(p: argparse.ArgumentParser) -> None:
 def _add_scan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--t", type=_t_tilde, default="zero", help="reduced temperature or 'zero'")
-    p.add_argument("--lambda", dest="lambda_range", type=_lambda_range, default="0.8:1.2:0.002",
-                   help="start:stop:step")
-    p.add_argument("--window", type=float, default=0.02, help="window width in lambda")
-    p.add_argument("--samples", type=int, default=10_000, help="samples per window")
+    p.add_argument("--lambda", dest="lambda_range", type=_lambda_range,
+                   default=f"0.8:1.2:{ScanConfig.lambda_step!r}", help="start:stop:step")
+    p.add_argument("--window", type=float, default=ScanConfig.window_width,
+                   help="window width in lambda")
+    p.add_argument("--samples", type=int, default=ScanConfig.samples_per_window,
+                   help="samples per window")
     _add_window_scoring_flags(p)
 
 

@@ -75,14 +75,6 @@ class ReferenceDistribution:
     def benford(cls) -> "ReferenceDistribution":
         return cls(DistKind.BENFORD)
 
-    @classmethod
-    def uniform(cls) -> "ReferenceDistribution":
-        return cls(DistKind.UNIFORM)
-
-    @classmethod
-    def poisson(cls, kappa: float) -> "ReferenceDistribution":
-        return cls(DistKind.POISSON, kappa)
-
     def label(self) -> str:
         if self.kind is DistKind.POISSON:
             return f"poisson(kappa={self.kappa:g})"

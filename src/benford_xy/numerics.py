@@ -19,7 +19,6 @@ from .errors import SingularFitError
 # the positive nodes of numpy.polynomial.legendre.leggauss(16) and their
 # weights, mirrored. Written out because importing numpy.polynomial costs
 # about 1.8 MB of resident memory, which runs that need no quadrature carry.
-PANEL_ORDER = 16
 _HALF_X = np.array([
     0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
@@ -48,7 +47,7 @@ class LineFit:
 
 
 def composite_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
-    """The PANEL_ORDER-point Gauss-Legendre rule on each panel between edges."""
+    """The 16-point Gauss-Legendre rule on each panel between edges."""
     edges = np.asarray(edges, dtype=float)
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]

@@ -9,10 +9,10 @@ violation ridges: it evaluates the lattice one window of points per call, for
 rows of observables at once, and counts the windows in fixed batches, each in
 one firstdigit.unit_histograms call per row, into a (rows x windows x 9)
 array of digit counts, with a zero row for each degenerate window.
-scan_chains walks the lattice once for the configs that share it, one row
-per config: the chain lengths of scale, or the one config of scan. It scores
-each config's counts that are not zero in one violation.violations call and
-hands the delta(lambda) curve on as float64 arrays (ScanResult): the
+scan walks the lattice for one config; scan_chains(config, n_list) walks it
+once for the chain lengths of scale, one row per chain. Each config's counts
+that are not zero are scored in one violation.violations call, and its
+delta(lambda) curve is handed on as float64 arrays (ScanResult): the
 midpoints of the scored windows and their violations, and the midpoints of
 the degenerate ones. No randomness enters anywhere.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,9 +191,9 @@ class ScanResult:
 
 def evaluate(configs: list[ScanConfig], lams: np.ndarray) -> np.ndarray:
     """The configured observable at each lambda in lams, for configs that
-    share one walk (see scan_chains): of one config, an array of lams' shape;
-    of finite-chain Mz configs, one row per config, from one pass over their
-    chains' modes."""
+    share one walk (see scan_chains): of finite-chain Mz configs, one row per
+    config, from one pass over their chains' modes; of one config on the
+    infinite lattice, an array of lams' shape."""
     config = configs[0]
     obs = config.observable
     if obs is Observable.MZ:
@@ -256,17 +256,15 @@ def scan(config: ScanConfig) -> ScanResult:
     Degenerate windows (flat observable) are skipped and their midpoints
     recorded, never silently zeroed.
     """
-    return scan_chains([config])[0]
+    mids, counts = window_histograms([config])
+    return _result(config, mids, counts[0])
 
 
-def scan_chains(configs: list[ScanConfig]) -> list[ScanResult]:
-    """scan() of each config, in one walk of the lattice they share: several
-    configs must be finite-chain Mz configs that differ in n_sites alone.
-    Each chain's curve has the bits of its own scan()."""
-    shared = vars(configs[0]) | {"n_sites": None}
-    if len(configs) > 1 and any(c.observable is not Observable.MZ or c.n_sites is None
-                                or vars(c) | {"n_sites": None} != shared for c in configs):
-        raise ConfigurationError("scan_chains takes finite-chain Mz configs that differ"
-                                 " in n_sites alone")
+def scan_chains(config: ScanConfig, n_list) -> list[ScanResult]:
+    """scan() of config at each chain length in n_list, in one walk of the
+    lattice they share. Each chain's curve has the bits of its own scan()."""
+    configs = [replace(config, n_sites=n) for n in n_list]
+    if not configs or any(c.n_sites is None for c in configs):
+        raise ConfigurationError("scan_chains takes one or more chain lengths, not None")
     mids, counts = window_histograms(configs)
-    return [_result(config, mids, rows) for config, rows in zip(configs, counts)]
+    return [_result(c, mids, rows) for c, rows in zip(configs, counts)]

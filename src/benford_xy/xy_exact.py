@@ -45,7 +45,8 @@ crossover temperature share them, and Mz and dMz/dT share a bin's rule.
 The infinite lattice at T = 0 needs no quadrature: Mz, G(-1) and G(+1) are
 complete elliptic integrals (Barouch & McCoy, Phys. Rev. A 3, 786 (1971)),
 evaluated by Bulirsch's cel iteration in a form that stays finite at
-lambda = +-1 (see mz_and_correlators_many). Each sample leaves the
+lambda = +-1 (see mz_and_correlators_many), to rounding for 1e-30 <= |gamma|
+<= 1e20 (see _KC_FLOOR), the range check_model allows. Each sample leaves the
 iteration once its own iterates have met, after five steps for most and at
 most ten (see _cel). Mz needs only the integral X and K; the derivative
 dX/dp is carried through the iteration only for G(-1) and G(+1).
@@ -97,6 +98,9 @@ _CACHED_BINS = 64
 _CHEBYSHEV = -np.cos(math.pi * np.arange(_DEGREE_CAP + 1) / _DEGREE_CAP)
 
 
+# The largest |gamma| check_model takes on any path: its square, (gamma sin phi)^2
+# in the dispersion, stays far below the float overflow near 1.8e308.
+_GAMMA_MAX = 1e150
 # The least positive t_tilde whose reciprocal, the thermal factor's 1 / t_tilde,
 # is finite in floats.
 _T_TILDE_MIN = 5.56268464626801e-309
@@ -107,12 +111,13 @@ _DMZ_T_TILDE_MIN = 5.950894918631799e-155
 
 def check_model(gamma: float, t_tilde: float = 0.0,
                 n_sites: int | None = None) -> None:
-    """Reject model parameters outside the chain's domain: gamma must be
-    finite and nonzero (|gamma| >= _KC_FLOOR on the infinite lattice at
-    T = 0), t_tilde 0 (T = 0) or from _T_TILDE_MIN up and finite, and
+    """Reject model parameters outside the chain's domain: gamma nonzero with
+    |gamma| <= _GAMMA_MAX (_KC_FLOOR to _T0_GAMMA_MAX on the infinite lattice
+    at T = 0), t_tilde 0 (T = 0) or from _T_TILDE_MIN up and finite, and
     n_sites absent (infinite lattice) or an even integer >= 4."""
-    if gamma == 0.0 or not np.isfinite(gamma):
-        raise ConfigurationError(f"gamma must be finite and nonzero, got {gamma!r}")
+    if gamma == 0.0 or not abs(gamma) <= _GAMMA_MAX:
+        raise ConfigurationError(
+            f"gamma must be nonzero with |gamma| <= {_GAMMA_MAX:g}, got {gamma!r}")
     if not (0.0 <= t_tilde < math.inf):
         raise ConfigurationError(
             f"t_tilde must be finite and >= 0 (0 means T=0), got {t_tilde!r}")
@@ -120,9 +125,10 @@ def check_model(gamma: float, t_tilde: float = 0.0,
         raise ConfigurationError(
             f"t_tilde must be 0 or at least {_T_TILDE_MIN!r}, below which 1/t_tilde"
             f" overflows, got {t_tilde!r}")
-    if not t_tilde and n_sites is None and not abs(gamma) >= _KC_FLOOR:
+    if not t_tilde and n_sites is None and not _KC_FLOOR <= abs(gamma) <= _T0_GAMMA_MAX:
         raise ConfigurationError(
-            f"the infinite lattice at T = 0 needs |gamma| >= {_KC_FLOOR:g}, got {gamma!r}")
+            f"the infinite lattice at T = 0 needs |gamma| >= {_KC_FLOOR:g} and"
+            f" <= {_T0_GAMMA_MAX:g}, got {gamma!r}")
     if n_sites is not None and (n_sites < 4 or n_sites % 2):
         raise ConfigurationError(f"n_sites must be an even integer >= 4, got {n_sites!r}")
 
@@ -407,18 +413,18 @@ def mz_finite_many(lams, gamma: float, chains, t_tilde: float = 0.0) -> np.ndarr
     integrand summed over the modes phi_p = 2 pi p / N, p = 1..N/2, in that
     order, each mode over the whole lambda array at once.
 
-    chains is one chain length N, which gives a lambda-shaped array, or a
-    sequence of them, which gives one row per chain. A mode that is the same
-    (cos phi, gamma^2 sin^2 phi) in bits in several chains is evaluated once
-    and added into each of their rows in turn, so a value depends on lambda
-    and N alone: every row has the bits of a call with its chain alone.
+    chains is a sequence of chain lengths N, one row of the result per
+    chain. A mode that is the same (cos phi, gamma^2 sin^2 phi) in bits in
+    several chains is evaluated once and added into each of their rows in
+    turn, so a value depends on lambda and N alone: every row has the bits
+    of a call with its chain alone.
     """
-    lengths = np.atleast_1d(chains).tolist()
+    lengths = tuple(int(n) for n in chains)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     mz = _mz_integrand(t_tilde)
     total = np.zeros((len(lengths), lams.size))
     d, disp = np.empty((2, lams.size))
-    for c, g2s2, rows in _chain_modes(gamma, tuple(lengths)):
+    for c, g2s2, rows in _chain_modes(gamma, lengths):
         np.subtract(c, lams, out=d)
         np.square(d, out=disp)
         disp += g2s2
@@ -432,7 +438,7 @@ def mz_finite_many(lams, gamma: float, chains, t_tilde: float = 0.0) -> np.ndarr
         for row in rows:
             total[row] += term
     total *= -(2.0 / np.array(lengths, dtype=float))[:, None]
-    return total if np.ndim(chains) else total[0]
+    return total
 
 
 # The cel iteration: its cap on steps, the step after which it finishes every
@@ -441,12 +447,17 @@ def mz_finite_many(lams, gamma: float, chains, t_tilde: float = 0.0) -> np.ndarr
 # a few decades of 1: five steps meet for most samples, and ten reach double
 # precision for every 1e-30 <= kc <= 1e30; kc is at most 1 / |gamma|, hence
 # the least |gamma| the T = 0 kernel takes. kc = 0 (lambda = +-1) would never
-# converge; at kc = 1e-30 every term differs from its kc = 0 limit by about
-# kc**2 log(1/kc), far below rounding. A looser exit (1e-8) errs by 3.5e-9.
+# converge, so kc is clamped at _KC_FLOOR. Next to lambda = +-1, where
+# p ~ 1 / gamma**2, Y = kc^2 (K - X) / p keeps an error of about
+# (_KC_FLOOR * gamma)**2, hence the largest |gamma| the T = 0 kernel takes:
+# against 60-digit quadrature at lambda = 1 +- 1e-6..1e-14, Mz, G(-1) and
+# G(+1) err by 4.7e-15 at |gamma| = 1e20, 8.4e-12 at 1e24 and 2.7e-4 at 1e28.
+# A looser exit (1e-8) errs by 3.5e-9.
 _CEL_STEPS = 10
 _CEL_CHECKPOINT = 5
 _CEL_TOL = 1e-15
 _KC_FLOOR = 1e-30
+_T0_GAMMA_MAX = 1e20
 
 
 def _cel(kc: np.ndarray, p: np.ndarray, derivative: bool):
@@ -531,8 +542,9 @@ def mz_and_correlators_many(lams, gamma: float, *, correlators: bool = True) -> 
     finite there, so the divergent parts have cancelled analytically. Every
     step is elementwise: a value does not depend on the rest of the array.
     """
-    if not abs(gamma) >= _KC_FLOOR:
-        raise DomainError(f"the T = 0 kernel needs |gamma| >= {_KC_FLOOR:g}, got {gamma!r}")
+    if not _KC_FLOOR <= abs(gamma) <= _T0_GAMMA_MAX:
+        raise DomainError(f"the T = 0 kernel needs |gamma| >= {_KC_FLOOR:g} and"
+                          f" <= {_T0_GAMMA_MAX:g}, got {gamma!r}")
     lam = np.atleast_1d(np.asarray(lams, dtype=float))
     outside = np.abs(lam) > 1.0
     b = np.abs((1.0 - lam) * (1.0 + lam))

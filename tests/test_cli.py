@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from benford_xy import cli, xy_exact
+from benford_xy.windowscan import Observable, ScanConfig
 
 
 def run_cli(argv):
@@ -302,6 +303,36 @@ class TestScan:
         assert out.exists() == (code == 0)
         if code:
             assert capsys.readouterr().err.startswith("configuration error: ")
+
+    # the T = 0 kernel takes |gamma| <= 1e20; the finite chain and T > 0 take more
+    @pytest.mark.parametrize(
+        "flags, code",
+        [([], 3), (["--observable", "cxx"], 3), (["--n-sites", "8"], 0), (["--t", "1e-3"], 0)],
+        ids=["t0", "cxx", "finite_n", "thermal"],
+    )
+    def test_largest_anisotropy(self, tmp_path, capsys, flags, code):
+        out = tmp_path / "out"
+        argv = ["scan", "--gamma", "1e30", "--lambda", "0.9:1.1:0.01", "--samples", "200"]
+        assert run_cli(argv + flags + ["--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "needs |gamma| >= 1e-30 and <= 1e+20" in capsys.readouterr().err
+
+    # no path takes a gamma whose square overflows
+    @pytest.mark.parametrize("flags", [[], ["--n-sites", "8"], ["--t", "1e-3"]],
+                             ids=["t0", "finite_n", "thermal"])
+    def test_anisotropy_whose_square_overflows(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        argv = ["scan", "--gamma", "1e200", "--lambda", "0.9:1.1:0.01", "--samples", "200"]
+        assert run_cli(argv + flags + ["--out", str(out)]) == 3
+        assert not out.exists()
+        assert "|gamma| <= 1e+150" in capsys.readouterr().err
+
+    def test_defaults_are_scan_configs(self):
+        for command in ("scan", "scale"):
+            args = cli.build_parser().parse_args([command])
+            assert cli._scan_config(args, Observable.MZ, None) == ScanConfig(
+                Observable.MZ, 1.0, (0.8, 1.2))
 
     def test_odd_n_sites(self, tmp_path):
         assert run_cli(["scan", "--n-sites", "9", "--lambda", "0.9:1.1:0.01",
@@ -650,6 +681,10 @@ class TestManifest:
         assert config["out"] == str(tmp_path)
         assert manifest["outputs"] == outputs
         assert all((tmp_path / name).is_file() for name in outputs)
+
+    def test_unknown_type_is_not_serialized(self):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            json.dumps({"x": object()}, default=cli._json_default)
 
 
 class TestOutputPlumbing:

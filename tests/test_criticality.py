@@ -23,7 +23,7 @@ from benford_xy.errors import (
     MixedSideError,
     NoTransitionError,
 )
-from benford_xy.firstdigit import ReferenceDistribution, histogram, rescale_unit
+from benford_xy.firstdigit import DistKind, ReferenceDistribution, histogram, rescale_unit
 from benford_xy.violation import violations
 from benford_xy.windowscan import (
     Observable,
@@ -51,9 +51,10 @@ GRID = np.arange(0.93, 1.03 + 1e-9, 0.005)
 
 class TestDefaultSignature:
     def test_uniform_dips_others_steepen(self):
-        assert default_signature(ReferenceDistribution.uniform()) is Signature.MINIMUM
+        assert default_signature(ReferenceDistribution(DistKind.UNIFORM)) is Signature.MINIMUM
         assert default_signature(ReferenceDistribution.benford()) is Signature.DERIVATIVE_EXTREMUM
-        assert default_signature(ReferenceDistribution.poisson(5.0)) is Signature.DERIVATIVE_EXTREMUM
+        poisson = ReferenceDistribution(DistKind.POISSON, 5.0)
+        assert default_signature(poisson) is Signature.DERIVATIVE_EXTREMUM
 
 
 class TestLocalSlopes:
@@ -172,6 +173,15 @@ class TestLocateTransition:
         with pytest.raises(NoTransitionError):
             locate_transition(r, (0.93, 1.03), Signature.MINIMUM)
 
+    @pytest.mark.parametrize("signature, message", [
+        (Signature.MINIMUM, "no curvature"),
+        (Signature.DERIVATIVE_EXTREMUM, "degenerated to a parabola"),
+    ])
+    def test_flat_curve_has_no_transition(self, signature, message):
+        r = synthetic_result(GRID, np.zeros_like)
+        with pytest.raises(NoTransitionError, match=message):
+            locate_transition(r, (0.93, 1.03), signature)
+
     def test_too_few_points(self):
         r = synthetic_result(GRID, lambda x: x)
         with pytest.raises(ConfigurationError):
@@ -216,6 +226,12 @@ class TestAutoFitRange:
         )
         with pytest.raises(NoTransitionError):
             auto_fit_range(r, Signature.DERIVATIVE_EXTREMUM)
+
+    def test_no_window_with_enough_neighbours(self):
+        mids = np.arange(0.9, 1.06 + 1e-9, 0.004)
+        r = synthetic_result(mids, lambda x: np.tanh((x - 1.0) / 0.01))
+        with pytest.raises(NoTransitionError, match="enough neighbours"):
+            auto_fit_range(r, Signature.DERIVATIVE_EXTREMUM, smooth_half=1e-3)
 
 
 SIZES = [14, 20, 24, 30, 34, 40]
@@ -445,6 +461,10 @@ class TestRefineWindow:
         k = int(np.argmax(y) if want_max else np.argmin(y))
         got = criticality._refine_window(x, y, k, 12, want_max)
         assert got == pytest.approx(c, rel=0, abs=1e-6 * 0.025 * t + 4e-16)
+
+    def test_flat_triple_keeps_the_sampled_centre(self):
+        x = np.array([0.9, 1.0, 1.1])
+        assert criticality._refine3(x, np.full(3, 0.5), 1) == 1.0
 
 
 class TestViolationLattice:

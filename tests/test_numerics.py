@@ -20,7 +20,6 @@ class TestCompositeNodes:
 
     def test_one_rule_per_panel(self):
         x, _ = numerics.composite_nodes([0.0, 0.1, 1.0])
-        assert numerics.PANEL_ORDER == 16
         assert x.size == 2 * 16
         x, _ = numerics.composite_nodes([0.0, 0.1, 0.5, 1.0])
         assert x.size == 3 * 16
@@ -70,6 +69,11 @@ class TestPolyfit:
     def test_underdetermined(self):
         with pytest.raises(SingularFitError):
             numerics.polyfit([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], 3)
+
+    def test_rank_deficient(self):
+        # x^2 and x^3 of 1e-200 underflow to 0, so two columns are 0
+        with pytest.raises(SingularFitError, match="rank deficient"):
+            numerics.polyfit([0.0, 0.0, 0.0, 1e-200], [0.0, 1.0, 2.0, 3.0], 3)
 
     def test_identical_abscissas(self):
         with pytest.raises(SingularFitError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from benford_xy.errors import EmptyHistogramError
-from benford_xy.firstdigit import ReferenceDistribution, probabilities
+from benford_xy.firstdigit import DistKind, ReferenceDistribution, probabilities
 from benford_xy.violation import Metric, violations
 
 BENFORD_P = [math.log10(1.0 + 1.0 / d) for d in range(1, 10)]
@@ -22,7 +22,7 @@ def _score(counts, dist, metric):
 class TestMetricValues:
     def test_uniform_counts_against_uniform_law_all_zero(self):
         h = _hist([100] * 9)
-        u = ReferenceDistribution.uniform()
+        u = ReferenceDistribution(DistKind.UNIFORM)
         for m in Metric:
             assert _score(h, u, m) == pytest.approx(0.0, abs=1e-12)
 
@@ -71,14 +71,14 @@ class TestAxioms:
         h = _hist(rng.integers(1, 500, 9))
         for dist in (
             ReferenceDistribution.benford(),
-            ReferenceDistribution.uniform(),
-            ReferenceDistribution.poisson(4.0),
+            ReferenceDistribution(DistKind.UNIFORM),
+            ReferenceDistribution(DistKind.POISSON, 4.0),
         ):
             assert _score(h, dist, metric) >= 0.0
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_zero_iff_match_for_uniform(self, metric):
-        u = ReferenceDistribution.uniform()
+        u = ReferenceDistribution(DistKind.UNIFORM)
         assert _score(_hist([50] * 9), u, metric) == pytest.approx(0.0, abs=1e-12)
         off = [50] * 9
         off[0], off[8] = 60, 40
@@ -119,8 +119,8 @@ def _one_row(counts, dist, metric):
 class TestViolations:
     DISTS = [
         ReferenceDistribution.benford(),
-        ReferenceDistribution.uniform(),
-        ReferenceDistribution.poisson(5.0),
+        ReferenceDistribution(DistKind.UNIFORM),
+        ReferenceDistribution(DistKind.POISSON, 5.0),
     ]
 
     @pytest.mark.parametrize("metric", list(Metric))
@@ -143,6 +143,10 @@ class TestViolations:
         got = violations(np.empty((0, 9), dtype=np.int64), ReferenceDistribution.benford(),
                          Metric.MEAN_DEVIATION)
         assert got.shape == (0,)
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(TypeError, match="unknown metric"):
+            violations([[1] * 9], ReferenceDistribution.benford(), "mean")
 
     def test_an_empty_row_is_rejected(self):
         counts = [[1] * 9, [0] * 9]

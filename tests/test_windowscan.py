@@ -374,13 +374,13 @@ class TestScanChains:
     )
     def test_each_chain_has_the_bits_of_its_own_scan(self, lattice):
         n_list = cli.build_parser().parse_args(["scale"]).n_list
-        configs = [ScanConfig(Observable.MZ, 0.5, (0.8, 1.2), n_sites=n, **lattice)
-                   for n in n_list]
+        base = ScanConfig(Observable.MZ, 0.5, (0.8, 1.2), n_sites=n_list[0], **lattice)
         # stride 4000 lattice points, of which each gapped window holds the first 2000
-        assert configs[0].lattice.stride == (1000 if not lattice else 4000)
-        results = scan_chains(configs)
+        assert base.lattice.stride == (1000 if not lattice else 4000)
+        results = scan_chains(base, n_list)
         assert len(results) == len(n_list) == 6
-        for config, got in zip(configs, results):
+        for n, got in zip(n_list, results):
+            config = replace(base, n_sites=n)
             want = scan(config)
             assert got.config == config
             for name in ("lambdas", "deltas", "degenerate_windows"):
@@ -388,19 +388,25 @@ class TestScanChains:
                 assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
             assert got.deltas.size == 201
 
-    @pytest.mark.parametrize(
-        "other",
-        [
-            {"gamma": 1.0},
-            {"observable": Observable.CXX, "n_sites": None},
-            {"n_sites": None},
-            {"samples_per_window": 5000},
-            {"window_width": 0.01},
-            {"lambda_step": 0.004},
-        ],
-        ids=["gamma", "observable", "infinite_lattice", "samples", "width", "step"],
-    )
-    def test_configs_that_differ_beyond_n_sites_rejected(self, other):
+    def test_infinite_lattice_config_takes_the_chain_lengths(self):
+        # the chains replace the config's n_sites, whatever it was
+        base = ScanConfig(Observable.MZ, 0.5, (0.9, 1.1), lambda_step=0.01, samples_per_window=200)
+        got = scan_chains(base, [8, 12])
+        assert [r.config for r in got] == [replace(base, n_sites=n) for n in (8, 12)]
+
+    @pytest.mark.parametrize("n_list", [[], [14, None]], ids=["empty", "none"])
+    def test_missing_chain_length_rejected(self, n_list):
         base = ScanConfig(Observable.MZ, 0.5, (0.8, 1.2), n_sites=14)
-        with pytest.raises(ConfigurationError, match="differ in n_sites alone"):
-            scan_chains([base, replace(base, **({"n_sites": 20} | other))])
+        with pytest.raises(ConfigurationError, match="one or more chain lengths, not None"):
+            scan_chains(base, n_list)
+
+    @pytest.mark.parametrize("n_list", [[14, 15], [2]], ids=["odd", "short"])
+    def test_chain_lengths_checked_as_any_config(self, n_list):
+        base = ScanConfig(Observable.MZ, 0.5, (0.8, 1.2), n_sites=14)
+        with pytest.raises(ConfigurationError, match="n_sites must be an even integer"):
+            scan_chains(base, n_list)
+
+    def test_correlator_has_no_chains(self):
+        base = ScanConfig(Observable.CXX, 0.5, (0.8, 1.2))
+        with pytest.raises(ConfigurationError, match="requires the infinite lattice"):
+            scan_chains(base, [14, 20])

@@ -39,6 +39,25 @@ class TestModelParams:
                 ModelParams(gamma=1.0, lam=1.0, t_tilde=t_tilde)
         ModelParams(gamma=1.0, lam=1.0, t_tilde=bound)
 
+    def test_non_finite_lambda_rejected(self):
+        with pytest.raises(ConfigurationError, match="lambda must be finite"):
+            ModelParams(gamma=1.0, lam=math.nan)
+
+    def test_largest_anisotropy(self):
+        # the T = 0 kernel takes |gamma| <= 1e20; past 1e150 gamma^2 would
+        # overflow on any path
+        for gamma in (1e30, -1e21, math.nextafter(1e20, math.inf)):
+            with pytest.raises(ConfigurationError, match="and <= 1e\\+20"):
+                ModelParams(gamma=gamma, lam=1.0)
+        ModelParams(gamma=-1e20, lam=1.0)
+        xy_exact.check_model(1e150, n_sites=8)
+        ModelParams(gamma=1e150, lam=1.0, t_tilde=1e-3)
+        overflows = "nonzero with \\|gamma\\| <= 1e\\+150"
+        for gamma in (1e200, -1e151, math.inf, math.nan):
+            for t_tilde, n_sites in ((0.0, None), (0.0, 8), (1e-3, None)):
+                with pytest.raises(ConfigurationError, match=overflows):
+                    xy_exact.check_model(gamma, t_tilde, n_sites)
+
     def test_odd_or_small_n_rejected(self):
         with pytest.raises(ConfigurationError):
             xy_exact.check_model(1.0, n_sites=15)
@@ -261,6 +280,17 @@ class TestGroundState:
         with pytest.raises(DomainError):
             xy_exact.mz_and_correlators_many(lams, 1e-31)
 
+    def test_largest_anisotropy(self):
+        # as gamma -> inf, pi G(-+1) -> -+gamma int sin^2 phi / L -> -+2 at any
+        # lambda; next to lambda = 1 the clamp of kc would err past 1e20
+        lams = 1.0 + np.array([-0.5, -1e-6, -1e-14, 0.0, 1e-14, 1e-6, 1e-4, 1.0])
+        _, g_minus, g_plus = xy_exact.mz_and_correlators_many(lams, 1e20)
+        assert np.max(np.abs(g_minus + 2.0 / math.pi)) <= 1e-13
+        assert np.max(np.abs(g_plus - 2.0 / math.pi)) <= 1e-13
+        for gamma in (1e30, -1e21):
+            with pytest.raises(DomainError, match="and <= 1e\\+20"):
+                xy_exact.mz_and_correlators_many(lams, gamma)
+
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 1.6])
     def test_thermal_path_tends_to_it(self, gamma):
         # one lambda per thermal call: the thermal panel ladder is placed
@@ -273,34 +303,34 @@ class TestGroundState:
 
 class TestMzFinite:
     def test_four_site_zero_field(self):
-        v = mz_finite_many([0.0], 1.0, 4)[0]
+        v = mz_finite_many([0.0], 1.0, [4])[0, 0]
         assert v == pytest.approx(0.5, abs=1e-12)
 
     def test_converges_to_infinite(self):
         # the half-circle mode sum includes phi = pi but not phi = 0, so on
         # the ordered side it sits exactly 2/N above the integral
         inf_v = mz_infinite(ModelParams(gamma=0.5, lam=0.5))
-        fin_v = mz_finite_many([0.5], 0.5, 2000)[0]
+        fin_v = mz_finite_many([0.5], 0.5, [2000])[0, 0]
         assert fin_v - inf_v == pytest.approx(2.0 / 2000, abs=1e-12)
 
     def test_converges_fast_on_disordered_side(self):
         # for lambda > 1 the boundary terms cancel and the mode sum is a
         # full-period trapezoid rule: agreement at modest N is near exact
         inf_v = mz_infinite(ModelParams(gamma=0.5, lam=1.5))
-        fin_v = mz_finite_many([1.5], 0.5, 100)[0]
+        fin_v = mz_finite_many([1.5], 0.5, [100])[0, 0]
         assert abs(fin_v - inf_v) < 1e-10
 
     def test_discrepancy_decreases_monotonically(self):
         inf_v = mz_infinite(ModelParams(gamma=0.5, lam=0.5))
         gaps = [
-            abs(mz_finite_many([0.5], 0.5, n)[0] - inf_v)
+            abs(mz_finite_many([0.5], 0.5, [n])[0, 0] - inf_v)
             for n in (100, 400, 1600)
         ]
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_zero_mode_guarded(self):
         # at lambda = -1 the phi = pi mode has zero energy; its term drops out
-        v = mz_finite_many([-1.0], 1.0, 8)[0]
+        v = mz_finite_many([-1.0], 1.0, [8])[0, 0]
         assert math.isfinite(v)
 
 
@@ -380,8 +410,8 @@ class TestRowBlocks:
         [
             lambda lams: xy_exact.mz_infinite_many(lams, 1.0, 3e-4),
             lambda lams: xy_exact.dmz_dT_many(lams, 1.0, 3e-4),
-            lambda lams: xy_exact.mz_finite_many(lams, 0.5, 40),
-            lambda lams: xy_exact.mz_finite_many(lams, 0.5, 40, 0.02),
+            lambda lams: xy_exact.mz_finite_many(lams, 0.5, [40])[0],
+            lambda lams: xy_exact.mz_finite_many(lams, 0.5, [40], 0.02)[0],
             lambda lams: xy_exact.mz_and_correlators_many(lams, 0.5),
         ],
         ids=["mz_infinite_many", "dmz_dT_many",
@@ -425,7 +455,7 @@ class TestModeSum:
                 term *= np.tanh(0.5 * energy / t_tilde)
             want += term
         want *= -2.0 / n
-        got = mz_finite_many(lams, gamma, n, t_tilde)
+        got = mz_finite_many(lams, gamma, [n], t_tilde)[0]
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -459,13 +489,13 @@ class TestModeSum:
     def test_bits_equal_in_order_sum(self, gamma, t_tilde):
         for n in range(4, 129, 2):
             want = self.in_order_mode_sum(self.LAMS, gamma, n, t_tilde)
-            assert np.array_equal(mz_finite_many(self.LAMS, gamma, n, t_tilde), want), n
+            assert np.array_equal(mz_finite_many(self.LAMS, gamma, [n], t_tilde)[0], want), n
 
     @pytest.mark.parametrize("n", [4, 14, 16, 20, 34, 40])
     @TEMPERATURES
     def test_one_call_equals_calls_per_lambda(self, n, t_tilde):
-        whole = mz_finite_many(self.LAMS, 0.5, n, t_tilde)
-        single = [mz_finite_many(self.LAMS[k : k + 1], 0.5, n, t_tilde)[0]
+        whole = mz_finite_many(self.LAMS, 0.5, [n], t_tilde)[0]
+        single = [mz_finite_many(self.LAMS[k : k + 1], 0.5, [n], t_tilde)[0, 0]
                   for k in range(self.LAMS.size)]
         assert np.array_equal(whole, single)
 
