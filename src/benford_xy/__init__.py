@@ -15,6 +15,7 @@ from .errors import (
 from .numerics import LineFit, PolyFit, linfit, polyfit
 from .xy_exact import ModelParams, diagonal_correlators, mz_infinite
 from .firstdigit import (
+    DistKind,
     ReferenceDistribution,
     expected_counts,
     histogram,
@@ -44,6 +45,7 @@ __all__ = [
     "CrossoverLines",
     "CrossoverQuantity",
     "DegenerateWindowError",
+    "DistKind",
     "DomainError",
     "EmptyHistogramError",
     "InsufficientRidgeError",

@@ -76,19 +76,14 @@ def _lambda_range(text: str) -> tuple[float, float, float]:
     return a, b, step
 
 
-def _finite(text: str, positive: bool = False) -> float:
+def _positive(text: str) -> float:
     try:
         x = float(text)
     except ValueError:
         x = math.nan
-    if not math.isfinite(x) or (positive and not x > 0):
-        raise argparse.ArgumentTypeError(
-            f"expects a {'positive ' * positive}finite number, got {text!r}")
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"expects a positive finite number, got {text!r}")
     return x
-
-
-def _positive(text: str) -> float:
-    return _finite(text, positive=True)
 
 
 def _t_tilde(text: str) -> float:
@@ -137,8 +132,16 @@ def _n_list(text: str) -> list[int]:
     return sizes
 
 
-def _dist_from_flags(args) -> ReferenceDistribution:
-    return ReferenceDistribution(DistKind(args.dist), args.kappa)
+def _dist(text: str) -> ReferenceDistribution:
+    """Reference law: benford, uniform, or poisson:KAPPA."""
+    name, colon, kappa = text.partition(":")
+    try:
+        return ReferenceDistribution(DistKind(name), _positive(kappa) if colon else None)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects benford, uniform or poisson:KAPPA, got {text!r}") from None
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _json_default(value):
@@ -146,7 +149,8 @@ def _json_default(value):
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, ReferenceDistribution):
-        return value.label()
+        # the --dist spelling, kappa in repr, which reproduces the law
+        return value.kind.value + ("" if value.kappa is None else f":{value.kappa!r}")
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
@@ -238,19 +242,18 @@ def cmd_digits(args) -> int:
         raise ConfigurationError(f"need at least 10 values, got {values.size}")
     if values.size and np.all(values == values.flat[0]):
         raise DegenerateWindowError("input column is constant")
-    dist = _dist_from_flags(args)
     counts = histogram(values)
     total = int(counts.sum())
     skipped = values.size - total
-    probs = probabilities(dist)
-    scores = {metric.value: float(violations(counts, dist, metric)[0]) for metric in Metric}
+    probs = probabilities(args.dist)
+    scores = {metric.value: float(violations(counts, args.dist, metric)[0]) for metric in Metric}
     report = {
         "input": args.input,
         "values": int(values.size),
         "counts": counts.tolist(),
         "total": total,
         "skipped": skipped,
-        "distribution": dist.label(),
+        "distribution": args.dist.label(),
         "probabilities": probs,
         "violations": scores,
     }
@@ -274,7 +277,7 @@ def _scan_config(args, observable: Observable, n_sites: int | None) -> ScanConfi
         lambda_step=step,
         window_width=args.window,
         samples_per_window=args.samples,
-        dist=_dist_from_flags(args),
+        dist=args.dist,
         metric=Metric(args.metric),
         t_tilde=args.t,
         n_sites=n_sites,
@@ -288,7 +291,6 @@ def _config_echo(config: ScanConfig) -> dict:
         "lambda_step": config.lambda_step,
         "window_width": config.window_width,
         "samples_per_window": config.samples_per_window,
-        "dist": config.dist,
         "t_tilde": config.t_tilde,
         "lattice_stride": config.lattice.stride,
         "lattice_spacing": config.lattice.spacing,
@@ -312,8 +314,7 @@ def cmd_scan(args) -> int:
 def cmd_scale(args) -> int:
     # built as a finite chain: the infinite lattice at T = 0 rejects a gamma the chains take
     config = _scan_config(args, Observable.MZ, args.n_list[0])
-    signature = criticality.Signature(args.signature) if args.signature != "auto" \
-        else criticality.default_signature(config.dist)
+    signature = criticality.default_signature(config.dist)
     estimates = []
     for result in scan_chains(config, args.n_list):
         try:
@@ -324,9 +325,9 @@ def cmd_scale(args) -> int:
         except (NoTransitionError, ConfigurationError) as exc:
             raise NoTransitionError(f"n_sites={result.config.n_sites}: {exc}") from exc
     lambda_c_n = [e.lambda_c_n for e in estimates]
-    fit = criticality.scaling_exponent(args.n_list, lambda_c_n, lambda_c=args.lambda_c)
+    fit = criticality.scaling_exponent(args.n_list, lambda_c_n)
     fit_block = dataclasses.asdict(fit) | {
-        "lambda_c": args.lambda_c,
+        "lambda_c": criticality.LAMBDA_C,
         "signature": signature,
         "estimates": [
             {
@@ -355,7 +356,6 @@ def cmd_crossover(args) -> int:
         if args.quantity != "both"
         else list(criticality.CrossoverQuantity)
     )
-    dist = _dist_from_flags(args)
     tables, lines_block = {}, {}
     for quantity in quantities:
         lines = criticality.crossover_lines(
@@ -366,7 +366,7 @@ def cmd_crossover(args) -> int:
             step=args.step,
             window_ratio=args.window_ratio,
             samples=args.samples,
-            dist=dist,
+            dist=args.dist,
             metric=Metric(args.metric),
         )
         tables[f"crossover_{quantity.value}"] = (
@@ -384,7 +384,7 @@ def cmd_crossover(args) -> int:
             f"crossover {quantity.value}: left slope {lines.left.slope!r}, "
             f"right slope {lines.right.slope!r}"
         )
-    _finish(args, {"dist": dist}, tables, {"crossover_lines.json": lines_block})
+    _finish(args, {}, tables, {"crossover_lines.json": lines_block})
     return EXIT_OK
 
 
@@ -392,14 +392,14 @@ def _add_out_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
 
 
-def _add_dist_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dist", choices=[k.value for k in DistKind], default="benford")
-    p.add_argument("--kappa", type=float, default=None)
+def _add_dist_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dist", type=_dist, default="benford",
+                   help="reference law: benford, uniform or poisson:KAPPA")
 
 
 def _add_window_scoring_flags(p: argparse.ArgumentParser) -> None:
     """Flags of the commands that score windows with one metric and write tables."""
-    _add_dist_flags(p)
+    _add_dist_flag(p)
     p.add_argument("--metric", choices=[m.value for m in Metric], default="mean")
     _add_out_flag(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv", help="table format")
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("digits", help="first-digit report for a data column")
     p.add_argument("input", help="CSV path or generator spec like logmantissa:10000")
     p.add_argument("--seed", type=_nonnegative_int, default=0, help="generator seed")
-    _add_dist_flags(p)
+    _add_dist_flag(p)
     _add_out_flag(p)
     p.set_defaults(func=cmd_digits)
 
@@ -440,14 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_flags(p)
     p.add_argument("--n-list", type=_n_list, default="14,20,24,30,34,40",
                    help="comma-separated chain lengths: at least 3, distinct, even, >= 4")
-    p.add_argument(
-        "--signature",
-        choices=["auto"] + [s.value for s in criticality.Signature],
-        default="auto",
-    )
     p.add_argument("--fit-half", type=_positive, default=criticality.FIT_HALF_WIDTH)
     p.add_argument("--smooth-half", type=_positive, default=criticality.SMOOTH_HALF_WIDTH)
-    p.add_argument("--lambda-c", type=_finite, default=criticality.LAMBDA_C)
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("crossover", help="finite-temperature crossover lines")

@@ -220,26 +220,24 @@ def locate_transition(
     )
 
 
-def scaling_exponent(n_sites, lambda_c_n, lambda_c: float = LAMBDA_C) -> ScalingFit:
-    """Fit ln(lambda_c - lambda_c_n) against ln n_sites, one lambda_c^N per
-    chain length.
+def scaling_exponent(n_sites, lambda_c_n) -> ScalingFit:
+    """Fit ln(LAMBDA_C - lambda_c_n) against ln n_sites, one lambda_c^N per
+    chain length; LAMBDA_C = 1 is the model's exact critical point.
 
-    The transition shift lambda_c^N = lambda_c + k N^alpha turns into a line
+    The transition shift lambda_c^N = LAMBDA_C + k N^alpha turns into a line
     with slope alpha and intercept ln(-k); every lambda_c^N must approach the
     critical point from the same side for the logs to exist.
     """
-    if not math.isfinite(lambda_c):
-        raise ConfigurationError(f"lambda_c must be finite, got {lambda_c!r}")
     sizes, lams = list(n_sites), list(lambda_c_n)
     if len(sizes) < 3 or len(lams) != len(sizes):
         raise ConfigurationError("scaling fit needs at least 3 chain lengths, one lambda_c_n each")
     if len(set(sizes)) != len(sizes):
         raise ConfigurationError("n_sites values must be distinct")
-    offenders = [int(n) for n, lam in zip(sizes, lams) if lam >= lambda_c]
+    offenders = [int(n) for n, lam in zip(sizes, lams) if lam >= LAMBDA_C]
     if offenders:
         raise MixedSideError(offenders)
     line = numerics.linfit([math.log(n) for n in sizes],
-                           [math.log(lambda_c - lam) for lam in lams])
+                           [math.log(LAMBDA_C - lam) for lam in lams])
     return ScalingFit(line.slope, -math.exp(line.intercept), line.intercept, line.rms_residual)
 
 

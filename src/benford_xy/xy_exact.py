@@ -109,6 +109,12 @@ _T_TILDE_MIN = 5.56268464626801e-309
 _DMZ_T_TILDE_MIN = 5.950894918631799e-155
 
 
+def _check_kernel_gamma(gamma: float) -> None:
+    """The mode sum and the thermal kernels' bound on gamma, as check_model's."""
+    if gamma == 0.0 or not abs(gamma) <= _GAMMA_MAX:
+        raise DomainError(f"the kernel needs 0 < |gamma| <= {_GAMMA_MAX:g}, got {gamma!r}")
+
+
 def check_model(gamma: float, t_tilde: float = 0.0,
                 n_sites: int | None = None) -> None:
     """Reject model parameters outside the chain's domain: gamma nonzero with
@@ -209,6 +215,7 @@ def _thermal_quadrature(kind: str, lams, gamma: float, t_tilde: float) -> np.nda
     """The thermal integral of kind at each lambda, on the rule of its lambda
     bin: interpolated where the bin has an interpolant, integrated directly
     where it has none. A lambda that is not finite gives NaN."""
+    _check_kernel_gamma(gamma)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     out = np.full(lams.size, math.nan)
     for m, width, run in _bin_runs(lams, t_tilde):
@@ -419,6 +426,7 @@ def mz_finite_many(lams, gamma: float, chains, t_tilde: float = 0.0) -> np.ndarr
     turn, so a value depends on lambda and N alone: every row has the bits
     of a call with its chain alone.
     """
+    _check_kernel_gamma(gamma)
     lengths = tuple(int(n) for n in chains)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     mz = _mz_integrand(t_tilde)

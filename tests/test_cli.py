@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -142,25 +143,34 @@ class TestDigits:
     def test_missing_file(self, tmp_path):
         assert run_cli(["digits", str(tmp_path / "no.csv"), "--out", str(tmp_path)]) == 3
 
-    def test_poisson_requires_kappa(self, tmp_path):
+    def test_poisson_requires_kappa(self, tmp_path, capsys):
         assert run_cli(["digits", "logmantissa:100", "--dist", "poisson",
                         "--out", str(tmp_path)]) == 3
+        assert "argument --dist: poisson reference requires" in capsys.readouterr().err
 
-    def test_kappa_only_for_poisson(self, tmp_path):
-        assert run_cli(["digits", "logmantissa:100", "--kappa", "5",
+    def test_kappa_only_for_poisson(self, tmp_path, capsys):
+        assert run_cli(["digits", "logmantissa:100", "--dist", "benford:5",
                         "--out", str(tmp_path)]) == 3
+        assert "argument --dist: kappa is only meaningful" in capsys.readouterr().err
+
+    def test_unknown_law(self, tmp_path, capsys):
+        assert run_cli(["digits", "logmantissa:100", "--dist", "normal",
+                        "--out", str(tmp_path)]) == 3
+        assert "argument --dist: expects benford, uniform or poisson:KAPPA" in (
+            capsys.readouterr().err)
 
     def test_poisson_report(self, tmp_path):
-        code = run_cli(["digits", "logmantissa:200", "--dist", "poisson", "--kappa", "5",
+        code = run_cli(["digits", "logmantissa:200", "--dist", "poisson:5",
                         "--out", str(tmp_path)])
         assert code == 0
         report = json.loads((tmp_path / "digits_report.json").read_text())
         assert report["distribution"] == "poisson(kappa=5)"
 
     @pytest.mark.parametrize("kappa", ["inf", "nan"])
-    def test_infinite_kappa_is_configuration_error(self, tmp_path, kappa):
-        assert run_cli(["digits", "logmantissa:1000", "--dist", "poisson",
-                        "--kappa", kappa, "--out", str(tmp_path)]) == 3
+    def test_infinite_kappa_is_configuration_error(self, tmp_path, capsys, kappa):
+        assert run_cli(["digits", "logmantissa:1000", "--dist", f"poisson:{kappa}",
+                        "--out", str(tmp_path)]) == 3
+        assert "argument --dist: expects a positive finite number" in capsys.readouterr().err
 
     # a digit probability of 0.0 made every mean deviation inf, with exit 0
     @pytest.mark.parametrize("kappa", ["1e-300", "1e300"])
@@ -169,10 +179,21 @@ class TestDigits:
                              ids=["digits", "scan", "scale"])
     def test_kappa_whose_digit_probabilities_underflow(self, tmp_path, capsys, command, kappa):
         out = tmp_path / "out"
-        assert run_cli(command + ["--dist", "poisson", "--kappa", kappa,
-                                  "--out", str(out)]) == 3
-        assert "probability below 1e-300" in capsys.readouterr().err
+        assert run_cli(command + ["--dist", f"poisson:{kappa}", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "argument --dist" in err and "probability below 1e-300" in err
         assert not out.exists()
+
+    def test_manifest_law_reproduces_the_run(self, tmp_path):
+        # the manifest spells the law as the flag, kappa in repr
+        assert run_cli(["digits", "logmantissa:500", "--dist", "poisson:5.123456789",
+                        "--out", str(tmp_path / "a")]) == 0
+        dist = json.loads((tmp_path / "a" / "digits_manifest.json").read_text())["config"]["dist"]
+        assert dist == "poisson:5.123456789"
+        assert run_cli(["digits", "logmantissa:500", "--dist", dist,
+                        "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "digits_report.json").read_bytes() == (
+            tmp_path / "b" / "digits_report.json").read_bytes()
 
     def test_output_dir_env_honoured(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "env_out"))
@@ -554,7 +575,8 @@ class TestWorkers:
     # flags no command reads: --workers (every command runs on one thread),
     # digits --metric (the report holds every metric) and --format (it writes
     # no table), scale --n-sites (--n-list gives each chain) and --observable
-    # (a finite chain has Mz alone)
+    # (a finite chain has Mz alone), --kappa (--dist poisson:KAPPA holds it),
+    # scale --signature (--dist gives it) and --lambda-c (the exact 1)
     @pytest.mark.parametrize(
         "argv",
         [
@@ -566,9 +588,13 @@ class TestWorkers:
             SCALE_ARGS + ["--n-sites", "8"],
             SCALE_ARGS + ["--observable", "mz"],
             ["crossover", "--t-list", "1e-4,2e-4,5e-4", "--samples", "600", "--workers", "1"],
+            SCAN_ARGS + ["--kappa", "5"],
+            SCALE_ARGS + ["--signature", "minimum"],
+            SCALE_ARGS + ["--lambda-c", "1"],
         ],
         ids=["digits-workers", "digits-metric", "digits-format", "scan-workers",
-             "scale-workers", "scale-n-sites", "scale-observable", "crossover-workers"],
+             "scale-workers", "scale-n-sites", "scale-observable", "crossover-workers",
+             "scan-kappa", "scale-signature", "scale-lambda-c"],
     )
     def test_removed_flag_rejected_before_computing(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -584,7 +610,8 @@ class TestWorkers:
             SCAN_ARGS + ["--n-sites", "x"],
             SCALE_ARGS + ["--n-list", "14,x"],
             ["crossover", "--t-list", "a,b"],
-            SCALE_ARGS + ["--lambda-c", "nan"],
+            SCAN_ARGS + ["--dist", "poisson"],
+            SCALE_ARGS + ["--dist", "benford:5"],
             SCALE_ARGS + ["--fit-half", "-0.05"],
             SCALE_ARGS + ["--fit-half", "0"],
             SCALE_ARGS + ["--fit-half", "nan"],
@@ -602,8 +629,8 @@ class TestWorkers:
             ["crossover", "--t-list", "1e-4,2e-4,3e-4", "--window-ratio", "-1"],
             *OVERSIZED_GRIDS,
         ],
-        ids=["lambda", "t", "n-sites", "n-list", "t-list", "lambda-c", "fit-half-negative",
-             "fit-half-zero", "fit-half-nan", "smooth-half", "n-list-repeated",
+        ids=["lambda", "t", "n-sites", "n-list", "t-list", "dist-poisson", "dist-benford-kappa",
+             "fit-half-negative", "fit-half-zero", "fit-half-nan", "smooth-half", "n-list-repeated",
              "n-list-two", "n-list-odd", "seed-negative", "seed-text",
              "t-list-inf", "t-list-nan", "t-list-zero", "span-nan", "step-zero",
              "window-ratio-negative", "lambda-step-unindexable", "window-unindexable", "ridge-step-unindexable",
@@ -622,6 +649,16 @@ class TestWorkers:
             assert f"argument {flag}" in err
 
 
+def test_settable_values_per_command():
+    # the count CI prints, walked the same way: every action a subcommand
+    # declares except -h
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+              for name, p in sub.choices.items()}
+    assert counts == {"digits": 4, "scan": 11, "scale": 12, "crossover": 11}
+
+
 class TestManifest:
     """Each command's manifest echoes the resolved flags and the values derived
     from them, and names its data files in the order they were written."""
@@ -632,15 +669,15 @@ class TestManifest:
     ]
     # the flags of scan and scale in common, and the scan settings derived from them
     WINDOW_KEYS = [
-        "gamma", "t", "lambda_range", "window", "samples", "dist", "kappa", "metric",
+        "gamma", "t", "lambda_range", "window", "samples", "dist", "metric",
         "out", "format", "lambda_step", "window_width", "samples_per_window", "t_tilde",
         "lattice_stride", "lattice_spacing", "window_span",
     ]
     CASES = {
         "digits": (
-            ["digits", "logmantissa:500", "--dist", "poisson", "--kappa", "5"],
-            ["input", "seed", "dist", "kappa", "out"],
-            {"input": "logmantissa:500", "seed": 0, "dist": "poisson", "kappa": 5.0},
+            ["digits", "logmantissa:500", "--dist", "poisson:5"],
+            ["input", "seed", "dist", "out"],
+            {"input": "logmantissa:500", "seed": 0, "dist": "poisson:5.0"},
             ["digits_report.json"],
         ),
         "scan": (
@@ -654,14 +691,14 @@ class TestManifest:
         ),
         "scale": (
             SCALE_ARGS + ["--format", "json"],
-            WINDOW_KEYS + ["n_list", "fit_half", "smooth_half", "lambda_c", "signature"],
+            WINDOW_KEYS + ["n_list", "fit_half", "smooth_half", "signature"],
             {"n_list": [20, 24, 30], "signature": "derivative",
              "lambda_range": [0.9, 1.06], "lambda_step": 0.005, "format": "json"},
             ["scale.json", "scale_fit.json"],
         ),
         "crossover": (
             CROSSOVER_ARGS,
-            ["gamma", "t_list", "span", "step", "window_ratio", "samples", "dist", "kappa",
+            ["gamma", "t_list", "span", "step", "window_ratio", "samples", "dist",
              "metric", "quantity", "out", "format"],
             {"t_list": [1e-4, 2e-4, 5e-4], "span": 3.0, "step": 0.05, "samples": 600,
              "dist": "benford", "quantity": "both"},

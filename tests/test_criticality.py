@@ -246,22 +246,11 @@ class TestScalingExponent:
         assert fit.intercept == pytest.approx(math.log(0.5), abs=1e-9)
         assert fit.rms_residual < 1e-10
 
-    def test_custom_critical_point(self):
-        sizes = [10, 20, 40]
-        fit = scaling_exponent(sizes, [1.2 - 0.5 * n ** -2.0 for n in sizes], lambda_c=1.2)
-        assert fit.exponent == pytest.approx(-2.0, abs=1e-9)
-
     def test_wrong_side_estimates_rejected_with_offenders(self):
         with pytest.raises(MixedSideError) as exc:
             scaling_exponent([10, 20, 40], [0.95, 0.99, 1.01])
         assert exc.value.offenders == [40]
         assert "40" in str(exc.value)
-
-    @pytest.mark.parametrize("lambda_c", [math.nan, math.inf])
-    def test_non_finite_critical_point_rejected(self, lambda_c):
-        sizes = [14, 20, 30]
-        with pytest.raises(ConfigurationError, match="lambda_c"):
-            scaling_exponent(sizes, [1.0 - 0.3 * n ** -2.0 for n in sizes], lambda_c=lambda_c)
 
     def test_needs_three_estimates(self):
         with pytest.raises(ConfigurationError, match="at least 3"):

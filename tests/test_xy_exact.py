@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import benford_xy
-from benford_xy import ModelParams, criticality, windowscan, xy_exact
+from benford_xy import ModelParams, criticality, firstdigit, windowscan, xy_exact
 from benford_xy.errors import ConfigurationError, DomainError
 from benford_xy.firstdigit import ReferenceDistribution
 from benford_xy.violation import Metric
@@ -535,6 +535,10 @@ class TestPackageRoot:
         assert all(type(v) is float for v in (mz, cxx, cyy, czz))
         assert czz == mz * mz - cxx * cyy
 
+    def test_dist_kind_is_exported(self):
+        assert benford_xy.DistKind is firstdigit.DistKind
+        assert "DistKind" in benford_xy.__all__
+
     def test_readme_library_example_runs(self):
         # the README's python block runs as written, so it cannot drift from the API
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -609,6 +613,22 @@ class TestThermalLadderPerCall:
         order = np.random.default_rng(0).permutation(lams.size)
         for kernel in _thermal_kernels(gamma, t_tilde).values():
             assert np.array_equal(kernel(lams[order]), kernel(lams)[order])
+
+
+class TestKernelAnisotropy:
+    # called directly, with no config whose check_model bounds gamma, the
+    # array kernels reject what check_model rejects, before (gamma sin phi)^2
+    # can overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma", [0.0, 1e200, math.inf, math.nan])
+    @pytest.mark.parametrize("kernel", [
+        lambda lams, gamma: xy_exact.mz_infinite_many(lams, gamma, 1e-3),
+        lambda lams, gamma: xy_exact.mz_finite_many(lams, gamma, [8]),
+        lambda lams, gamma: xy_exact.dmz_dT_many(lams, gamma, 1e-3),
+    ], ids=["mz_thermal", "mz_finite", "dmz_dT"])
+    def test_out_of_range_rejected(self, kernel, gamma):
+        with pytest.raises(DomainError, match="0 < \\|gamma\\| <= 1e\\+150"):
+            kernel([0.9, 1.0, 1.1], gamma)
 
 
 class TestThermalInputs:
