@@ -109,18 +109,13 @@ _T_TILDE_MIN = 5.56268464626801e-309
 _DMZ_T_TILDE_MIN = 5.950894918631799e-155
 
 
-def _check_kernel_gamma(gamma: float) -> None:
-    """The mode sum and the thermal kernels' bound on gamma, as check_model's."""
-    if gamma == 0.0 or not abs(gamma) <= _GAMMA_MAX:
-        raise DomainError(f"the kernel needs 0 < |gamma| <= {_GAMMA_MAX:g}, got {gamma!r}")
-
-
 def check_model(gamma: float, t_tilde: float = 0.0,
                 n_sites: int | None = None) -> None:
     """Reject model parameters outside the chain's domain: gamma nonzero with
     |gamma| <= _GAMMA_MAX (_KC_FLOOR to _T0_GAMMA_MAX on the infinite lattice
     at T = 0), t_tilde 0 (T = 0) or from _T_TILDE_MIN up and finite, and
-    n_sites absent (infinite lattice) or an even integer >= 4."""
+    n_sites absent (infinite lattice) or an even integer >= 4. The configs
+    and every array kernel call it before any arithmetic."""
     if gamma == 0.0 or not abs(gamma) <= _GAMMA_MAX:
         raise ConfigurationError(
             f"gamma must be nonzero with |gamma| <= {_GAMMA_MAX:g}, got {gamma!r}")
@@ -215,7 +210,7 @@ def _thermal_quadrature(kind: str, lams, gamma: float, t_tilde: float) -> np.nda
     """The thermal integral of kind at each lambda, on the rule of its lambda
     bin: interpolated where the bin has an interpolant, integrated directly
     where it has none. A lambda that is not finite gives NaN."""
-    _check_kernel_gamma(gamma)
+    check_model(gamma, t_tilde)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     out = np.full(lams.size, math.nan)
     for m, width, run in _bin_runs(lams, t_tilde):
@@ -379,7 +374,10 @@ def _mz_integrand(t_tilde: float):
     def integrand(d, disp):
         d /= disp
         if half_beta is not None:
-            disp *= half_beta
+            # at the least t_tilde, half_beta is near 9e307 and L * half_beta
+            # overflows to inf, whose tanh is 1: the T -> 0 limit, as meant
+            with np.errstate(over="ignore"):
+                disp *= half_beta
             d *= np.tanh(disp, out=disp)
         return d
 
@@ -426,7 +424,8 @@ def mz_finite_many(lams, gamma: float, chains, t_tilde: float = 0.0) -> np.ndarr
     turn, so a value depends on lambda and N alone: every row has the bits
     of a call with its chain alone.
     """
-    _check_kernel_gamma(gamma)
+    for n in chains:
+        check_model(gamma, t_tilde, n)
     lengths = tuple(int(n) for n in chains)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     mz = _mz_integrand(t_tilde)
@@ -550,9 +549,7 @@ def mz_and_correlators_many(lams, gamma: float, *, correlators: bool = True) -> 
     finite there, so the divergent parts have cancelled analytically. Every
     step is elementwise: a value does not depend on the rest of the array.
     """
-    if not _KC_FLOOR <= abs(gamma) <= _T0_GAMMA_MAX:
-        raise DomainError(f"the T = 0 kernel needs |gamma| >= {_KC_FLOOR:g} and"
-                          f" <= {_T0_GAMMA_MAX:g}, got {gamma!r}")
+    check_model(gamma)
     lam = np.atleast_1d(np.asarray(lams, dtype=float))
     outside = np.abs(lam) > 1.0
     b = np.abs((1.0 - lam) * (1.0 + lam))

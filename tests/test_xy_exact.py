@@ -277,7 +277,7 @@ class TestGroundState:
         got = xy_exact.mz_and_correlators_many(lams, 1e-30)
         want = np.array([_graded_reference(lam, 1e-30) for lam in lams]).T
         assert np.max(np.abs(got - want)) <= 1e-13
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             xy_exact.mz_and_correlators_many(lams, 1e-31)
 
     def test_largest_anisotropy(self):
@@ -288,7 +288,7 @@ class TestGroundState:
         assert np.max(np.abs(g_minus + 2.0 / math.pi)) <= 1e-13
         assert np.max(np.abs(g_plus - 2.0 / math.pi)) <= 1e-13
         for gamma in (1e30, -1e21):
-            with pytest.raises(DomainError, match="and <= 1e\\+20"):
+            with pytest.raises(ConfigurationError, match="and <= 1e\\+20"):
                 xy_exact.mz_and_correlators_many(lams, gamma)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 1.6])
@@ -615,20 +615,66 @@ class TestThermalLadderPerCall:
             assert np.array_equal(kernel(lams[order]), kernel(lams)[order])
 
 
-class TestKernelAnisotropy:
-    # called directly, with no config whose check_model bounds gamma, the
-    # array kernels reject what check_model rejects, before (gamma sin phi)^2
-    # can overflow
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("gamma", [0.0, 1e200, math.inf, math.nan])
-    @pytest.mark.parametrize("kernel", [
-        lambda lams, gamma: xy_exact.mz_infinite_many(lams, gamma, 1e-3),
-        lambda lams, gamma: xy_exact.mz_finite_many(lams, gamma, [8]),
-        lambda lams, gamma: xy_exact.dmz_dT_many(lams, gamma, 1e-3),
-    ], ids=["mz_thermal", "mz_finite", "dmz_dT"])
-    def test_out_of_range_rejected(self, kernel, gamma):
-        with pytest.raises(DomainError, match="0 < \\|gamma\\| <= 1e\\+150"):
-            kernel([0.9, 1.0, 1.1], gamma)
+# Each array kernel, called with check_model's (gamma, t_tilde, n_sites); it
+# drops those it does not take, to which the tables give T = 0 or no chain.
+_DOMAIN_KERNELS = {
+    "mz_infinite": lambda lams, g, t, n: xy_exact.mz_infinite_many(lams, g, t),
+    "mz_finite": lambda lams, g, t, n: xy_exact.mz_finite_many(lams, g, [n], t),
+    "mz_and_correlators": lambda lams, g, t, n: xy_exact.mz_and_correlators_many(lams, g),
+    "dmz_dT": lambda lams, g, t, n: xy_exact.dmz_dT_many(lams, g, t),
+}
+_BAD_GAMMAS = [0.0, 1e200, math.inf, math.nan]
+_BAD_T_TILDES = [-1e-3, math.nan, math.inf, 1e-320]
+_BAD_N_SITES = [0, 2, 3, -4, 8.5]
+_OUT_OF_DOMAIN = (
+    [(k, g, t, n) for g in _BAD_GAMMAS
+     for k, t, n in (("mz_infinite", 0.0, None), ("mz_infinite", 1e-3, None),
+                     ("mz_finite", 0.0, 8), ("mz_finite", 1e-3, 8),
+                     ("mz_and_correlators", 0.0, None), ("dmz_dT", 1e-3, None))]
+    + [(k, 1.0, t, n) for t in _BAD_T_TILDES
+       for k, n in (("mz_infinite", None), ("mz_finite", 8))]
+    + [("mz_finite", 1.0, 0.0, n) for n in _BAD_N_SITES]
+)
+
+
+class TestKernelDomain:
+    # called directly, with no config before them, the array kernels reject
+    # what check_model rejects, with its message, before any arithmetic
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kernel, gamma, t_tilde, n_sites", _OUT_OF_DOMAIN)
+    def test_out_of_domain_rejected(self, kernel, gamma, t_tilde, n_sites):
+        with pytest.raises(ConfigurationError) as want:
+            xy_exact.check_model(gamma, t_tilde, n_sites)
+        with pytest.raises(ConfigurationError) as got:
+            _DOMAIN_KERNELS[kernel]([0.9, 1.0, 1.1], gamma, t_tilde, n_sites)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kernel, gamma, t_tilde, n_sites", [
+        ("mz_finite", 1.0, 0.0, 4),
+        ("mz_finite", 1e150, 0.0, 8),
+        ("mz_finite", -1e150, 1e-3, 8),
+        ("mz_infinite", 1e150, 1e-3, None),
+        ("mz_infinite", -1e150, 1e-3, None),
+        ("dmz_dT", 1e150, 1e-3, None),
+        ("mz_infinite", 1e-30, 0.0, None),
+        ("mz_infinite", -1e20, 0.0, None),
+        ("mz_and_correlators", 1e-30, 0.0, None),
+        ("mz_and_correlators", 1e20, 0.0, None),
+    ])
+    def test_edges_of_the_domain_evaluate(self, kernel, gamma, t_tilde, n_sites):
+        got = _DOMAIN_KERNELS[kernel]([0.9, 1.0, 1.1], gamma, t_tilde, n_sites)
+        assert np.all(np.isfinite(got))
+
+    def test_least_temperature_is_the_zero_temperature_limit(self):
+        # at the least t_tilde, L / (2 t_tilde) overflows to inf, whose tanh
+        # is 1; under the suite's error::RuntimeWarning that must not warn
+        least = xy_exact._T_TILDE_MIN
+        lams = np.linspace(0.5, 1.5, 41)
+        assert np.array_equal(mz_finite_many(lams, 1.0, [8, 14], least),
+                              mz_finite_many(lams, 1.0, [8, 14]))
+        warm = xy_exact.mz_infinite_many(lams, 1.0, least)
+        assert np.max(np.abs(warm - xy_exact.mz_infinite_many(lams, 1.0))) <= 1e-10
 
 
 class TestThermalInputs:
