@@ -4,13 +4,17 @@ digits, and score against a reference law.
 
 Every window is a slice of one lambda lattice (WindowLattice), so
 neighbouring windows share their points and each point is evaluated once. Its
-histograms stage is the one window pipeline of scan, scale and the crossover
+histograms stage is the one window walk of scan, scale and the crossover
 violation ridges: it evaluates the lattice one window of points per call, for
 rows of observables at once, and counts the windows in fixed batches, each in
 one firstdigit.unit_histograms call per row, into a (rows x windows x 9)
 array of digit counts, with a zero row for each degenerate window.
-scan walks the lattice for one config; scan_chains(config, n_list) walks it
-once for the chain lengths of scale, one row per chain. Each config's counts
+scan counts the windows of one config; scan_chains(config, n_list) counts
+them for the chain lengths of scale, one row per chain. A finite chain at
+T = 0 whose Mz is proved to rise strictly between neighbouring lattice
+points (xy_exact.mz_finite_rises) is not walked: firstdigit.rising_counts
+counts its windows from the lattice points next to each digit threshold, and
+evaluates the chain only there, with the walk's counts. Each config's counts
 that are not zero are scored in one violation.violations call, and its
 delta(lambda) curve is handed on as float64 arrays (ScanResult): the
 midpoints of the scored windows and their violations, and the midpoints of
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import xy_exact
 from .errors import ConfigurationError
-from .firstdigit import ReferenceDistribution, unit_histograms
+from .firstdigit import ReferenceDistribution, rising_counts, unit_histograms
 from .violation import Metric, violations
 
 
@@ -49,6 +53,10 @@ MAX_GRID_POINTS = np.iinfo(np.intp).max // 8
 # ridges), so each unit_histograms call spreads its set-up over many windows;
 # it keeps fewer than _KEPT_WINDOWS + 2 windows' worth of points.
 _KEPT_WINDOWS = 3
+
+# window_histograms counts a rising chain's windows this many a call, so the
+# call's work arrays hold a few hundred values per window, whatever the lattice.
+_RISING_WINDOWS = 256
 
 
 def check_lattice(steps: float, step: float, width: float, samples: int) -> None:
@@ -94,7 +102,17 @@ class WindowLattice:
     def offsets(self, start: int, stop: int) -> np.ndarray:
         """Positions of lattice points start..stop-1 relative to the first
         window's centre."""
-        return (np.arange(start, stop) - 0.5 * (self.samples - 1)) * self.spacing
+        return self.at(np.arange(start, stop))
+
+    def at(self, k: np.ndarray) -> np.ndarray:
+        """Positions of the lattice points of indices k, with the bits that
+        offsets() gives them."""
+        return (k - 0.5 * (self.samples - 1)) * self.spacing
+
+    def bounds(self, count: int, lo: int, hi: int) -> np.ndarray:
+        """[start, stop) of windows 0..count-1, each the lattice points of
+        [i * stride, i * stride + samples) inside [lo, hi), as (count x 2)."""
+        return np.clip(self.stride * np.arange(count)[:, None] + [0, self.samples], lo, hi)
 
     def histograms(self, count: int, evaluate, rows: int, lo: int = 0,
                    hi: int | None = None) -> np.ndarray:
@@ -112,7 +130,7 @@ class WindowLattice:
         the next one, in one buffer that each batch refills in place."""
         m, n = self.stride, self.samples
         hi = (count - 1) * m + n if hi is None else hi
-        bounds = np.clip(m * np.arange(count)[:, None] + [0, n], lo, hi)
+        bounds = self.bounds(count, lo, hi)
         per = _KEPT_WINDOWS * n // m + 1 if m <= n else 1
         # one row of values per observable: a batch's points and those its
         # last call evaluated past it, the lattice points [first, first + kept)
@@ -219,11 +237,16 @@ def window_centers(config: ScanConfig) -> np.ndarray:
 def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray]:
     """The midpoint of each window, in grid order, and for each config its
     (windows x 9) matrix of digit counts, a zero row for each degenerate
-    window, from one walk of the lattice the configs share (see
-    scan_chains): the part of scan() that is free of the law and the metric.
+    window, on the lattice the configs share (see scan_chains): the part of
+    scan() that is free of the law and the metric.
 
     Window i holds the points of config.lattice that lie inside the scan
     range; its midpoint is that of [center -+ width / 2] clipped to the range.
+    A chain at T = 0 whose Mz xy_exact.mz_finite_rises proves to rise
+    strictly over the range is counted by firstdigit.rising_counts, chain by
+    chain, _RISING_WINDOWS windows a call, from its values where a count
+    needs them. The other configs share one walk of the whole lattice
+    (WindowLattice.histograms). Either way a row has the same counts.
     """
     config = configs[0]
     a, b = config.lambda_range
@@ -238,8 +261,25 @@ def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray
     every = range((centers.size - 1) * lattice.stride + lattice.samples)
     k_lo = bisect.bisect_left(every, a, key=point)
     k_hi = bisect.bisect_right(every, b, key=point)
-    counts = lattice.histograms(centers.size, lambda x: evaluate(configs, a + x),
-                                len(configs), k_lo, k_hi)
+    rising = np.array([c.n_sites is not None and not c.t_tilde
+                       and xy_exact.mz_finite_rises(a, b, lattice.spacing, c.gamma, c.n_sites)
+                       for c in configs])
+    walked = [c for c, r in zip(configs, rising) if not r]
+    counts = np.empty((len(configs), centers.size, 9), dtype=np.int64)
+    if walked:
+        counts[~rising] = lattice.histograms(centers.size, lambda x: evaluate(walked, a + x),
+                                             len(walked), k_lo, k_hi)
+    starts, stops = lattice.bounds(centers.size, k_lo, k_hi).T
+    for i in np.flatnonzero(rising):
+        # chain by chain, so that the kernel's cache of modes keeps the chain
+        chain = [configs[i]]
+
+        def value_at(k: np.ndarray) -> np.ndarray:
+            return evaluate(chain, a + lattice.at(k))[0]
+
+        for j in range(0, centers.size, _RISING_WINDOWS):
+            part = slice(j, j + _RISING_WINDOWS)
+            counts[i, part] = rising_counts(value_at, starts[part], stops[part])
     half = config.window_width / 2.0
     return 0.5 * (np.maximum(a, centers - half) + np.minimum(b, centers + half)), counts
 
@@ -261,8 +301,9 @@ def scan(config: ScanConfig) -> ScanResult:
 
 
 def scan_chains(config: ScanConfig, n_list) -> list[ScanResult]:
-    """scan() of config at each chain length in n_list, in one walk of the
-    lattice they share. Each chain's curve has the bits of its own scan()."""
+    """scan() of config at each chain length in n_list, in one
+    window_histograms call on the lattice they share. Each chain's curve has
+    the bits of its own scan()."""
     configs = [replace(config, n_sites=n) for n in n_list]
     if not configs or any(c.n_sites is None for c in configs):
         raise ConfigurationError("scan_chains takes one or more chain lengths, not None")

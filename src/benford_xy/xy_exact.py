@@ -3,12 +3,16 @@
 Everything here evaluates exact expressions. The finite-chain magnetization
 is a sum over its N/2 Fourier modes, taken one mode at a time over the whole
 lambda array; one call sums several chains, evaluating once each mode that
-has the same bits in more than one of them (see mz_finite_many). The thermal
-infinite-lattice quantities are single integrals over [0, pi], each a
-row-blocked weighted sum over quadrature nodes (_row_quadrature). The one
-temperature parameter is the reduced temperature t_tilde, and t_tilde = 0 is
-exactly T = 0: the thermal factor tanh(L / (2 t_tilde)) is then replaced by 1
-rather than evaluated at a large argument.
+has the same bits in more than one of them (see mz_finite_many).
+mz_finite_rises proves, from a lower bound on dMz_N/dlambda and a bound on
+the rounding of the mode sum, that the computed Mz_N of a chain at T = 0
+rises strictly on a lattice; the window stage then evaluates the chain only
+next to the digit thresholds. The thermal infinite-lattice quantities are
+single integrals over [0, pi], each a row-blocked weighted sum over
+quadrature nodes (_row_quadrature). The one temperature parameter is the
+reduced temperature t_tilde, and t_tilde = 0 is exactly T = 0: the thermal
+factor tanh(L / (2 t_tilde)) is then replaced by 1 rather than evaluated at
+a large argument.
 
 Temperature-dependent integrands develop structure of width ~T_tilde in the
 dispersion, concentrated where the dispersion is smallest (phi = 0, phi = pi,
@@ -446,6 +450,39 @@ def mz_finite_many(lams, gamma: float, chains, t_tilde: float = 0.0) -> np.ndarr
             total[row] += term
     total *= -(2.0 / np.array(lengths, dtype=float))[:, None]
     return total
+
+
+# The unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def mz_finite_rises(lam_lo: float, lam_hi: float, spacing: float, gamma: float,
+                    n_sites: int) -> bool:
+    """Whether mz_finite_many(lams, gamma, [n_sites]) at T = 0 is proved to
+    give a larger value at every lambda in [lam_lo, lam_hi] than at the
+    lambda one lattice spacing below it, each lambda computed with one or
+    two roundings (as a + offset).
+
+    With K = N / 2 modes, g_p = gamma^2 sin^2 phi_p and L_p the dispersion,
+    dMz_N/dlambda = (2/N) sum g_p / L_p^3, and each term is least where L_p
+    is greatest, at an end of the interval: so the slope is at least chi.
+    One computed value lies within E = (2/N)(K(K+1)/2 + 3.4K)u + u of the
+    exact sum, u = 2**-53: recursive summation of K terms of magnitude at
+    most 1, each term with five roundings (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., sec. 4.2), then the scaling. Computed
+    neighbours lie at least h = spacing - 8u max|lambda| apart. The values
+    rise if h chi > 2E; this asks h chi > 4E.
+    """
+    modes = _chain_modes(gamma, (int(n_sites),))
+    c = np.array([m[0] for m in modes])
+    g2s2 = np.array([m[1] for m in modes])
+    far = np.maximum(np.abs(lam_lo - c), np.abs(lam_hi - c))
+    with np.errstate(over="ignore"):
+        chi = 2.0 / n_sites * np.sum(g2s2 / (g2s2 + far * far) ** 1.5)
+    k = n_sites // 2
+    error = 2.0 / n_sites * (k * (k + 1) / 2 + 3.4 * k) * _UNIT_ROUNDOFF + _UNIT_ROUNDOFF
+    h = spacing - 8.0 * _UNIT_ROUNDOFF * max(abs(lam_lo), abs(lam_hi))
+    return bool(h * chi > 4.0 * error)
 
 
 # The cel iteration: its cap on steps, the step after which it finishes every

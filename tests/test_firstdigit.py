@@ -403,41 +403,108 @@ class TestBatchedCounts:
         assert batches == [1] * 60 and calls == [100] * 60
 
 
+class TestRisingCounts:
+    """rising_counts reads a strictly rising sequence only where a count
+    needs it; each row must equal histogram(rescale_unit(w)) of its window
+    w, and be zero if w has fewer than 2 values."""
+
+    @staticmethod
+    def counted(values, starts, stops):
+        """rising_counts of the windows of values, and the indices it read."""
+        reads = []
+
+        def value_at(k):
+            reads.append(k.copy())
+            return values[k]
+
+        rows = firstdigit.rising_counts(value_at, starts, stops)
+        assert rows.shape == (len(starts), 9) and rows.dtype == np.int64
+        return rows.tolist(), reads
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.exp(np.linspace(-3.0, 3.0, 60_000)),
+            np.linspace(-2.0, 5.0, 60_000) ** 3 + np.linspace(-2.0, 5.0, 60_000),
+            # a sequence whose digit thresholds fall on its values
+            np.arange(60_000) * 1e-4,
+            xy_exact.mz_finite_many(0.8 + 1e-5 * np.arange(60_000), 0.5, [20])[0],
+        ],
+        ids=["exp", "cubic", "on-thresholds", "mz-chain"],
+    )
+    def test_rows_equal_histogram_of_each_window(self, values):
+        starts = np.arange(0, 50_001, 1000)
+        stops = starts + 10_000
+        rows, reads = self.counted(values, starts, stops)
+        assert rows == [_reference(values[a:b]) for a, b in zip(starts, stops)]
+        # the first read is sorted and without repeats; all read far fewer
+        # values than the windows hold
+        assert (np.diff(reads[0]) > 0).all()
+        assert sum(k.size for k in reads) < 60_000 // 2
+
+    def test_short_and_gapped_windows(self):
+        values = np.exp(np.linspace(0.0, 1.0, 1000))
+        starts, stops = [0, 10, 11, 500, 990], [0, 11, 300, 505, 1000]
+        rows, _ = self.counted(values, starts, stops)
+        assert rows[:2] == [[0] * 9] * 2
+        assert rows[2:] == [_reference(values[a:b]) for a, b in zip(starts[2:], stops[2:])]
+
+    def test_windows_of_tiny_values_go_through_histogram(self, monkeypatch):
+        # below 1e-290 the thresholds near the subnormals lose bits
+        values = 1e-295 * np.linspace(1.0, 2.0, 500)
+        calls = []
+        monkeypatch.setattr(firstdigit, "histogram", lambda v: calls.append(v.size) or histogram(v))
+        rows, _ = self.counted(values, [0, 250], [300, 500])
+        assert calls == [300, 250]
+        assert rows == [_reference(values[:300]), _reference(values[250:])]
+
+
 def _default_chains(gamma):
     """scale's default walk: every chain of its --n-list on the default grid."""
     n_list = cli.build_parser().parse_args(["scale"]).n_list
     return scan_chains(ScanConfig(Observable.MZ, gamma, (0.8, 1.2), n_sites=n_list[0]), n_list)
 
 
-# The runs the benchmark measures: each batch of their windows is monotone,
-# which is what lets unit_histograms test a batch once and bisect it whole
+# The runs the benchmark measures: each batch of the lattice walk's windows is
+# monotone, which is what lets unit_histograms test a batch once and bisect it
+# whole; scale's chains at T = 0 are counted from their crossings instead
 @pytest.mark.parametrize(
-    "run",
+    "run, crossings",
     [
-        lambda: scan(ScanConfig(Observable.MZ, 1.0, (0.8, 1.2))),
-        lambda: scan(ScanConfig(Observable.CZZ, 1.0, (0.8, 1.2))),
-        lambda: _default_chains(0.1),
-        lambda: _default_chains(0.5),
-        lambda: crossover_lines("bvp", 1.0, [1e-4, 3e-4, 5e-4], samples=3000),
+        (lambda: scan(ScanConfig(Observable.MZ, 1.0, (0.8, 1.2))), False),
+        (lambda: scan(ScanConfig(Observable.CZZ, 1.0, (0.8, 1.2))), False),
+        (lambda: _default_chains(0.1), True),
+        (lambda: _default_chains(0.5), True),
+        (lambda: crossover_lines("bvp", 1.0, [1e-4, 3e-4, 5e-4], samples=3000), False),
     ],
     ids=["scan mz", "scan czz", "scale gamma 0.1", "scale gamma 0.5", "crossover bvp"],
 )
-def test_measured_runs_never_count_window_by_window(monkeypatch, run):
-    batches, fallbacks = [], []
-    count, histogram = windowscan.unit_histograms, firstdigit.histogram
+def test_measured_runs_never_count_window_by_window(monkeypatch, run, crossings):
+    batches, rising, fallbacks = [], [], []
+    count, rise, histogram = windowscan.unit_histograms, windowscan.rising_counts, firstdigit.histogram
 
     def count_spy(values, starts, stops):
         batches.append(len(starts))
         return count(values, starts, stops)
+
+    def rise_spy(value_at, starts, stops):
+        rising.append(len(starts))
+        return rise(value_at, starts, stops)
 
     def histogram_spy(values):
         fallbacks.append(np.size(values))
         return histogram(values)
 
     monkeypatch.setattr(windowscan, "unit_histograms", count_spy)
+    monkeypatch.setattr(windowscan, "rising_counts", rise_spy)
     monkeypatch.setattr(firstdigit, "histogram", histogram_spy)
     run()
-    assert batches and fallbacks == []
+    if crossings:
+        # every window of each of the six chains, in one call a chain
+        assert rising == [201] * 6 and batches == []
+    else:
+        assert batches and rising == []
+    assert fallbacks == []
 
 
 class TestReferenceDistributions:

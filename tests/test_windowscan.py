@@ -1,4 +1,5 @@
 import math
+import random
 import threading
 from dataclasses import replace
 
@@ -7,12 +8,13 @@ import pytest
 
 from benford_xy import cli, windowscan, xy_exact
 from benford_xy.errors import ConfigurationError
-from benford_xy.firstdigit import ReferenceDistribution, histogram, rescale_unit
+from benford_xy.firstdigit import ReferenceDistribution, histogram, rescale_unit, unit_histograms
 from benford_xy.violation import Metric, violations
 from benford_xy.windowscan import (
     Observable,
     ScanConfig,
     WindowLattice,
+    evaluate,
     scan,
     scan_chains,
     window_centers,
@@ -135,6 +137,8 @@ class TestWindowLattice:
         assert lattice.stride == 1
         assert lattice.span == pytest.approx(0.006, rel=1e-12)
 
+    # the lattice walk takes the infinite lattice; a chain at T = 0 is
+    # counted from its crossings (TestRisingCounts)
     @staticmethod
     def windows(monkeypatch, config):
         """The lambda points of each window, in grid order, as the streamed
@@ -153,7 +157,7 @@ class TestWindowLattice:
         return seen
 
     def test_windows_are_symmetric_about_their_centers(self, monkeypatch):
-        config = small_config()
+        config = small_config(n_sites=None)
         h = config.lattice.spacing
         windows = self.windows(monkeypatch, config)
         centers = window_centers(config)
@@ -166,7 +170,7 @@ class TestWindowLattice:
 
     def test_clipped_windows_lie_inside_the_range(self, monkeypatch):
         # a grid whose ends fall between lattice points
-        config = small_config(lambda_range=(0.90037, 1.10037))
+        config = small_config(lambda_range=(0.90037, 1.10037), n_sites=None)
         windows = self.windows(monkeypatch, config)
         a, b = config.lambda_range
         assert all(w.min() >= a and w.max() <= b for w in windows)
@@ -174,7 +178,7 @@ class TestWindowLattice:
         assert windows[0].size == windows[-1].size == 100
 
     def test_each_lattice_point_evaluated_once(self, monkeypatch):
-        config = small_config()
+        config = small_config(n_sites=None)
         evaluated = []
         monkeypatch.setattr(
             windowscan, "evaluate", lambda config, lams: evaluated.append(lams) or lams
@@ -189,7 +193,8 @@ class TestWindowLattice:
     def test_points_between_windows_are_not_evaluated(self, monkeypatch):
         # 100 samples a window, 1e-5 apart, on a grid 2e-3 apart: stride 200,
         # so half the lattice points fall in no window
-        config = small_config(window_width=0.001, samples_per_window=100, lambda_step=0.002)
+        config = small_config(window_width=0.001, samples_per_window=100, lambda_step=0.002,
+                              n_sites=None)
         assert config.lattice.stride == 200
         evaluated = []
         monkeypatch.setattr(
@@ -264,6 +269,7 @@ class TestScan:
         assert threads == {threading.get_ident()}
 
     def test_scale_kernel_calls_do_not_depend_on_the_chain_count(self, tmp_path, monkeypatch):
+        # thermal chains share one walk of the lattice
         mode_sum = xy_exact.mz_finite_many
         calls = []
 
@@ -272,7 +278,8 @@ class TestScan:
             return mode_sum(lams, *args)
 
         monkeypatch.setattr(xy_exact, "mz_finite_many", spy)
-        argv = ["scale", "--gamma", "0.5", "--lambda", "0.9:1.06:0.005", "--samples", "200"]
+        argv = ["scale", "--gamma", "0.5", "--lambda", "0.9:1.06:0.005", "--samples", "200",
+                "--t", "1e-3"]
         counts = []
         for i, chains in enumerate(["20,24,30", "20,24,28,30,34,40"]):
             calls.clear()
@@ -285,7 +292,7 @@ class TestScan:
         monkeypatch.setattr(
             windowscan, "evaluate", lambda config, lams: np.zeros_like(lams)
         )
-        r = scan(small_config())
+        r = scan(small_config(n_sites=None))
         assert r.lambdas.size == r.deltas.size == 0
         assert len(r.degenerate_windows) == 21
 
@@ -293,7 +300,7 @@ class TestScan:
         # the observable max(lambda, 1) is flat in every window that lies
         # wholly at lambda <= 1, and rises in every other one
         monkeypatch.setattr(windowscan, "evaluate", lambda config, lams: np.maximum(lams, 1.0))
-        config = small_config()
+        config = small_config(n_sites=None)
         lattice, (a, b), half = config.lattice, config.lambda_range, config.window_width / 2
         flat, scored = [], []
         for i, c in enumerate(window_centers(config)):
@@ -410,3 +417,125 @@ class TestScanChains:
         base = ScanConfig(Observable.CXX, 0.5, (0.8, 1.2))
         with pytest.raises(ConfigurationError, match="requires the infinite lattice"):
             scan_chains(base, [14, 20])
+
+
+def _shifted_grid(seed):
+    """The benchmark's --lambda at a seed: the default range shifted by a
+    seeded fraction of one step."""
+    phase = 0.0 if seed == 0 else random.Random(seed).random()
+    return (0.8 + phase * 0.002, 1.2 + phase * 0.002)
+
+
+def _walked(configs):
+    """Each config's counts from one walk of the whole lattice, and the
+    values the walk evaluated, as (rows x points) in lattice order."""
+    config = configs[0]
+    a, b = config.lambda_range
+    lattice = config.lattice
+    count = window_centers(config).size
+    lams = a + lattice.offsets(0, (count - 1) * lattice.stride + lattice.samples)
+    inside = np.flatnonzero((lams >= a) & (lams <= b))
+    seen = []
+
+    def walk(x):
+        seen.append(evaluate(configs, a + x))
+        return seen[-1]
+
+    counts = lattice.histograms(count, walk, len(configs), inside[0], inside[-1] + 1)
+    return counts, np.concatenate(seen, axis=1)
+
+
+_N_LIST = (14, 20, 24, 30, 34, 40)
+
+
+class TestRisingCounts:
+    """A chain at T = 0 whose Mz is proved to rise is counted from its
+    threshold crossings; its counts must equal the lattice walk's, bit for
+    bit, and the proof must hold on the values the walk evaluates."""
+
+    @pytest.mark.parametrize(
+        "gamma, grid, n_list",
+        [(g, {"lambda_range": _shifted_grid(seed)}, _N_LIST)
+         for seed in range(10) for g in (0.1, 0.5, 1.0)]
+        + [
+            (0.5, {"window_width": 0.001, "samples_per_window": 2000}, _N_LIST),
+            (0.5, {"lambda_range": (0.80037, 1.20037)}, _N_LIST),
+            (0.5, {"samples_per_window": 200}, _N_LIST),
+            (0.5, {"samples_per_window": 1000}, _N_LIST),
+            (0.5, {"samples_per_window": 2500}, _N_LIST),
+            (0.5, {"samples_per_window": 40_000}, _N_LIST),
+            (0.5, {"lambda_range": (-1.2, -0.8)}, _N_LIST),
+            (0.5, {"lambda_range": (-0.2, 0.2)}, _N_LIST),
+            (2.0, {}, (4, 6, 40)),
+            (1e-3, {}, _N_LIST),
+        ],
+        ids=[f"seed{seed}-gamma{g}" for seed in range(10) for g in (0.1, 0.5, 1.0)]
+        + ["gapped", "ends-between-points", "samples200", "samples1000", "samples2500",
+           "samples40000", "negative-lambda", "zero-lambda", "gamma2", "gamma1e-3"],
+    )
+    def test_crossing_counts_equal_the_lattice_walk(self, monkeypatch, gamma, grid, n_list):
+        base = ScanConfig(Observable.MZ, gamma, **{"lambda_range": (0.8, 1.2), **grid})
+        configs = [replace(base, n_sites=n) for n in n_list]
+        a, b = base.lambda_range
+        assert all(xy_exact.mz_finite_rises(a, b, base.lattice.spacing, gamma, n) for n in n_list)
+        walks = []
+        monkeypatch.setattr(windowscan, "unit_histograms",
+                            lambda *args: walks.append(1) or unit_histograms(*args))
+        mids, got = window_histograms(configs)
+        assert walks == []
+        monkeypatch.undo()
+        want, values = _walked(configs)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+        # the proof holds on the values themselves
+        assert (np.diff(values, axis=1) > 0).all()
+
+    @staticmethod
+    def kernel_calls(monkeypatch, configs):
+        """window_histograms(configs) and the (chains, lambda count) of each
+        kernel call it made."""
+        calls = []
+        kernel = xy_exact.mz_finite_many
+
+        def spy(lams, gamma, chains, t_tilde=0.0):
+            calls.append((tuple(chains), np.size(lams)))
+            return kernel(lams, gamma, chains, t_tilde)
+
+        monkeypatch.setattr(xy_exact, "mz_finite_many", spy)
+        counts = window_histograms(configs)[1]
+        monkeypatch.undo()
+        return counts, calls
+
+    def test_unproved_chain_takes_the_lattice_walk(self, monkeypatch):
+        # at gamma = 1e-6 the slope of Mz_14 is below its rounding on the
+        # default grid: every lattice point is evaluated, one window a call
+        config = ScanConfig(Observable.MZ, 1e-6, (0.8, 1.2), n_sites=14)
+        assert not xy_exact.mz_finite_rises(0.8, 1.2, config.lattice.spacing, 1e-6, 14)
+        got, calls = self.kernel_calls(monkeypatch, [config])
+        assert sum(size for _, size in calls) == 200_000
+        assert max(size for _, size in calls) <= 10_000
+        assert got.tobytes() == _walked([config])[0].tobytes()
+
+    def test_each_chain_takes_its_own_path(self, monkeypatch):
+        # at gamma = 4e-5 Mz_14 is proved to rise on the default grid, Mz_40 is not
+        base = ScanConfig(Observable.MZ, 4e-5, (0.8, 1.2))
+        spacing = base.lattice.spacing
+        assert xy_exact.mz_finite_rises(0.8, 1.2, spacing, 4e-5, 14)
+        assert not xy_exact.mz_finite_rises(0.8, 1.2, spacing, 4e-5, 40)
+        configs = [replace(base, n_sites=n) for n in (14, 40)]
+        got, calls = self.kernel_calls(monkeypatch, configs)
+        assert {chains for chains, _ in calls} == {(14,), (40,)}
+        assert sum(size for chains, size in calls if chains == (40,)) == 200_000
+        assert sum(size for chains, size in calls if chains == (14,)) < 50_000
+        want = [_walked([c])[0][0] for c in configs]
+        assert got.tobytes() == np.stack(want).tobytes()
+
+    def test_thermal_chain_takes_the_lattice_walk(self, tmp_path, monkeypatch):
+        rising, walks = [], []
+        monkeypatch.setattr(windowscan, "rising_counts", lambda *args: rising.append(1))
+        monkeypatch.setattr(windowscan, "unit_histograms",
+                            lambda *args: walks.append(1) or unit_histograms(*args))
+        argv = ["scan", "--gamma", "0.5", "--n-sites", "8", "--t", "1e-3",
+                "--lambda", "0.9:1.1:0.01", "--samples", "200", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert walks and rising == []

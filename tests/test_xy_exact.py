@@ -334,6 +334,37 @@ class TestMzFinite:
         assert math.isfinite(v)
 
 
+class TestMzFiniteRises:
+    """The proof that the computed Mz_N rises strictly between lattice
+    points; tests/test_windowscan.py checks it against the values."""
+
+    N_LIST = (14, 20, 24, 30, 34, 40)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0, 1e-3, -0.5])
+    def test_holds_on_the_default_grid(self, gamma):
+        assert all(xy_exact.mz_finite_rises(0.8, 1.2, 2e-6, gamma, n) for n in self.N_LIST)
+
+    def test_fails_where_the_slope_is_below_the_rounding(self):
+        # at gamma = 1e-6 a step of 2e-6 raises Mz_14 by less than its rounding
+        assert not xy_exact.mz_finite_rises(0.8, 1.2, 2e-6, 1e-6, 14)
+        # a coarser lattice raises it by more
+        assert xy_exact.mz_finite_rises(0.8, 1.2, 2e-2, 1e-6, 14)
+
+    def test_fails_where_neighbours_round_to_one_lambda(self):
+        assert not xy_exact.mz_finite_rises(0.8, 1.2, 1e-16, 1.0, 14)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [1e150, 1e-150])
+    def test_extreme_gamma_fails_without_warnings(self, gamma):
+        # the cube of L^2 overflows at the one end, g_p underflows at the other
+        assert not xy_exact.mz_finite_rises(0.8, 1.2, 2e-6, gamma, 14)
+
+    def test_proved_chain_rises_on_a_fine_lattice(self):
+        lams = 0.95 + 1e-6 * np.arange(100_000)
+        assert xy_exact.mz_finite_rises(lams[0], lams[-1], 1e-6, 0.3, 24)
+        assert (np.diff(mz_finite_many(lams, 0.3, [24])[0]) > 0).all()
+
+
 class TestCorrelators:
     def test_cxx_zero_field_ising(self):
         assert xy_exact.mz_and_correlators_many([0.0], 1.0)[1, 0] == pytest.approx(-1.0, abs=1e-8)
