@@ -10,11 +10,13 @@ rows of observables at once, and counts the windows in fixed batches, each in
 one firstdigit.unit_histograms call per row, into a (rows x windows x 9)
 array of digit counts, with a zero row for each degenerate window.
 scan counts the windows of one config; scan_chains(config, n_list) counts
-them for the chain lengths of scale, one row per chain. A finite chain at
-T = 0 whose Mz is proved to rise strictly between neighbouring lattice
-points (xy_exact.mz_finite_rises) is not walked: firstdigit.rising_counts
-counts its windows from the lattice points next to each digit threshold, and
-evaluates the chain only there, with the walk's counts. Each config's counts
+them for the chain lengths of scale, one row per chain. Mz at T = 0, of a
+finite chain or of the infinite lattice, that is proved to rise strictly
+between neighbouring lattice points (xy_exact.mz_finite_rises,
+mz_infinite_rises) is not walked where the lattice has enough points per
+grid step (_CROSSING_STRIDE): firstdigit.rising_counts counts its windows
+from the lattice points next to each digit threshold, and evaluates the
+observable only there, with the walk's counts. Each config's counts
 that are not zero are scored in one violation.violations call, and its
 delta(lambda) curve is handed on as float64 arrays (ScanResult): the
 midpoints of the scored windows and their violations, and the midpoints of
@@ -54,9 +56,15 @@ MAX_GRID_POINTS = np.iinfo(np.intp).max // 8
 # it keeps fewer than _KEPT_WINDOWS + 2 windows' worth of points.
 _KEPT_WINDOWS = 3
 
-# window_histograms counts a rising chain's windows this many a call, so the
+# window_histograms counts a rising row's windows this many a call, so the
 # call's work arrays hold a few hundred values per window, whatever the lattice.
 _RISING_WINDOWS = 256
+
+# window_histograms counts a rising row from its crossings only on a lattice of
+# at least min(_CROSSING_STRIDE, samples // 10) points per grid step: placing
+# one threshold costs about what walking tens to hundreds of points costs, so on
+# coarser lattices the walk is faster.
+_CROSSING_STRIDE = 200
 
 
 def check_lattice(steps: float, step: float, width: float, samples: int) -> None:
@@ -242,11 +250,13 @@ def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray
 
     Window i holds the points of config.lattice that lie inside the scan
     range; its midpoint is that of [center -+ width / 2] clipped to the range.
-    A chain at T = 0 whose Mz xy_exact.mz_finite_rises proves to rise
-    strictly over the range is counted by firstdigit.rising_counts, chain by
-    chain, _RISING_WINDOWS windows a call, from its values where a count
-    needs them. The other configs share one walk of the whole lattice
-    (WindowLattice.histograms). Either way a row has the same counts.
+    An Mz config at T = 0, a chain or the infinite lattice, whose values
+    xy_exact.mz_finite_rises or mz_infinite_rises proves to rise strictly
+    over the range is counted by firstdigit.rising_counts, row by row,
+    _RISING_WINDOWS windows a call, from its values where a count needs
+    them, on a lattice of at least min(_CROSSING_STRIDE, samples // 10)
+    points per grid step. The other configs share one walk of the whole
+    lattice (WindowLattice.histograms). Either way a row has the same counts.
     """
     config = configs[0]
     a, b = config.lambda_range
@@ -261,9 +271,16 @@ def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray
     every = range((centers.size - 1) * lattice.stride + lattice.samples)
     k_lo = bisect.bisect_left(every, a, key=point)
     k_hi = bisect.bisect_right(every, b, key=point)
-    rising = np.array([c.n_sites is not None and not c.t_tilde
-                       and xy_exact.mz_finite_rises(a, b, lattice.spacing, c.gamma, c.n_sites)
-                       for c in configs])
+
+    def proved(c: ScanConfig) -> bool:
+        if c.observable is not Observable.MZ or c.t_tilde:
+            return False
+        if c.n_sites is None:
+            return xy_exact.mz_infinite_rises(a, b, lattice.spacing, c.gamma)
+        return xy_exact.mz_finite_rises(a, b, lattice.spacing, c.gamma, c.n_sites)
+
+    fine = lattice.stride >= min(_CROSSING_STRIDE, lattice.samples // 10)
+    rising = np.array([fine and proved(c) for c in configs])
     walked = [c for c, r in zip(configs, rising) if not r]
     counts = np.empty((len(configs), centers.size, 9), dtype=np.int64)
     if walked:
@@ -271,11 +288,12 @@ def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray
                                              len(walked), k_lo, k_hi)
     starts, stops = lattice.bounds(centers.size, k_lo, k_hi).T
     for i in np.flatnonzero(rising):
-        # chain by chain, so that the kernel's cache of modes keeps the chain
-        chain = [configs[i]]
+        # row by row, so that the kernel's cache of modes keeps a chain
+        row = [configs[i]]
 
         def value_at(k: np.ndarray) -> np.ndarray:
-            return evaluate(chain, a + lattice.at(k))[0]
+            # (1 x points) for a chain, points for the lattice
+            return evaluate(row, a + lattice.at(k)).reshape(-1)
 
         for j in range(0, centers.size, _RISING_WINDOWS):
             part = slice(j, j + _RISING_WINDOWS)

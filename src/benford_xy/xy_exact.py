@@ -6,13 +6,14 @@ lambda array; one call sums several chains, evaluating once each mode that
 has the same bits in more than one of them (see mz_finite_many).
 mz_finite_rises proves, from a lower bound on dMz_N/dlambda and a bound on
 the rounding of the mode sum, that the computed Mz_N of a chain at T = 0
-rises strictly on a lattice; the window stage then evaluates the chain only
-next to the digit thresholds. The thermal infinite-lattice quantities are
-single integrals over [0, pi], each a row-blocked weighted sum over
-quadrature nodes (_row_quadrature). The one temperature parameter is the
-reduced temperature t_tilde, and t_tilde = 0 is exactly T = 0: the thermal
-factor tanh(L / (2 t_tilde)) is then replaced by 1 rather than evaluated at
-a large argument.
+rises strictly on a lattice, and mz_infinite_rises proves it for Mz of the
+infinite lattice at T = 0 from a bound on the error of the cel iteration;
+the window stage then evaluates Mz only next to the digit thresholds. The
+thermal infinite-lattice quantities are single integrals over [0, pi], each
+a row-blocked weighted sum over quadrature nodes (_row_quadrature). The one
+temperature parameter is the reduced temperature t_tilde, and t_tilde = 0 is
+exactly T = 0: the thermal factor tanh(L / (2 t_tilde)) is then replaced by 1
+rather than evaluated at a large argument.
 
 Temperature-dependent integrands develop structure of width ~T_tilde in the
 dispersion, concentrated where the dispersion is smallest (phi = 0, phi = pi,
@@ -606,6 +607,58 @@ def mz_and_correlators_many(lams, gamma: float, *, correlators: bool = True) -> 
     s = h * (y + qm)
     even = h * (oy - x + qm)
     return np.stack([mz, even - gamma * s, even + gamma * s])
+
+
+def mz_infinite_rises(lam_lo: float, lam_hi: float, spacing: float, gamma: float) -> bool:
+    """Whether mz_infinite_many(lams, gamma) at T = 0 is proved to give a
+    larger value at every lambda in [lam_lo, lam_hi] than at the lambda one
+    lattice spacing below it, each lambda computed with one or two roundings
+    (as a + offset).
+
+    Slope: dMz/dlambda = (1/pi) int_0^pi gamma^2 sin^2 phi / L^3 dphi. On
+    [pi/3, 2 pi/3], sin^2 phi >= 3/4 and |lambda - cos phi| <= M + 1/2 with
+    M = max|lambda|, so the slope is at least
+    chi = gamma^2 / (4 (gamma^2 + (M + 1/2)^2)^(3/2)).
+
+    Error: one computed Mz lies within E = 2500u of the exact one, u = 2**-53.
+    - Rounding. Bar 1 - lambda and 1 + lambda (one rounding each of an exact
+      input), every operation of mz_and_correlators_many and _cel adds,
+      multiplies, divides or takes the root of positive numbers, so no error
+      cancels: a sum carries the larger relative error of its terms plus u,
+      a product or quotient the sum of its factors' plus u, a root half its
+      argument's plus u (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., sec. 3.1-3.4). Counted operation by operation, X
+      and K lie within 1216u and 19.2u of what exact arithmetic gives after
+      ten cel steps, and within 294u and 12.6u after five.
+    - K - X. Where |lambda| > 1, Mz = h lambda (X + Y), Y = kc^2 (K - X) / p
+      and h = 2 / (pi sqrt(a)). K - X > 0 may cancel, but |h lambda| X,
+      |h lambda| Y and |h lambda| kc^2 K / p <= sqrt(1 - 1/lambda^2) are
+      each at most 1 (X, Y >= 0, |Mz| <= 1, K <= pi / (2 kc)), so Mz errs by
+      at most (2 e_X + e_K + 29)u, for X and K within e_X u and e_K u: 2481u
+      after ten steps, 630u after five. Where |lambda| <= 1, Mz = h lambda X
+      errs by at most 1036u.
+    - Truncation. After n steps the exact X and K are within (1 - rho) X and
+      (1 - rho) K / rho of the integrals, rho = kc / m: the remaining
+      integral is cel(rho, (s/m)^2, a, b s / m^2) / m, which the finish
+      evaluates at rho = 1. A sample finished after five steps passed the
+      exit test, so 1 - rho <= 1e-15 (1 + 2u) + 21.4u < 30.5u, and Mz errs
+      by at most 630u + 3 * 30.5u < 722u. rho depends on kc alone, and from
+      any kc in [_KC_FLOOR, 1 / _KC_FLOOR] ten steps leave 1 - rho < 6e-31.
+    - Clamp. At lambda = +-1, kc = 0 is clamped to _KC_FLOOR, which moves X
+      by at most _KC_FLOOR pi / (2 sqrt(p)) and Mz by at most _KC_FLOOR;
+      for |gamma| <= _T0_GAMMA_MAX no other lambda has kc below it.
+    2481u, these and the terms of second order in u sum to less than 2500u.
+
+    Spacing: computed neighbours lie at least h_min = spacing - 8u M apart.
+    The values rise if h_min chi > 2E; this asks h_min chi > 4E.
+    """
+    far = max(abs(lam_lo), abs(lam_hi))
+    g2 = gamma * gamma
+    q = g2 + (far + 0.5) * (far + 0.5)
+    chi = g2 / (4.0 * q * math.sqrt(q))
+    error = 2500.0 * _UNIT_ROUNDOFF
+    h_min = spacing - 8.0 * _UNIT_ROUNDOFF * far
+    return bool(h_min * chi > 4.0 * error)
 
 
 def diagonal_correlators(lam: float, gamma: float) -> tuple[float, float, float]:

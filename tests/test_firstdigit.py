@@ -467,15 +467,16 @@ def _default_chains(gamma):
 
 # The runs the benchmark measures: each batch of the lattice walk's windows is
 # monotone, which is what lets unit_histograms test a batch once and bisect it
-# whole; scale's chains at T = 0 are counted from their crossings instead
+# whole; Mz at T = 0, of the lattice or of scale's chains, is counted from its
+# crossings instead, all 201 windows of a row in one rising_counts call
 @pytest.mark.parametrize(
     "run, crossings",
     [
-        (lambda: scan(ScanConfig(Observable.MZ, 1.0, (0.8, 1.2))), False),
-        (lambda: scan(ScanConfig(Observable.CZZ, 1.0, (0.8, 1.2))), False),
-        (lambda: _default_chains(0.1), True),
-        (lambda: _default_chains(0.5), True),
-        (lambda: crossover_lines("bvp", 1.0, [1e-4, 3e-4, 5e-4], samples=3000), False),
+        (lambda: scan(ScanConfig(Observable.MZ, 1.0, (0.8, 1.2))), [201]),
+        (lambda: scan(ScanConfig(Observable.CZZ, 1.0, (0.8, 1.2))), []),
+        (lambda: _default_chains(0.1), [201] * 6),
+        (lambda: _default_chains(0.5), [201] * 6),
+        (lambda: crossover_lines("bvp", 1.0, [1e-4, 3e-4, 5e-4], samples=3000), []),
     ],
     ids=["scan mz", "scan czz", "scale gamma 0.1", "scale gamma 0.5", "crossover bvp"],
 )
@@ -499,11 +500,8 @@ def test_measured_runs_never_count_window_by_window(monkeypatch, run, crossings)
     monkeypatch.setattr(windowscan, "rising_counts", rise_spy)
     monkeypatch.setattr(firstdigit, "histogram", histogram_spy)
     run()
-    if crossings:
-        # every window of each of the six chains, in one call a chain
-        assert rising == [201] * 6 and batches == []
-    else:
-        assert batches and rising == []
+    assert rising == crossings
+    assert bool(batches) != bool(crossings)
     assert fallbacks == []
 
 

@@ -8,7 +8,13 @@ import pytest
 
 from benford_xy import cli, windowscan, xy_exact
 from benford_xy.errors import ConfigurationError
-from benford_xy.firstdigit import ReferenceDistribution, histogram, rescale_unit, unit_histograms
+from benford_xy.firstdigit import (
+    ReferenceDistribution,
+    histogram,
+    rescale_unit,
+    rising_counts,
+    unit_histograms,
+)
 from benford_xy.violation import Metric, violations
 from benford_xy.windowscan import (
     Observable,
@@ -137,8 +143,8 @@ class TestWindowLattice:
         assert lattice.stride == 1
         assert lattice.span == pytest.approx(0.006, rel=1e-12)
 
-    # the lattice walk takes the infinite lattice; a chain at T = 0 is
-    # counted from its crossings (TestRisingCounts)
+    # the lattice walk takes Czz; Mz at T = 0 is counted from its crossings
+    # (TestRisingCounts)
     @staticmethod
     def windows(monkeypatch, config):
         """The lambda points of each window, in grid order, as the streamed
@@ -157,7 +163,7 @@ class TestWindowLattice:
         return seen
 
     def test_windows_are_symmetric_about_their_centers(self, monkeypatch):
-        config = small_config(n_sites=None)
+        config = small_config(observable=Observable.CZZ, n_sites=None)
         h = config.lattice.spacing
         windows = self.windows(monkeypatch, config)
         centers = window_centers(config)
@@ -170,7 +176,8 @@ class TestWindowLattice:
 
     def test_clipped_windows_lie_inside_the_range(self, monkeypatch):
         # a grid whose ends fall between lattice points
-        config = small_config(lambda_range=(0.90037, 1.10037), n_sites=None)
+        config = small_config(observable=Observable.CZZ, lambda_range=(0.90037, 1.10037),
+                              n_sites=None)
         windows = self.windows(monkeypatch, config)
         a, b = config.lambda_range
         assert all(w.min() >= a and w.max() <= b for w in windows)
@@ -178,7 +185,7 @@ class TestWindowLattice:
         assert windows[0].size == windows[-1].size == 100
 
     def test_each_lattice_point_evaluated_once(self, monkeypatch):
-        config = small_config(n_sites=None)
+        config = small_config(observable=Observable.CZZ, n_sites=None)
         evaluated = []
         monkeypatch.setattr(
             windowscan, "evaluate", lambda config, lams: evaluated.append(lams) or lams
@@ -193,8 +200,8 @@ class TestWindowLattice:
     def test_points_between_windows_are_not_evaluated(self, monkeypatch):
         # 100 samples a window, 1e-5 apart, on a grid 2e-3 apart: stride 200,
         # so half the lattice points fall in no window
-        config = small_config(window_width=0.001, samples_per_window=100, lambda_step=0.002,
-                              n_sites=None)
+        config = small_config(observable=Observable.CZZ, window_width=0.001,
+                              samples_per_window=100, lambda_step=0.002, n_sites=None)
         assert config.lattice.stride == 200
         evaluated = []
         monkeypatch.setattr(
@@ -292,7 +299,7 @@ class TestScan:
         monkeypatch.setattr(
             windowscan, "evaluate", lambda config, lams: np.zeros_like(lams)
         )
-        r = scan(small_config(n_sites=None))
+        r = scan(small_config(observable=Observable.CZZ, n_sites=None))
         assert r.lambdas.size == r.deltas.size == 0
         assert len(r.degenerate_windows) == 21
 
@@ -300,7 +307,7 @@ class TestScan:
         # the observable max(lambda, 1) is flat in every window that lies
         # wholly at lambda <= 1, and rises in every other one
         monkeypatch.setattr(windowscan, "evaluate", lambda config, lams: np.maximum(lams, 1.0))
-        config = small_config(n_sites=None)
+        config = small_config(observable=Observable.CZZ, n_sites=None)
         lattice, (a, b), half = config.lattice, config.lambda_range, config.window_width / 2
         flat, scored = [], []
         for i, c in enumerate(window_centers(config)):
@@ -438,7 +445,8 @@ def _walked(configs):
     seen = []
 
     def walk(x):
-        seen.append(evaluate(configs, a + x))
+        # (rows x points); the lattice's kernel gives points alone
+        seen.append(np.atleast_2d(evaluate(configs, a + x)))
         return seen[-1]
 
     counts = lattice.histograms(count, walk, len(configs), inside[0], inside[-1] + 1)
@@ -449,9 +457,10 @@ _N_LIST = (14, 20, 24, 30, 34, 40)
 
 
 class TestRisingCounts:
-    """A chain at T = 0 whose Mz is proved to rise is counted from its
-    threshold crossings; its counts must equal the lattice walk's, bit for
-    bit, and the proof must hold on the values the walk evaluates."""
+    """Mz at T = 0, of a chain or of the infinite lattice, that is proved to
+    rise is counted from its threshold crossings; its counts must equal the
+    lattice walk's, bit for bit, and the proof must hold on the values the
+    walk evaluates."""
 
     @pytest.mark.parametrize(
         "gamma, grid, n_list",
@@ -468,16 +477,40 @@ class TestRisingCounts:
             (0.5, {"lambda_range": (-0.2, 0.2)}, _N_LIST),
             (2.0, {}, (4, 6, 40)),
             (1e-3, {}, _N_LIST),
+        ]
+        # the infinite lattice
+        + [(g, {"lambda_range": _shifted_grid(seed)}, (None,))
+           for seed in range(10) for g in (0.1, 0.5, 1.0)]
+        + [
+            (1.0, {"window_width": 0.001, "samples_per_window": 2000}, (None,)),
+            (1.0, {"lambda_range": (0.80037, 1.20037)}, (None,)),
+            (1.0, {"samples_per_window": 200}, (None,)),
+            (1.0, {"samples_per_window": 1000}, (None,)),
+            (1.0, {"samples_per_window": 2500}, (None,)),
+            (1.0, {"samples_per_window": 40_000}, (None,)),
+            (0.5, {"lambda_range": (-1.2, -0.8)}, (None,)),
+            (0.5, {"lambda_range": (-0.2, 0.2)}, (None,)),
+            (0.5, {"lambda_range": (-3.0, -2.6)}, (None,)),
+            (0.5, {"lambda_range": (-1.1, 1.1), "lambda_step": 0.01}, (None,)),
+            (2.0, {}, (None,)),
+            (-0.5, {}, (None,)),
+            (1e-2, {}, (None,)),
         ],
         ids=[f"seed{seed}-gamma{g}" for seed in range(10) for g in (0.1, 0.5, 1.0)]
         + ["gapped", "ends-between-points", "samples200", "samples1000", "samples2500",
-           "samples40000", "negative-lambda", "zero-lambda", "gamma2", "gamma1e-3"],
+           "samples40000", "negative-lambda", "zero-lambda", "gamma2", "gamma1e-3"]
+        + [f"lattice-seed{seed}-gamma{g}" for seed in range(10) for g in (0.1, 0.5, 1.0)]
+        + [f"lattice-{name}" for name in
+           ["gapped", "ends-between-points", "samples200", "samples1000", "samples2500",
+            "samples40000", "through-minus-one", "through-zero", "below-zero", "through-all",
+            "gamma2", "gamma-0.5", "gamma0.01"]],
     )
     def test_crossing_counts_equal_the_lattice_walk(self, monkeypatch, gamma, grid, n_list):
         base = ScanConfig(Observable.MZ, gamma, **{"lambda_range": (0.8, 1.2), **grid})
         configs = [replace(base, n_sites=n) for n in n_list]
-        a, b = base.lambda_range
-        assert all(xy_exact.mz_finite_rises(a, b, base.lattice.spacing, gamma, n) for n in n_list)
+        a, b, h = *base.lambda_range, base.lattice.spacing
+        assert all(xy_exact.mz_infinite_rises(a, b, h, gamma) if n is None
+                   else xy_exact.mz_finite_rises(a, b, h, gamma, n) for n in n_list)
         walks = []
         monkeypatch.setattr(windowscan, "unit_histograms",
                             lambda *args: walks.append(1) or unit_histograms(*args))
@@ -529,6 +562,53 @@ class TestRisingCounts:
         assert sum(size for chains, size in calls if chains == (14,)) < 50_000
         want = [_walked([c])[0][0] for c in configs]
         assert got.tobytes() == np.stack(want).tobytes()
+
+    @staticmethod
+    def paths(monkeypatch, config):
+        """window_histograms([config])'s counts, and whether it took the
+        crossings and the walk."""
+        rising, walks = [], []
+        monkeypatch.setattr(windowscan, "rising_counts",
+                            lambda *args: rising.append(1) or rising_counts(*args))
+        monkeypatch.setattr(windowscan, "unit_histograms",
+                            lambda *args: walks.append(1) or unit_histograms(*args))
+        counts = window_histograms([config])[1]
+        monkeypatch.undo()
+        return counts, bool(rising), bool(walks)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScanConfig(Observable.CZZ, 1.0, (0.8, 1.2)),
+            ScanConfig(Observable.MZ, 0.5, (0.9, 1.1), lambda_step=0.01, samples_per_window=200,
+                       t_tilde=1e-3),
+        ],
+        ids=["czz", "thermal"],
+    )
+    def test_correlator_and_thermal_lattice_take_the_walk(self, monkeypatch, config):
+        assert self.paths(monkeypatch, config)[1:] == (False, True)
+
+    @pytest.mark.parametrize("n_sites", [None, 20])
+    def test_coarse_lattice_takes_the_walk(self, monkeypatch, n_sites):
+        # --lambda 0.8:1.2:0.0001 puts 50 lattice points in a grid step, fewer
+        # than min(200, samples // 10): the walk is the faster path there,
+        # though the proof holds
+        config = ScanConfig(Observable.MZ, 1.0, (0.8, 1.2), lambda_step=1e-4, n_sites=n_sites)
+        assert config.lattice.stride == 50
+        assert xy_exact.mz_infinite_rises(0.8, 1.2, config.lattice.spacing, 1.0)
+        assert xy_exact.mz_finite_rises(0.8, 1.2, config.lattice.spacing, 1.0, 20)
+        assert self.paths(monkeypatch, config)[1:] == (False, True)
+
+    @pytest.mark.parametrize("step, stride, crossings",
+                             [(2e-4, 2, False), (2e-3, 20, True)])
+    def test_stride_rule_at_few_samples(self, monkeypatch, step, stride, crossings):
+        # 200 samples: the crossings from 200 // 10 = 20 points a grid step
+        config = ScanConfig(Observable.MZ, 1.0, (0.8, 1.2), lambda_step=step,
+                            samples_per_window=200)
+        assert config.lattice.stride == stride
+        counts, rising, walked = self.paths(monkeypatch, config)
+        assert (rising, walked) == (crossings, not crossings)
+        assert counts.tobytes() == _walked([config])[0].tobytes()
 
     def test_thermal_chain_takes_the_lattice_walk(self, tmp_path, monkeypatch):
         rising, walks = [], []

@@ -365,6 +365,39 @@ class TestMzFiniteRises:
         assert (np.diff(mz_finite_many(lams, 0.3, [24])[0]) > 0).all()
 
 
+class TestMzInfiniteRises:
+    """The proof that the computed Mz of the infinite lattice at T = 0 rises
+    strictly between lattice points; tests/test_windowscan.py checks it
+    against the values."""
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0, -0.5])
+    def test_holds_on_the_default_grid(self, gamma):
+        assert xy_exact.mz_infinite_rises(0.8, 1.2, 2e-6, gamma)
+
+    def test_margin_at_gamma_one_tenth(self):
+        # h chi / 4E is about 912 on the default grid at gamma = 0.1
+        assert xy_exact.mz_infinite_rises(0.8, 1.2, 2e-6 / 900, 0.1)
+        assert not xy_exact.mz_infinite_rises(0.8, 1.2, 2e-6 / 925, 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_fails_where_neighbours_round_to_one_lambda(self):
+        assert not xy_exact.mz_infinite_rises(0.8, 1.2, 1e-16, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [1e-30, -1e-30, 1e20])
+    def test_extreme_gamma_fails_without_warnings(self, gamma):
+        # the slope is about gamma^2 / 20 at the one end, 1 / (4 gamma) at the other
+        assert not xy_exact.mz_infinite_rises(0.8, 1.2, 2e-6, gamma)
+
+    @pytest.mark.parametrize("center", [-1.0, 0.0, 1.0])
+    def test_proved_lattice_rises_through_the_special_points(self, center):
+        # the lattice holds the center itself, where kc = 0 is clamped at +-1
+        lams = center + 1e-7 * np.arange(-50_000, 50_001)
+        assert center in lams
+        assert xy_exact.mz_infinite_rises(lams[0], lams[-1], 1e-7, 0.5)
+        assert (np.diff(xy_exact.mz_infinite_many(lams, 0.5)) > 0).all()
+
+
 class TestCorrelators:
     def test_cxx_zero_field_ising(self):
         assert xy_exact.mz_and_correlators_many([0.0], 1.0)[1, 0] == pytest.approx(-1.0, abs=1e-8)
