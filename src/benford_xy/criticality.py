@@ -356,12 +356,12 @@ def crossover_lines(
         raise ConfigurationError("t_grid must hold at least one temperature")
     if len(set(ts)) < len(ts):
         raise ConfigurationError("t_grid repeats a temperature; each ridge point needs its own")
-    for t in ts:
-        xy_exact.check_model(gamma, t)
-        if not t:
-            raise ConfigurationError("t_tilde = 0 (T = 0) has no crossover ridge")
     if not all(0.0 < v < math.inf for v in (span, step, window_ratio)):
         raise ConfigurationError("ridge span, step and window_ratio must be positive and finite")
+    for t in ts:
+        xy_exact.check_model(gamma, t, lambdas=(1.0 - t * span, 1.0 + t * span))
+        if not t:
+            raise ConfigurationError("t_tilde = 0 (T = 0) has no crossover ridge")
     check_lattice(2.0 * span / step, step, window_ratio, samples)
     u = _ridge_offsets(span, step)
     lattice = WindowLattice(step, window_ratio, samples)

@@ -145,10 +145,10 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
     rescales its maximum to exactly 1.0, a digit 1, so its row is not zero.
 
     The windows are counted together. If the batch never falls, one
-    _sorted_counts call counts its windows that are not flat; if it never
-    rises, the same call counts them on the batch read reversed. Windows of
-    a batch that does both, and those that _sorted_counts leaves, go through
-    histogram.
+    _threshold_counts call counts its windows that are not flat, with one
+    np.searchsorted placing every band edge; if it never rises, the same
+    call counts them on the batch read reversed. Windows of a batch that
+    does both, and those that _threshold_counts leaves, go through histogram.
     """
     a = np.asarray(values, dtype=float).ravel()
     s = np.asarray(starts, dtype=np.intp)
@@ -165,7 +165,10 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
         if not falls:
             long = np.flatnonzero(e - s >= 2)
             up = long[a[e[long] - 1] > a[s[long]]]  # flat windows keep a zero row
-            rows[up] = _sorted_counts(a, s[up], e[up])
+            lo, stop = a[s[up]], e[up]
+            first = np.searchsorted(a, lo, side="right")  # first positive r of each window
+            rows[up] = _threshold_counts(a.__getitem__, lo, a[first], a[stop - 1], first, stop,
+                                         lambda edges, keep: np.searchsorted(a, edges))
             other = up[~rows[up].any(axis=1)]
     for i in other:
         try:
@@ -173,16 +176,6 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
         except DegenerateWindowError:
             pass
     return rows
-
-
-def _sorted_counts(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """histogram(rescale_unit(b[s:e])) of non-flat windows of b, which is
-    non-decreasing, as (W x 9) rows (see _threshold_counts): one
-    np.searchsorted places every band edge."""
-    lo = b[s]
-    first = np.searchsorted(b, lo, side="right")  # first positive r of each window
-    return _threshold_counts(b.__getitem__, lo, b[first], b[e - 1], first, e,
-                             lambda edges, keep: np.searchsorted(b, edges))
 
 
 def _threshold_counts(value_at, lo, after, hi, first, e, positions) -> np.ndarray:

@@ -10,17 +10,17 @@ rows of observables at once, and counts the windows in fixed batches, each in
 one firstdigit.unit_histograms call per row, into a (rows x windows x 9)
 array of digit counts, with a zero row for each degenerate window.
 scan counts the windows of one config; scan_chains(config, n_list) counts
-them for the chain lengths of scale, one row per chain. Mz at T = 0, of a
-finite chain or of the infinite lattice, that is proved to rise strictly
-between neighbouring lattice points (xy_exact.mz_finite_rises,
-mz_infinite_rises) is not walked where the lattice has enough points per
-grid step (_CROSSING_STRIDE): firstdigit.rising_counts counts its windows
-from the lattice points next to each digit threshold, and evaluates the
-observable only there, with the walk's counts. Each config's counts
-that are not zero are scored in one violation.violations call, and its
-delta(lambda) curve is handed on as float64 arrays (ScanResult): the
-midpoints of the scored windows and their violations, and the midpoints of
-the degenerate ones. No randomness enters anywhere.
+them for the chain lengths of scale, one row per chain. Mz that
+xy_exact.mz_rises proves to rise strictly between neighbouring lattice
+points (at T = 0, of a finite chain or of the infinite lattice) is not
+walked where the lattice has enough points per grid step (_CROSSING_STRIDE):
+firstdigit.rising_counts counts its windows from the lattice points next to
+each digit threshold, and evaluates the observable only there, with the
+walk's counts. Each config's counts that are not zero are scored in one
+violation.violations call, and its delta(lambda) curve is handed on as
+float64 arrays (ScanResult): the midpoints of the scored windows and their
+violations, and the midpoints of the degenerate ones. No randomness enters
+anywhere.
 """
 
 from __future__ import annotations
@@ -107,14 +107,9 @@ class WindowLattice:
     def span(self) -> float:
         return (self.samples - 1) * self.spacing
 
-    def offsets(self, start: int, stop: int) -> np.ndarray:
-        """Positions of lattice points start..stop-1 relative to the first
-        window's centre."""
-        return self.at(np.arange(start, stop))
-
     def at(self, k: np.ndarray) -> np.ndarray:
-        """Positions of the lattice points of indices k, with the bits that
-        offsets() gives them."""
+        """Positions of the lattice points of indices k relative to the first
+        window's centre."""
         return (k - 0.5 * (self.samples - 1)) * self.spacing
 
     def bounds(self, count: int, lo: int, hi: int) -> np.ndarray:
@@ -130,7 +125,7 @@ class WindowLattice:
         (rows x count x 9) array of digit counts.
 
         evaluate(offsets) gives the observables at the lattice points at
-        those offsets (see offsets()), one window of them per call: an array
+        those offsets (see at()), one window of them per call: an array
         of (rows x points), or of points for one row. Points that fall in no
         window are never evaluated. The windows are counted in batches of
         _KEPT_WINDOWS * samples // stride + 1 when they overlap, one by one
@@ -157,7 +152,7 @@ class WindowLattice:
             while start < batch[-1, 1]:
                 # one window of points, none past the batch if windows leave gaps
                 stop = min(start + n, hi) if m <= n else batch[-1, 1]
-                buffer[:, kept : kept + stop - start] = evaluate(self.offsets(start, stop))
+                buffer[:, kept : kept + stop - start] = evaluate(self.at(np.arange(start, stop)))
                 kept, start = kept + stop - start, stop
             for row, row_counts in zip(buffer, counts):
                 row_counts[i : i + per] = unit_histograms(row[:kept], *(batch - first).T)
@@ -190,7 +185,7 @@ class ScanConfig:
             raise ConfigurationError("window_width must be positive and smaller than the range")
         check_lattice((b - a) / self.lambda_step, self.lambda_step, self.window_width,
                       self.samples_per_window)
-        xy_exact.check_model(self.gamma, self.t_tilde, self.n_sites)
+        xy_exact.check_model(self.gamma, self.t_tilde, self.n_sites, (a, b))
         if self.observable in _CORRELATORS and (self.n_sites is not None or self.t_tilde):
             raise ConfigurationError(
                 f"{self.observable.value} requires the infinite lattice (n_sites absent)"
@@ -250,13 +245,13 @@ def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray
 
     Window i holds the points of config.lattice that lie inside the scan
     range; its midpoint is that of [center -+ width / 2] clipped to the range.
-    An Mz config at T = 0, a chain or the infinite lattice, whose values
-    xy_exact.mz_finite_rises or mz_infinite_rises proves to rise strictly
-    over the range is counted by firstdigit.rising_counts, row by row,
-    _RISING_WINDOWS windows a call, from its values where a count needs
-    them, on a lattice of at least min(_CROSSING_STRIDE, samples // 10)
-    points per grid step. The other configs share one walk of the whole
-    lattice (WindowLattice.histograms). Either way a row has the same counts.
+    On a lattice of at least min(_CROSSING_STRIDE, samples // 10) points per
+    grid step, an Mz config whose values xy_exact.mz_rises proves to rise
+    strictly over the range (at T = 0, a chain or the infinite lattice) is
+    counted by firstdigit.rising_counts, row by row, _RISING_WINDOWS windows
+    a call, from its values where a count needs them. The other configs
+    share one walk of the whole lattice (WindowLattice.histograms). Either
+    way a row has the same counts.
     """
     config = configs[0]
     a, b = config.lambda_range
@@ -264,7 +259,7 @@ def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray
     lattice = config.lattice
 
     def point(k: int) -> float:
-        return a + float(lattice.offsets(k, k + 1)[0])
+        return a + float(lattice.at(k))
 
     # lambda never decreases along the lattice, so its points inside [a, b]
     # are the one run [k_lo, k_hi)
@@ -272,15 +267,9 @@ def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray
     k_lo = bisect.bisect_left(every, a, key=point)
     k_hi = bisect.bisect_right(every, b, key=point)
 
-    def proved(c: ScanConfig) -> bool:
-        if c.observable is not Observable.MZ or c.t_tilde:
-            return False
-        if c.n_sites is None:
-            return xy_exact.mz_infinite_rises(a, b, lattice.spacing, c.gamma)
-        return xy_exact.mz_finite_rises(a, b, lattice.spacing, c.gamma, c.n_sites)
-
     fine = lattice.stride >= min(_CROSSING_STRIDE, lattice.samples // 10)
-    rising = np.array([fine and proved(c) for c in configs])
+    rising = np.array([fine and c.observable is Observable.MZ and xy_exact.mz_rises(
+        a, b, lattice.spacing, c.gamma, c.t_tilde, c.n_sites) for c in configs])
     walked = [c for c, r in zip(configs, rising) if not r]
     counts = np.empty((len(configs), centers.size, 9), dtype=np.int64)
     if walked:

@@ -4,16 +4,16 @@ Everything here evaluates exact expressions. The finite-chain magnetization
 is a sum over its N/2 Fourier modes, taken one mode at a time over the whole
 lambda array; one call sums several chains, evaluating once each mode that
 has the same bits in more than one of them (see mz_finite_many).
-mz_finite_rises proves, from a lower bound on dMz_N/dlambda and a bound on
-the rounding of the mode sum, that the computed Mz_N of a chain at T = 0
-rises strictly on a lattice, and mz_infinite_rises proves it for Mz of the
-infinite lattice at T = 0 from a bound on the error of the cel iteration;
-the window stage then evaluates Mz only next to the digit thresholds. The
-thermal infinite-lattice quantities are single integrals over [0, pi], each
-a row-blocked weighted sum over quadrature nodes (_row_quadrature). The one
-temperature parameter is the reduced temperature t_tilde, and t_tilde = 0 is
-exactly T = 0: the thermal factor tanh(L / (2 t_tilde)) is then replaced by 1
-rather than evaluated at a large argument.
+mz_rises proves that the computed Mz at T = 0 rises strictly on a lattice,
+from a lower bound on dMz/dlambda and a bound on the error of one value: the
+rounding of the mode sum for a chain, that of the cel iteration for the
+infinite lattice; the window stage then evaluates Mz only next to the digit
+thresholds. The thermal infinite-lattice quantities are single integrals over
+[0, pi], each a row-blocked weighted sum over quadrature nodes
+(_row_quadrature). The one temperature parameter is the reduced temperature
+t_tilde, and t_tilde = 0 is exactly T = 0: the thermal factor
+tanh(L / (2 t_tilde)) is then replaced by 1 rather than evaluated at a large
+argument.
 
 Temperature-dependent integrands develop structure of width ~T_tilde in the
 dispersion, concentrated where the dispersion is smallest (phi = 0, phi = pi,
@@ -106,6 +106,11 @@ _CHEBYSHEV = -np.cos(math.pi * np.arange(_DEGREE_CAP + 1) / _DEGREE_CAP)
 # The largest |gamma| check_model takes on any path: its square, (gamma sin phi)^2
 # in the dispersion, stays far below the float overflow near 1.8e308.
 _GAMMA_MAX = 1e150
+# The largest |lambda| check_model takes: from 2**44 (about 1.8e13) one float
+# step of lambda is wider than a thermal bin (_RULE_BIN), and the thermal
+# kernels can give inf or NaN; at 1e12 a bin holds 16 floats. The T = 0
+# correlators' a n overflows from about 1.2e77.
+_LAMBDA_MAX = 1e12
 # The least positive t_tilde whose reciprocal, the thermal factor's 1 / t_tilde,
 # is finite in floats.
 _T_TILDE_MIN = 5.56268464626801e-309
@@ -115,12 +120,14 @@ _DMZ_T_TILDE_MIN = 5.950894918631799e-155
 
 
 def check_model(gamma: float, t_tilde: float = 0.0,
-                n_sites: int | None = None) -> None:
+                n_sites: int | None = None, lambdas=()) -> None:
     """Reject model parameters outside the chain's domain: gamma nonzero with
     |gamma| <= _GAMMA_MAX (_KC_FLOOR to _T0_GAMMA_MAX on the infinite lattice
-    at T = 0), t_tilde 0 (T = 0) or from _T_TILDE_MIN up and finite, and
-    n_sites absent (infinite lattice) or an even integer >= 4. The configs
-    and every array kernel call it before any arithmetic."""
+    at T = 0), t_tilde 0 (T = 0) or from _T_TILDE_MIN up and finite, n_sites
+    absent (infinite lattice) or an even integer >= 4, and each of lambdas
+    finite with |lambda| <= _LAMBDA_MAX. The configs and every array kernel
+    call it before any arithmetic; those that take lambda from outside (the
+    configs, diagonal_correlators, the crossover grid's ends) pass it in."""
     if gamma == 0.0 or not abs(gamma) <= _GAMMA_MAX:
         raise ConfigurationError(
             f"gamma must be nonzero with |gamma| <= {_GAMMA_MAX:g}, got {gamma!r}")
@@ -137,6 +144,10 @@ def check_model(gamma: float, t_tilde: float = 0.0,
             f" <= {_T0_GAMMA_MAX:g}, got {gamma!r}")
     if n_sites is not None and (n_sites < 4 or n_sites % 2):
         raise ConfigurationError(f"n_sites must be an even integer >= 4, got {n_sites!r}")
+    for lam in lambdas:
+        if not abs(lam) <= _LAMBDA_MAX:
+            raise ConfigurationError(
+                f"lambda must be finite with |lambda| <= {_LAMBDA_MAX:g}, got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -149,9 +160,7 @@ class ModelParams:
     t_tilde: float = 0.0
 
     def __post_init__(self):
-        check_model(self.gamma, self.t_tilde)
-        if not np.isfinite(self.lam):
-            raise ConfigurationError("lambda must be finite")
+        check_model(self.gamma, self.t_tilde, lambdas=(self.lam,))
 
 
 def dispersion(lam, gamma, phi):
@@ -453,39 +462,6 @@ def mz_finite_many(lams, gamma: float, chains, t_tilde: float = 0.0) -> np.ndarr
     return total
 
 
-# The unit roundoff of float64.
-_UNIT_ROUNDOFF = 2.0**-53
-
-
-def mz_finite_rises(lam_lo: float, lam_hi: float, spacing: float, gamma: float,
-                    n_sites: int) -> bool:
-    """Whether mz_finite_many(lams, gamma, [n_sites]) at T = 0 is proved to
-    give a larger value at every lambda in [lam_lo, lam_hi] than at the
-    lambda one lattice spacing below it, each lambda computed with one or
-    two roundings (as a + offset).
-
-    With K = N / 2 modes, g_p = gamma^2 sin^2 phi_p and L_p the dispersion,
-    dMz_N/dlambda = (2/N) sum g_p / L_p^3, and each term is least where L_p
-    is greatest, at an end of the interval: so the slope is at least chi.
-    One computed value lies within E = (2/N)(K(K+1)/2 + 3.4K)u + u of the
-    exact sum, u = 2**-53: recursive summation of K terms of magnitude at
-    most 1, each term with five roundings (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., sec. 4.2), then the scaling. Computed
-    neighbours lie at least h = spacing - 8u max|lambda| apart. The values
-    rise if h chi > 2E; this asks h chi > 4E.
-    """
-    modes = _chain_modes(gamma, (int(n_sites),))
-    c = np.array([m[0] for m in modes])
-    g2s2 = np.array([m[1] for m in modes])
-    far = np.maximum(np.abs(lam_lo - c), np.abs(lam_hi - c))
-    with np.errstate(over="ignore"):
-        chi = 2.0 / n_sites * np.sum(g2s2 / (g2s2 + far * far) ** 1.5)
-    k = n_sites // 2
-    error = 2.0 / n_sites * (k * (k + 1) / 2 + 3.4 * k) * _UNIT_ROUNDOFF + _UNIT_ROUNDOFF
-    h = spacing - 8.0 * _UNIT_ROUNDOFF * max(abs(lam_lo), abs(lam_hi))
-    return bool(h * chi > 4.0 * error)
-
-
 # The cel iteration: its cap on steps, the step after which it finishes every
 # sample whose iterates have met, how near they must be (relative to m), and
 # the floor on its kc. The iteration converges quadratically once kc is within
@@ -609,27 +585,46 @@ def mz_and_correlators_many(lams, gamma: float, *, correlators: bool = True) -> 
     return np.stack([mz, even - gamma * s, even + gamma * s])
 
 
-def mz_infinite_rises(lam_lo: float, lam_hi: float, spacing: float, gamma: float) -> bool:
-    """Whether mz_infinite_many(lams, gamma) at T = 0 is proved to give a
-    larger value at every lambda in [lam_lo, lam_hi] than at the lambda one
-    lattice spacing below it, each lambda computed with one or two roundings
-    (as a + offset).
+# The unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0**-53
 
-    Slope: dMz/dlambda = (1/pi) int_0^pi gamma^2 sin^2 phi / L^3 dphi. On
-    [pi/3, 2 pi/3], sin^2 phi >= 3/4 and |lambda - cos phi| <= M + 1/2 with
-    M = max|lambda|, so the slope is at least
-    chi = gamma^2 / (4 (gamma^2 + (M + 1/2)^2)^(3/2)).
 
-    Error: one computed Mz lies within E = 2500u of the exact one, u = 2**-53.
+def mz_rises(lam_lo: float, lam_hi: float, spacing: float, gamma: float,
+             t_tilde: float = 0.0, n_sites: int | None = None) -> bool:
+    """Whether Mz at T = 0, mz_finite_many(lams, gamma, [n_sites]) of a chain
+    or mz_infinite_many(lams, gamma) of the infinite lattice (n_sites None),
+    is proved to give a larger value at every lambda in [lam_lo, lam_hi] than
+    at the lambda one lattice spacing below it, each lambda computed with one
+    or two roundings (as a + offset). False for t_tilde > 0: no thermal proof
+    is known.
+
+    Each proof gives chi, a lower bound on dMz/dlambda over the interval, and
+    E u, a bound on the absolute error of one computed value, u = 2**-53.
+    Computed neighbours lie at least h_min = spacing - 8u M apart, with
+    M = max|lambda|. The values rise if h_min chi > 2E u; this asks
+    h_min chi > 4E u.
+
+    Chain: with K = N / 2 modes, g_p = gamma^2 sin^2 phi_p and L_p the
+    dispersion, dMz_N/dlambda = (2/N) sum g_p / L_p^3, and each term is least
+    where L_p is greatest, at an end of the interval: so the slope is at
+    least chi = (2/N) sum g_p / max(L_p(lam_lo), L_p(lam_hi))^3. One computed
+    value lies within E = (2/N)(K(K+1)/2 + 3.4K) + 1 (in units of u) of the
+    exact sum: recursive summation of K terms of magnitude at most 1, each
+    term with five roundings (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 4.2), then the scaling.
+
+    Lattice: dMz/dlambda = (1/pi) int_0^pi gamma^2 sin^2 phi / L^3 dphi. On
+    [pi/3, 2 pi/3], sin^2 phi >= 3/4 and |lambda - cos phi| <= M + 1/2, so
+    the slope is at least chi = gamma^2 / (4 (gamma^2 + (M + 1/2)^2)^(3/2)).
+    One computed Mz lies within E = 2500 (in units of u) of the exact one:
     - Rounding. Bar 1 - lambda and 1 + lambda (one rounding each of an exact
       input), every operation of mz_and_correlators_many and _cel adds,
       multiplies, divides or takes the root of positive numbers, so no error
       cancels: a sum carries the larger relative error of its terms plus u,
       a product or quotient the sum of its factors' plus u, a root half its
-      argument's plus u (Higham, Accuracy and Stability of Numerical
-      Algorithms, 2nd ed., sec. 3.1-3.4). Counted operation by operation, X
-      and K lie within 1216u and 19.2u of what exact arithmetic gives after
-      ten cel steps, and within 294u and 12.6u after five.
+      argument's plus u (Higham, sec. 3.1-3.4). Counted operation by
+      operation, X and K lie within 1216u and 19.2u of what exact arithmetic
+      gives after ten cel steps, and within 294u and 12.6u after five.
     - K - X. Where |lambda| > 1, Mz = h lambda (X + Y), Y = kc^2 (K - X) / p
       and h = 2 / (pi sqrt(a)). K - X > 0 may cancel, but |h lambda| X,
       |h lambda| Y and |h lambda| kc^2 K / p <= sqrt(1 - 1/lambda^2) are
@@ -648,17 +643,25 @@ def mz_infinite_rises(lam_lo: float, lam_hi: float, spacing: float, gamma: float
       by at most _KC_FLOOR pi / (2 sqrt(p)) and Mz by at most _KC_FLOOR;
       for |gamma| <= _T0_GAMMA_MAX no other lambda has kc below it.
     2481u, these and the terms of second order in u sum to less than 2500u.
-
-    Spacing: computed neighbours lie at least h_min = spacing - 8u M apart.
-    The values rise if h_min chi > 2E; this asks h_min chi > 4E.
     """
+    if t_tilde:
+        return False
     far = max(abs(lam_lo), abs(lam_hi))
-    g2 = gamma * gamma
-    q = g2 + (far + 0.5) * (far + 0.5)
-    chi = g2 / (4.0 * q * math.sqrt(q))
-    error = 2500.0 * _UNIT_ROUNDOFF
+    if n_sites is None:
+        q = gamma * gamma + (far + 0.5) * (far + 0.5)
+        chi = gamma * gamma / (4.0 * q * math.sqrt(q))
+        error = 2500.0
+    else:
+        modes = _chain_modes(gamma, (int(n_sites),))
+        c = np.array([m[0] for m in modes])
+        g2s2 = np.array([m[1] for m in modes])
+        reach = np.maximum(np.abs(lam_lo - c), np.abs(lam_hi - c))
+        with np.errstate(over="ignore"):
+            chi = 2.0 / n_sites * np.sum(g2s2 / (g2s2 + reach * reach) ** 1.5)
+        k = n_sites // 2
+        error = 2.0 / n_sites * (k * (k + 1) / 2 + 3.4 * k) + 1.0
     h_min = spacing - 8.0 * _UNIT_ROUNDOFF * far
-    return bool(h_min * chi > 4.0 * error)
+    return bool(h_min * chi > 4.0 * error * _UNIT_ROUNDOFF)
 
 
 def diagonal_correlators(lam: float, gamma: float) -> tuple[float, float, float]:
@@ -666,6 +669,7 @@ def diagonal_correlators(lam: float, gamma: float) -> tuple[float, float, float]
 
     Cxx = G(-1), Cyy = G(+1), Czz = Mz^2 - G(-1) G(+1).
     """
+    check_model(gamma, lambdas=(lam,))
     mz, g_minus, g_plus = (float(v[0]) for v in mz_and_correlators_many([lam], gamma))
     return g_minus, g_plus, mz * mz - g_minus * g_plus
 

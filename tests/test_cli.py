@@ -349,6 +349,19 @@ class TestScan:
         assert not out.exists()
         assert "|gamma| <= 1e+150" in capsys.readouterr().err
 
+    # a lambda past 1e12 is rejected before any kernel call: from 2**44 a
+    # float step of lambda is wider than a thermal bin, and at 1e200 every
+    # kernel overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [[], ["--n-sites", "14"]], ids=["lattice", "chain"])
+    def test_lambda_past_the_bound(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        argv = ["scan", "--gamma", "1", "--lambda", "1e200:1.2e200:2e197", "--window", "1e198",
+                "--samples", "200"]
+        assert run_cli(argv + flags + ["--out", str(out)]) == 3
+        assert not out.exists()
+        assert "|lambda| <= 1e+12" in capsys.readouterr().err
+
     def test_defaults_are_scan_configs(self):
         for command in ("scan", "scale"):
             args = cli.build_parser().parse_args([command])
@@ -511,6 +524,15 @@ class TestCrossover:
         err = capsys.readouterr().err
         assert code == 3 and not out.exists()
         assert err.startswith("configuration error: t_grid repeats a temperature")
+
+    # 1 + 1e160 * span overflowed the kernels' squares, and exited 4
+    @pytest.mark.filterwarnings("error")
+    def test_grid_past_the_largest_lambda_is_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["crossover", "--quantity", "dmzdt", "--t-list", "1e160,2e160,3e160",
+                        "--out", str(out)])
+        assert code == 3 and not out.exists()
+        assert "|lambda| <= 1e+12" in capsys.readouterr().err
 
     def test_dmzdt_ridge_next_to_zero_temperature(self, tmp_path):
         # at t_tilde <= 1e-11 the ridge is narrower than any Chebyshev spacing

@@ -381,6 +381,17 @@ class TestCrossoverLines:
         with pytest.raises(ConfigurationError, match="repeats a temperature"):
             crossover_lines(quantity, 1.0, ts)
 
+    @pytest.mark.parametrize("quantity", list(CrossoverQuantity))
+    def test_grid_past_the_largest_lambda_rejected_before_any_ridge(self, monkeypatch, quantity):
+        # 1 + 1e160 * span overflows the kernels' squares
+        def kernel(*args):
+            raise AssertionError("a ridge was computed")
+
+        monkeypatch.setattr(xy_exact, "mz_infinite_many", kernel)
+        monkeypatch.setattr(xy_exact, "dmz_dT_many", kernel)
+        with pytest.raises(ConfigurationError, match="\\|lambda\\| <= 1e\\+12"):
+            crossover_lines(quantity, 1.0, (1e160, 2e160, 3e160))
+
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigurationError):
             crossover_lines(CrossoverQuantity.DMZDT, 1.0, (0.0, 1e-4, 2e-4))

@@ -57,6 +57,7 @@ class TestScanConfig:
         [
             {"lambda_range": (1.2, 0.8)},
             {"lambda_range": (0.8, math.inf)},
+            {"lambda_range": (0.8, 2e12), "lambda_step": 1e11, "window_width": 1e11},
             {"lambda_step": 0.0},
             {"window_width": 0.0},
             {"window_width": 0.5},
@@ -311,7 +312,7 @@ class TestScan:
         lattice, (a, b), half = config.lattice, config.lambda_range, config.window_width / 2
         flat, scored = [], []
         for i, c in enumerate(window_centers(config)):
-            lams = a + lattice.offsets(i * lattice.stride, i * lattice.stride + lattice.samples)
+            lams = a + lattice.at(i * lattice.stride + np.arange(lattice.samples))
             lams = lams[(lams >= a) & (lams <= b)]
             mid = 0.5 * (max(a, c - half) + min(b, c + half))
             (flat if lams.max() <= 1.0 else scored).append(mid)
@@ -335,7 +336,7 @@ class TestScan:
         assert result.degenerate_windows.size == 0
         assert result.deltas.size == window_centers(config).size == 201
         for i, delta in enumerate(result.deltas):
-            lams = a + lattice.offsets(i * lattice.stride, i * lattice.stride + lattice.samples)
+            lams = a + lattice.at(i * lattice.stride + np.arange(lattice.samples))
             values = windowscan.evaluate([config], lams[(lams >= a) & (lams <= b)])
             counts = histogram(rescale_unit(values))
             assert delta == violations(counts, config.dist, config.metric)[0]
@@ -350,7 +351,7 @@ class TestScan:
     @pytest.mark.parametrize("observable, row", [(Observable.CXX, 1), (Observable.CYY, 2)])
     def test_correlator_windows_are_their_row_of_the_kernel(self, observable, row):
         config = small_config(observable=observable, n_sites=None)
-        lams = config.lambda_range[0] + config.lattice.offsets(0, config.lattice.samples)
+        lams = config.lambda_range[0] + config.lattice.at(np.arange(config.lattice.samples))
         want = xy_exact.mz_and_correlators_many(lams, config.gamma)[row]
         assert np.array_equal(windowscan.evaluate([config], lams), want)
 
@@ -440,7 +441,7 @@ def _walked(configs):
     a, b = config.lambda_range
     lattice = config.lattice
     count = window_centers(config).size
-    lams = a + lattice.offsets(0, (count - 1) * lattice.stride + lattice.samples)
+    lams = a + lattice.at(np.arange((count - 1) * lattice.stride + lattice.samples))
     inside = np.flatnonzero((lams >= a) & (lams <= b))
     seen = []
 
@@ -509,8 +510,7 @@ class TestRisingCounts:
         base = ScanConfig(Observable.MZ, gamma, **{"lambda_range": (0.8, 1.2), **grid})
         configs = [replace(base, n_sites=n) for n in n_list]
         a, b, h = *base.lambda_range, base.lattice.spacing
-        assert all(xy_exact.mz_infinite_rises(a, b, h, gamma) if n is None
-                   else xy_exact.mz_finite_rises(a, b, h, gamma, n) for n in n_list)
+        assert all(xy_exact.mz_rises(a, b, h, gamma, n_sites=n) for n in n_list)
         walks = []
         monkeypatch.setattr(windowscan, "unit_histograms",
                             lambda *args: walks.append(1) or unit_histograms(*args))
@@ -543,7 +543,7 @@ class TestRisingCounts:
         # at gamma = 1e-6 the slope of Mz_14 is below its rounding on the
         # default grid: every lattice point is evaluated, one window a call
         config = ScanConfig(Observable.MZ, 1e-6, (0.8, 1.2), n_sites=14)
-        assert not xy_exact.mz_finite_rises(0.8, 1.2, config.lattice.spacing, 1e-6, 14)
+        assert not xy_exact.mz_rises(0.8, 1.2, config.lattice.spacing, 1e-6, n_sites=14)
         got, calls = self.kernel_calls(monkeypatch, [config])
         assert sum(size for _, size in calls) == 200_000
         assert max(size for _, size in calls) <= 10_000
@@ -553,8 +553,8 @@ class TestRisingCounts:
         # at gamma = 4e-5 Mz_14 is proved to rise on the default grid, Mz_40 is not
         base = ScanConfig(Observable.MZ, 4e-5, (0.8, 1.2))
         spacing = base.lattice.spacing
-        assert xy_exact.mz_finite_rises(0.8, 1.2, spacing, 4e-5, 14)
-        assert not xy_exact.mz_finite_rises(0.8, 1.2, spacing, 4e-5, 40)
+        assert xy_exact.mz_rises(0.8, 1.2, spacing, 4e-5, n_sites=14)
+        assert not xy_exact.mz_rises(0.8, 1.2, spacing, 4e-5, n_sites=40)
         configs = [replace(base, n_sites=n) for n in (14, 40)]
         got, calls = self.kernel_calls(monkeypatch, configs)
         assert {chains for chains, _ in calls} == {(14,), (40,)}
@@ -595,8 +595,8 @@ class TestRisingCounts:
         # though the proof holds
         config = ScanConfig(Observable.MZ, 1.0, (0.8, 1.2), lambda_step=1e-4, n_sites=n_sites)
         assert config.lattice.stride == 50
-        assert xy_exact.mz_infinite_rises(0.8, 1.2, config.lattice.spacing, 1.0)
-        assert xy_exact.mz_finite_rises(0.8, 1.2, config.lattice.spacing, 1.0, 20)
+        assert xy_exact.mz_rises(0.8, 1.2, config.lattice.spacing, 1.0)
+        assert xy_exact.mz_rises(0.8, 1.2, config.lattice.spacing, 1.0, n_sites=20)
         assert self.paths(monkeypatch, config)[1:] == (False, True)
 
     @pytest.mark.parametrize("step, stride, crossings",

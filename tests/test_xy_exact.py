@@ -43,6 +43,18 @@ class TestModelParams:
         with pytest.raises(ConfigurationError, match="lambda must be finite"):
             ModelParams(gamma=1.0, lam=math.nan)
 
+    def test_largest_lambda(self):
+        # from |lambda| = 2**44 a float step of lambda is wider than a
+        # thermal bin; a lambda from outside is checked against one bound
+        big = xy_exact._LAMBDA_MAX
+        ModelParams(gamma=1.0, lam=-big, t_tilde=1e-3)
+        diagonal_correlators(big, 1.0)
+        for lam in (math.nextafter(big, math.inf), -2.0**44, 1e200, -math.inf):
+            for make in (lambda: ModelParams(gamma=1.0, lam=lam),
+                         lambda: diagonal_correlators(lam, 1.0)):
+                with pytest.raises(ConfigurationError, match="\\|lambda\\| <= 1e\\+12"):
+                    make()
+
     def test_largest_anisotropy(self):
         # the T = 0 kernel takes |gamma| <= 1e20; past 1e150 gamma^2 would
         # overflow on any path
@@ -342,26 +354,30 @@ class TestMzFiniteRises:
 
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0, 1e-3, -0.5])
     def test_holds_on_the_default_grid(self, gamma):
-        assert all(xy_exact.mz_finite_rises(0.8, 1.2, 2e-6, gamma, n) for n in self.N_LIST)
+        assert all(xy_exact.mz_rises(0.8, 1.2, 2e-6, gamma, n_sites=n) for n in self.N_LIST)
 
     def test_fails_where_the_slope_is_below_the_rounding(self):
         # at gamma = 1e-6 a step of 2e-6 raises Mz_14 by less than its rounding
-        assert not xy_exact.mz_finite_rises(0.8, 1.2, 2e-6, 1e-6, 14)
+        assert not xy_exact.mz_rises(0.8, 1.2, 2e-6, 1e-6, n_sites=14)
         # a coarser lattice raises it by more
-        assert xy_exact.mz_finite_rises(0.8, 1.2, 2e-2, 1e-6, 14)
+        assert xy_exact.mz_rises(0.8, 1.2, 2e-2, 1e-6, n_sites=14)
 
     def test_fails_where_neighbours_round_to_one_lambda(self):
-        assert not xy_exact.mz_finite_rises(0.8, 1.2, 1e-16, 1.0, 14)
+        assert not xy_exact.mz_rises(0.8, 1.2, 1e-16, 1.0, n_sites=14)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("gamma", [1e150, 1e-150])
     def test_extreme_gamma_fails_without_warnings(self, gamma):
         # the cube of L^2 overflows at the one end, g_p underflows at the other
-        assert not xy_exact.mz_finite_rises(0.8, 1.2, 2e-6, gamma, 14)
+        assert not xy_exact.mz_rises(0.8, 1.2, 2e-6, gamma, n_sites=14)
+
+    def test_no_proof_at_finite_temperature(self):
+        assert xy_exact.mz_rises(0.8, 1.2, 2e-6, 1.0, 0.0, 14)
+        assert not xy_exact.mz_rises(0.8, 1.2, 2e-6, 1.0, 1e-3, 14)
 
     def test_proved_chain_rises_on_a_fine_lattice(self):
         lams = 0.95 + 1e-6 * np.arange(100_000)
-        assert xy_exact.mz_finite_rises(lams[0], lams[-1], 1e-6, 0.3, 24)
+        assert xy_exact.mz_rises(lams[0], lams[-1], 1e-6, 0.3, n_sites=24)
         assert (np.diff(mz_finite_many(lams, 0.3, [24])[0]) > 0).all()
 
 
@@ -372,29 +388,33 @@ class TestMzInfiniteRises:
 
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0, -0.5])
     def test_holds_on_the_default_grid(self, gamma):
-        assert xy_exact.mz_infinite_rises(0.8, 1.2, 2e-6, gamma)
+        assert xy_exact.mz_rises(0.8, 1.2, 2e-6, gamma)
 
     def test_margin_at_gamma_one_tenth(self):
         # h chi / 4E is about 912 on the default grid at gamma = 0.1
-        assert xy_exact.mz_infinite_rises(0.8, 1.2, 2e-6 / 900, 0.1)
-        assert not xy_exact.mz_infinite_rises(0.8, 1.2, 2e-6 / 925, 0.1)
+        assert xy_exact.mz_rises(0.8, 1.2, 2e-6 / 900, 0.1)
+        assert not xy_exact.mz_rises(0.8, 1.2, 2e-6 / 925, 0.1)
 
     @pytest.mark.filterwarnings("error")
     def test_fails_where_neighbours_round_to_one_lambda(self):
-        assert not xy_exact.mz_infinite_rises(0.8, 1.2, 1e-16, 1.0)
+        assert not xy_exact.mz_rises(0.8, 1.2, 1e-16, 1.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("gamma", [1e-30, -1e-30, 1e20])
     def test_extreme_gamma_fails_without_warnings(self, gamma):
         # the slope is about gamma^2 / 20 at the one end, 1 / (4 gamma) at the other
-        assert not xy_exact.mz_infinite_rises(0.8, 1.2, 2e-6, gamma)
+        assert not xy_exact.mz_rises(0.8, 1.2, 2e-6, gamma)
+
+    def test_no_proof_at_finite_temperature(self):
+        assert xy_exact.mz_rises(0.8, 1.2, 2e-6, 1.0, 0.0)
+        assert not xy_exact.mz_rises(0.8, 1.2, 2e-6, 1.0, 1e-3)
 
     @pytest.mark.parametrize("center", [-1.0, 0.0, 1.0])
     def test_proved_lattice_rises_through_the_special_points(self, center):
         # the lattice holds the center itself, where kc = 0 is clamped at +-1
         lams = center + 1e-7 * np.arange(-50_000, 50_001)
         assert center in lams
-        assert xy_exact.mz_infinite_rises(lams[0], lams[-1], 1e-7, 0.5)
+        assert xy_exact.mz_rises(lams[0], lams[-1], 1e-7, 0.5)
         assert (np.diff(xy_exact.mz_infinite_many(lams, 0.5)) > 0).all()
 
 
@@ -643,7 +663,7 @@ class TestThermalLadderPerCall:
     def test_crossover_ridge_lattice(self, gamma, t_tilde):
         u = criticality._ridge_offsets(criticality.RIDGE_SPAN, criticality.RIDGE_STEP)
         lattice = windowscan.WindowLattice(criticality.RIDGE_STEP, 1.0, 3000)
-        offsets = lattice.offsets(0, (u.size - 1) * lattice.stride + lattice.samples)
+        offsets = lattice.at(np.arange((u.size - 1) * lattice.stride + lattice.samples))
         self.assert_matches_single_calls(1.0 + t_tilde * (u[0] + offsets), gamma, t_tilde)
 
     @pytest.mark.parametrize("t_tilde", [1e-3, 3e-4])
@@ -651,7 +671,7 @@ class TestThermalLadderPerCall:
     def test_thermal_scan_segment(self, gamma, t_tilde):
         # the whole lattice of a default-sampled scan over 0.98...1.02
         lattice = windowscan.WindowLattice(0.002, 0.02, 10_000)
-        lams = 0.98 + lattice.offsets(0, 20 * lattice.stride + lattice.samples)
+        lams = 0.98 + lattice.at(np.arange(20 * lattice.stride + lattice.samples))
         self.assert_matches_single_calls(lams[(lams >= 0.98) & (lams <= 1.02)], gamma, t_tilde)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
@@ -728,6 +748,24 @@ class TestKernelDomain:
     ])
     def test_edges_of_the_domain_evaluate(self, kernel, gamma, t_tilde, n_sites):
         got = _DOMAIN_KERNELS[kernel]([0.9, 1.0, 1.1], gamma, t_tilde, n_sites)
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kernel, gamma, t_tilde, n_sites", [
+        ("mz_finite", 1.0, 0.0, 8),
+        ("mz_finite", 1e150, 1e-3, 8),
+        ("mz_infinite", 1.0, 0.0, None),
+        ("mz_infinite", 1e-30, 0.0, None),
+        ("mz_infinite", 1.0, 1e-3, None),
+        ("mz_infinite", 1e150, 1e-3, None),
+        ("dmz_dT", 1.0, 1e-3, None),
+        ("mz_and_correlators", 1e-30, 0.0, None),
+        ("mz_and_correlators", 1.0, 0.0, None),
+        ("mz_and_correlators", 1e20, 0.0, None),
+    ])
+    def test_largest_lambda_evaluates(self, kernel, gamma, t_tilde, n_sites):
+        big = xy_exact._LAMBDA_MAX
+        got = _DOMAIN_KERNELS[kernel]([-big, big], gamma, t_tilde, n_sites)
         assert np.all(np.isfinite(got))
 
     def test_least_temperature_is_the_zero_temperature_limit(self):
