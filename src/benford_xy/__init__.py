@@ -32,7 +32,6 @@ from .criticality import (
     TransitionEstimate,
     auto_fit_range,
     crossover_lines,
-    default_signature,
     locate_transition,
     scaling_exponent,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "TransitionEstimate",
     "auto_fit_range",
     "crossover_lines",
-    "default_signature",
     "diagonal_correlators",
     "expected_counts",
     "histogram",

@@ -314,18 +314,20 @@ def cmd_scan(args) -> int:
 def cmd_scale(args) -> int:
     # built as a finite chain: the infinite lattice at T = 0 rejects a gamma the chains take
     config = _scan_config(args, Observable.MZ, args.n_list[0])
-    signature = criticality.default_signature(config.dist)
     estimates = []
     for result in scan_chains(config, args.n_list):
         try:
             fit_range = criticality.auto_fit_range(
-                result, signature, fit_half=args.fit_half, smooth_half=args.smooth_half
+                result, fit_half=args.fit_half, smooth_half=args.smooth_half
             )
-            estimates.append(criticality.locate_transition(result, fit_range, signature))
+            estimates.append(criticality.locate_transition(result, fit_range))
         except (NoTransitionError, ConfigurationError) as exc:
             raise NoTransitionError(f"n_sites={result.config.n_sites}: {exc}") from exc
     lambda_c_n = [e.lambda_c_n for e in estimates]
     fit = criticality.scaling_exponent(args.n_list, lambda_c_n)
+    # the locator the law picked; either derivative extremum reads "derivative"
+    minimum = estimates[0].signature is criticality.Signature.MINIMUM
+    signature = "minimum" if minimum else "derivative"
     fit_block = dataclasses.asdict(fit) | {
         "lambda_c": criticality.LAMBDA_C,
         "signature": signature,

@@ -2,13 +2,13 @@
 finite-temperature crossover lines.
 
 Transition location: fit a cubic to the delta(lambda) curve over a small
-range and read off the signature point - the root of the second derivative
-for derivative-extremum signatures, or the interior minimizer for the
-minimum signature. The fit range can be chosen automatically: the curve's
-steepest region (for derivative signatures) or its interior minimum (for the
-minimum signature) is found first, using a locally regressed slope rather
-than pointwise differences because digit counts move in discrete steps and
-make raw gradients noisy.
+range and read off the point the scan's reference law shows at the
+transition - the interior minimizer for the uniform law, which dips there,
+or the root of the second derivative (a derivative extremum) for every
+other law, whose curve flips steepness there. The fit range can be chosen
+automatically: the curve's interior minimum or its steepest region is found
+first, using a locally regressed slope rather than pointwise differences
+because digit counts move in discrete steps and make raw gradients noisy.
 
 Crossover lines: at each temperature t in a grid, the chosen quantity's
 ridge extrema on either side of lambda = 1 are located on the grid lambda =
@@ -61,20 +61,17 @@ RIDGE_REFINE_POINTS = 12
 BRANCHES = ("left", "right")
 
 
+# the kind of point a transition estimate found
 class Signature(enum.Enum):
     DERIVATIVE_MAX = "derivative-max"
     DERIVATIVE_MIN = "derivative-min"
     MINIMUM = "minimum"
-    # either derivative extremum; the estimate records which one was found
-    DERIVATIVE_EXTREMUM = "derivative"
 
 
-def default_signature(dist: ReferenceDistribution) -> Signature:
-    """Documented per-distribution default: the uniform law dips at the
-    transition, the others flip steepness there."""
-    if dist.kind is DistKind.UNIFORM:
-        return Signature.MINIMUM
-    return Signature.DERIVATIVE_EXTREMUM
+def _dips(result: ScanResult) -> bool:
+    """The uniform law's curve dips at the transition; every other law's
+    flips steepness there."""
+    return result.config.dist.kind is DistKind.UNIFORM
 
 
 @dataclass(frozen=True)
@@ -139,11 +136,11 @@ def local_slopes(x: np.ndarray, y: np.ndarray, half: float) -> np.ndarray:
 
 def auto_fit_range(
     result: ScanResult,
-    signature: Signature,
     fit_half: float = FIT_HALF_WIDTH,
     smooth_half: float = SMOOTH_HALF_WIDTH,
 ) -> tuple[float, float]:
-    """Center a fit window on the curve's signature feature.
+    """Center a fit window on the curve's interior minimum under the uniform
+    law, or on its steepest region under every other law.
 
     Only interior windows participate: windows clipped by the scan range have
     off-grid midpoints and their one-sided sampling fakes steep gradients.
@@ -155,7 +152,7 @@ def auto_fit_range(
     if interior.sum() < 4:
         raise NoTransitionError("too few interior scan points to center a fit range")
     x, y = mids[interior], deltas[interior]
-    if signature is Signature.MINIMUM:
+    if _dips(result):
         center = x[np.argmin(y)]
     else:
         slopes = local_slopes(x, y, smooth_half)
@@ -165,12 +162,9 @@ def auto_fit_range(
     return float(center - fit_half), float(center + fit_half)
 
 
-def locate_transition(
-    result: ScanResult,
-    fit_range: tuple[float, float],
-    signature: Signature,
-) -> TransitionEstimate:
-    """Cubic-fit the curve inside fit_range and return the signature point."""
+def locate_transition(result: ScanResult, fit_range: tuple[float, float]) -> TransitionEstimate:
+    """Cubic-fit the curve inside fit_range and return its interior minimum
+    under the uniform law, or its derivative extremum under every other law."""
     lo, hi = fit_range
     if not lo < hi:
         raise ConfigurationError("fit_range must be an increasing pair")
@@ -184,7 +178,7 @@ def locate_transition(
     x0 = float(x.mean())
     fit = numerics.polyfit(x - x0, y, 3)
     _, c1, b2, a3 = fit.coefficients
-    if signature is Signature.MINIMUM:
+    if _dips(result):
         # interior minimizer of the cubic: root of f' with f'' > 0
         if a3 == 0.0 and b2 == 0.0:
             raise NoTransitionError("fit has no curvature; no interior minimum")
@@ -204,10 +198,6 @@ def locate_transition(
             raise NoTransitionError("cubic fit degenerated to a parabola; no inflection")
         u_star = -b2 / (3.0 * a3)
         kind = Signature.DERIVATIVE_MAX if a3 < 0.0 else Signature.DERIVATIVE_MIN
-        if signature is not Signature.DERIVATIVE_EXTREMUM and kind is not signature:
-            raise NoTransitionError(
-                f"inflection is a {kind.value} of the derivative, not {signature.value}"
-            )
         if not (x.min() - x0 <= u_star <= x.max() - x0):
             raise NoTransitionError("derivative extremum falls outside fit_range")
 

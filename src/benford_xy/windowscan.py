@@ -241,7 +241,8 @@ def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray
     """The midpoint of each window, in grid order, and for each config its
     (windows x 9) matrix of digit counts, a zero row for each degenerate
     window, on the lattice the configs share (see scan_chains): the part of
-    scan() that is free of the law and the metric.
+    scan() that is free of the law and the metric. The configs differ in
+    n_sites alone, all chains or all the infinite lattice.
 
     Window i holds the points of config.lattice that lie inside the scan
     range; its midpoint is that of [center -+ width / 2] clipped to the range.
@@ -254,6 +255,11 @@ def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray
     way a row has the same counts.
     """
     config = configs[0]
+    # every field, with n_sites read as whether it is the infinite lattice
+    shared = [vars(c) | {"n_sites": c.n_sites is None} for c in configs]
+    if any(fields != shared[0] for fields in shared):
+        raise ConfigurationError("window_histograms takes configs that differ in n_sites"
+                                 " alone, all chains or all the infinite lattice")
     a, b = config.lambda_range
     centers = window_centers(config)
     lattice = config.lattice

@@ -126,8 +126,8 @@ def check_model(gamma: float, t_tilde: float = 0.0,
     at T = 0), t_tilde 0 (T = 0) or from _T_TILDE_MIN up and finite, n_sites
     absent (infinite lattice) or an even integer >= 4, and each of lambdas
     finite with |lambda| <= _LAMBDA_MAX. The configs and every array kernel
-    call it before any arithmetic; those that take lambda from outside (the
-    configs, diagonal_correlators, the crossover grid's ends) pass it in."""
+    call it before any arithmetic, with their lambda; the array kernels pass
+    their finite lambda alone, as they give NaN for the others."""
     if gamma == 0.0 or not abs(gamma) <= _GAMMA_MAX:
         raise ConfigurationError(
             f"gamma must be nonzero with |gamma| <= {_GAMMA_MAX:g}, got {gamma!r}")
@@ -144,10 +144,10 @@ def check_model(gamma: float, t_tilde: float = 0.0,
             f" <= {_T0_GAMMA_MAX:g}, got {gamma!r}")
     if n_sites is not None and (n_sites < 4 or n_sites % 2):
         raise ConfigurationError(f"n_sites must be an even integer >= 4, got {n_sites!r}")
-    for lam in lambdas:
-        if not abs(lam) <= _LAMBDA_MAX:
-            raise ConfigurationError(
-                f"lambda must be finite with |lambda| <= {_LAMBDA_MAX:g}, got {lam!r}")
+    bad = np.extract(~(np.abs(lambdas) <= _LAMBDA_MAX), lambdas)
+    if bad.size:
+        raise ConfigurationError(
+            f"lambda must be finite with |lambda| <= {_LAMBDA_MAX:g}, got {bad[0].item()!r}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,8 @@ def _thermal_quadrature(kind: str, lams, gamma: float, t_tilde: float) -> np.nda
     """The thermal integral of kind at each lambda, on the rule of its lambda
     bin: interpolated where the bin has an interpolant, integrated directly
     where it has none. A lambda that is not finite gives NaN."""
-    check_model(gamma, t_tilde)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    check_model(gamma, t_tilde, lambdas=lams[np.isfinite(lams)])
     out = np.full(lams.size, math.nan)
     for m, width, run in _bin_runs(lams, t_tilde):
         nodes = _bin_interpolant(kind, m, width, gamma, t_tilde)
@@ -438,10 +438,11 @@ def mz_finite_many(lams, gamma: float, chains, t_tilde: float = 0.0) -> np.ndarr
     turn, so a value depends on lambda and N alone: every row has the bits
     of a call with its chain alone.
     """
-    for n in chains:
-        check_model(gamma, t_tilde, n)
-    lengths = tuple(int(n) for n in chains)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    for k, n in enumerate(chains):
+        # lambda with the first chain alone: once per call, not once per chain
+        check_model(gamma, t_tilde, n, () if k else lams[np.isfinite(lams)])
+    lengths = tuple(int(n) for n in chains)
     mz = _mz_integrand(t_tilde)
     total = np.zeros((len(lengths), lams.size))
     d, disp = np.empty((2, lams.size))
@@ -563,8 +564,8 @@ def mz_and_correlators_many(lams, gamma: float, *, correlators: bool = True) -> 
     finite there, so the divergent parts have cancelled analytically. Every
     step is elementwise: a value does not depend on the rest of the array.
     """
-    check_model(gamma)
     lam = np.atleast_1d(np.asarray(lams, dtype=float))
+    check_model(gamma, lambdas=lam[np.isfinite(lam)])
     outside = np.abs(lam) > 1.0
     b = np.abs((1.0 - lam) * (1.0 + lam))
     e = np.where(outside, b, 0.0)

@@ -25,11 +25,9 @@ import numpy as np
 
 from benford_xy import cli, windowscan
 from benford_xy.criticality import (
-    Signature,
     TransitionEstimate,
     auto_fit_range,
     crossover_lines,
-    default_signature,
     locate_transition,
     scaling_exponent,
 )
@@ -104,15 +102,14 @@ def _scored(config: ScanConfig, dist: ReferenceDistribution, metric: Metric) -> 
                       violations(counts[counted], dist, metric), mids[~counted])
 
 
-def _locate(result: ScanResult, signature: Signature, fit: dict) -> TransitionEstimate:
-    return locate_transition(result, auto_fit_range(result, signature, **fit), signature)
+def _locate(result: ScanResult, fit: dict) -> TransitionEstimate:
+    return locate_transition(result, auto_fit_range(result, **fit))
 
 
 def _shift_exponent(gamma: float, grid: dict, fit: dict,
                     dist: ReferenceDistribution, metric: Metric) -> float:
-    sig = default_signature(dist)
     lams = [
-        _locate(_scored(_config(gamma, n, grid), dist, metric), sig, fit).lambda_c_n
+        _locate(_scored(_config(gamma, n, grid), dist, metric), fit).lambda_c_n
         for n in CHAIN_LENGTHS
     ]
     return scaling_exponent(CHAIN_LENGTHS, lams).exponent
@@ -140,7 +137,7 @@ def test_criterion_01_closed_form_anchors():
 def test_criterion_02_pseudo_critical_point_n30():
     res = _scored(_config(0.5, 30, GRID_A),
                   ReferenceDistribution.benford(), Metric.MEAN_DEVIATION)
-    est = _locate(res, Signature.DERIVATIVE_EXTREMUM, FIT_A)
+    est = _locate(res, FIT_A)
     ok = abs(est.lambda_c_n - 0.9830) <= 0.004
     report(2, ok, f"lambda_c_30 = {est.lambda_c_n:.4f}, target 0.9830 +- 0.004")
 
@@ -296,12 +293,12 @@ def test_criterion_08_qualitative_signatures():
     for obs in (Observable.MZ, Observable.CXX):
         res = _scored(_config(1.0, None, GRID_A, observable=obs),
                       ReferenceDistribution.benford(), Metric.MEAN_DEVIATION)
-        lo, hi = auto_fit_range(res, Signature.DERIVATIVE_EXTREMUM, **FIT_A)
+        lo, hi = auto_fit_range(res, **FIT_A)
         center = 0.5 * (lo + hi)
         ok &= abs(center - 1.0) < 0.01
         parts.append(f"{obs.value} steepest at {center:.4f} (|c-1|<0.01)")
     res = _scored(_config(0.5, 30, GRID_A), DISTS["uniform"], Metric.MEAN_DEVIATION)
-    est = _locate(res, Signature.MINIMUM, FIT_A)
+    est = _locate(res, FIT_A)
     ok &= 0.93 <= est.lambda_c_n <= 1.005
     parts.append(f"uniform dip at {est.lambda_c_n:.4f} (band [0.93, 1.005])")
     report(8, ok, "; ".join(parts))

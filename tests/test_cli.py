@@ -414,11 +414,21 @@ class TestScale:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_minimum_signature_with_uniform_dist(self, tmp_path):
-        code = run_cli(SCALE_ARGS + ["--dist", "uniform", "--out", str(tmp_path)])
+    # the law picks the locator: the uniform law's dip, every other law's
+    # steepness flip, here a maximum of the derivative on each chain
+    @pytest.mark.parametrize("dist, label, found", [
+        ("benford", "derivative", "derivative-max"),
+        ("uniform", "minimum", "minimum"),
+        ("poisson:5", "derivative", "derivative-max"),
+    ])
+    def test_signature_follows_dist(self, tmp_path, dist, label, found):
+        code = run_cli(SCALE_ARGS + ["--dist", dist, "--out", str(tmp_path)])
         assert code == 0
         fit = json.loads((tmp_path / "scale_fit.json").read_text())
-        assert fit["signature"] == "minimum"
+        assert fit["signature"] == label
+        assert [e["signature"] for e in fit["estimates"]] == [found] * 3
+        manifest = json.loads((tmp_path / "scale_manifest.json").read_text())
+        assert manifest["config"]["signature"] == label
 
     def test_wrong_side_range_fails_numerically(self, tmp_path, capsys):
         # scanning above the transition puts every estimate on the wrong side

@@ -11,7 +11,6 @@ from benford_xy.criticality import (
     Signature,
     auto_fit_range,
     crossover_lines,
-    default_signature,
     local_slopes,
     locate_transition,
     scaling_exponent,
@@ -34,13 +33,18 @@ from benford_xy.windowscan import (
 from benford_xy.xy_exact import mz_infinite_many
 
 
-def synthetic_result(mids, f, lambda_range=(0.9, 1.06)):
+UNIFORM = ReferenceDistribution(DistKind.UNIFORM)
+LAWS = [UNIFORM, ReferenceDistribution.benford(), ReferenceDistribution(DistKind.POISSON, 5.0)]
+
+
+def synthetic_result(mids, f, lambda_range=(0.9, 1.06), dist=ReferenceDistribution.benford()):
     config = ScanConfig(
         observable=Observable.MZ,
         gamma=1.0,
         lambda_range=lambda_range,
         lambda_step=0.005,
         n_sites=30,
+        dist=dist,
     )
     mids = np.asarray(mids, dtype=float)
     return ScanResult(config, mids, np.asarray(f(mids), dtype=float), np.empty(0))
@@ -49,12 +53,31 @@ def synthetic_result(mids, f, lambda_range=(0.9, 1.06)):
 GRID = np.arange(0.93, 1.03 + 1e-9, 0.005)
 
 
-class TestDefaultSignature:
-    def test_uniform_dips_others_steepen(self):
-        assert default_signature(ReferenceDistribution(DistKind.UNIFORM)) is Signature.MINIMUM
-        assert default_signature(ReferenceDistribution.benford()) is Signature.DERIVATIVE_EXTREMUM
-        poisson = ReferenceDistribution(DistKind.POISSON, 5.0)
-        assert default_signature(poisson) is Signature.DERIVATIVE_EXTREMUM
+class TestLawPicksLocator:
+    # a dip at 0.99 and a steepness flip at 0.98 in one cubic
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind.value)
+    def test_uniform_finds_the_dip_others_the_flip(self, dist):
+        r = synthetic_result(GRID, lambda x: (x - 0.98) ** 3 - 3e-4 * (x - 0.98), dist=dist)
+        est = locate_transition(r, (0.93, 1.03))
+        if dist is UNIFORM:
+            assert est.signature is Signature.MINIMUM
+            assert est.lambda_c_n == pytest.approx(0.99, abs=1e-9)
+        else:
+            assert est.signature is Signature.DERIVATIVE_MIN
+            assert est.lambda_c_n == pytest.approx(0.98, abs=1e-9)
+
+    # a dip at 0.94 and the steepest region at 1
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind.value)
+    def test_fit_range_centres_on_the_dip_or_the_flip(self, dist):
+        mids = np.arange(0.9, 1.06 + 1e-9, 0.004)
+        r = synthetic_result(
+            mids, lambda x: 0.5 * np.tanh((x - 1.0) / 0.01) + 200.0 * (x - 0.94) ** 2, dist=dist
+        )
+        lo, hi = auto_fit_range(r)
+        if dist is UNIFORM:
+            assert (lo + hi) / 2 == pytest.approx(0.94, abs=1e-9)
+        else:
+            assert abs((lo + hi) / 2 - 1.0) < 0.01
 
 
 class TestLocalSlopes:
@@ -105,51 +128,40 @@ class TestLocalSlopes:
 class TestLocateTransition:
     def test_cubic_derivative_minimum(self):
         r = synthetic_result(GRID, lambda x: (x - 0.98) ** 3 - 0.01 * (x - 0.98))
-        est = locate_transition(r, (0.93, 1.03), Signature.DERIVATIVE_MIN)
+        est = locate_transition(r, (0.93, 1.03))
         assert est.lambda_c_n == pytest.approx(0.98, abs=1e-9)
         assert est.signature is Signature.DERIVATIVE_MIN
 
     def test_mirrored_cubic_derivative_maximum(self):
         r = synthetic_result(GRID, lambda x: -((x - 0.98) ** 3) + 0.01 * (x - 0.98))
-        est = locate_transition(r, (0.93, 1.03), Signature.DERIVATIVE_MAX)
+        est = locate_transition(r, (0.93, 1.03))
         assert est.lambda_c_n == pytest.approx(0.98, abs=1e-9)
         assert est.signature is Signature.DERIVATIVE_MAX
 
-    def test_wrong_derivative_kind_rejected(self):
-        r = synthetic_result(GRID, lambda x: (x - 0.98) ** 3 - 0.01 * (x - 0.98))
-        with pytest.raises(NoTransitionError):
-            locate_transition(r, (0.93, 1.03), Signature.DERIVATIVE_MAX)
-
-    def test_generic_signature_resolves_to_found_kind(self):
-        r = synthetic_result(GRID, lambda x: (x - 0.98) ** 3 - 0.01 * (x - 0.98))
-        est = locate_transition(r, (0.93, 1.03), Signature.DERIVATIVE_EXTREMUM)
-        assert est.signature is Signature.DERIVATIVE_MIN
-        assert est.lambda_c_n == pytest.approx(0.98, abs=1e-9)
-
     def test_parabola_minimum(self):
         grid = np.arange(0.96, 1.06 + 1e-9, 0.005)
-        r = synthetic_result(grid, lambda x: (x - 1.01) ** 2)
-        est = locate_transition(r, (0.96, 1.06), Signature.MINIMUM)
+        r = synthetic_result(grid, lambda x: (x - 1.01) ** 2, dist=UNIFORM)
+        est = locate_transition(r, (0.96, 1.06))
         assert est.lambda_c_n == pytest.approx(1.01, abs=1e-9)
         assert est.signature is Signature.MINIMUM
 
     def test_tilted_minimum(self):
-        r = synthetic_result(GRID, lambda x: (x - 1.0) ** 2 + 0.5 * (x - 1.0) ** 3)
-        est = locate_transition(r, (0.95, 1.03), Signature.MINIMUM)
+        r = synthetic_result(GRID, lambda x: (x - 1.0) ** 2 + 0.5 * (x - 1.0) ** 3, dist=UNIFORM)
+        est = locate_transition(r, (0.95, 1.03))
         assert est.lambda_c_n == pytest.approx(1.0, abs=1e-9)
 
     def test_shift_equivariance(self):
         f = lambda x: (x - 0.98) ** 3 - 0.01 * (x - 0.98)
         r1 = synthetic_result(GRID, f)
         r2 = synthetic_result(GRID + 0.1, lambda x: f(x - 0.1), lambda_range=(1.0, 1.16))
-        e1 = locate_transition(r1, (0.93, 1.03), Signature.DERIVATIVE_MIN)
-        e2 = locate_transition(r2, (1.03, 1.13), Signature.DERIVATIVE_MIN)
+        e1 = locate_transition(r1, (0.93, 1.03))
+        e2 = locate_transition(r2, (1.03, 1.13))
         assert e2.lambda_c_n - e1.lambda_c_n == pytest.approx(0.1, abs=1e-9)
 
     def test_reported_fit_is_in_centred_coordinates(self):
         f = lambda x: (x - 0.985) ** 3 - 0.01 * (x - 0.985)
         r = synthetic_result(GRID, f)
-        est = locate_transition(r, (0.93, 1.03), Signature.DERIVATIVE_MIN)
+        est = locate_transition(r, (0.93, 1.03))
         c0, c1, c2, c3 = est.fit.coefficients
         assert est.fit_center + -c2 / (3.0 * c3) == pytest.approx(est.lambda_c_n, rel=1e-12)
         u = GRID - est.fit_center
@@ -161,50 +173,50 @@ class TestLocateTransition:
     def test_inflection_outside_range_rejected(self):
         r = synthetic_result(GRID, lambda x: (x - 2.0) ** 3)
         with pytest.raises(NoTransitionError):
-            locate_transition(r, (0.93, 1.03), Signature.DERIVATIVE_EXTREMUM)
+            locate_transition(r, (0.93, 1.03))
 
     def test_pure_parabola_has_no_derivative_extremum(self):
         r = synthetic_result(GRID, lambda x: (x - 1.0) ** 2)
         with pytest.raises(NoTransitionError):
-            locate_transition(r, (0.93, 1.03), Signature.DERIVATIVE_EXTREMUM)
+            locate_transition(r, (0.93, 1.03))
 
     def test_line_has_no_minimum(self):
-        r = synthetic_result(GRID, lambda x: 2.0 * x + 1.0)
+        r = synthetic_result(GRID, lambda x: 2.0 * x + 1.0, dist=UNIFORM)
         with pytest.raises(NoTransitionError):
-            locate_transition(r, (0.93, 1.03), Signature.MINIMUM)
+            locate_transition(r, (0.93, 1.03))
 
-    @pytest.mark.parametrize("signature, message", [
-        (Signature.MINIMUM, "no curvature"),
-        (Signature.DERIVATIVE_EXTREMUM, "degenerated to a parabola"),
-    ])
-    def test_flat_curve_has_no_transition(self, signature, message):
-        r = synthetic_result(GRID, np.zeros_like)
+    @pytest.mark.parametrize("dist, message", [
+        (UNIFORM, "no curvature"),
+        (ReferenceDistribution.benford(), "degenerated to a parabola"),
+    ], ids=["uniform", "benford"])
+    def test_flat_curve_has_no_transition(self, dist, message):
+        r = synthetic_result(GRID, np.zeros_like, dist=dist)
         with pytest.raises(NoTransitionError, match=message):
-            locate_transition(r, (0.93, 1.03), signature)
+            locate_transition(r, (0.93, 1.03))
 
     def test_too_few_points(self):
         r = synthetic_result(GRID, lambda x: x)
         with pytest.raises(ConfigurationError):
-            locate_transition(r, (0.93, 0.96), Signature.DERIVATIVE_EXTREMUM)
+            locate_transition(r, (0.93, 0.96))
 
     def test_inverted_range(self):
         r = synthetic_result(GRID, lambda x: x)
         with pytest.raises(ConfigurationError):
-            locate_transition(r, (1.03, 0.93), Signature.DERIVATIVE_EXTREMUM)
+            locate_transition(r, (1.03, 0.93))
 
 
 class TestAutoFitRange:
     def test_centers_on_steepest_region(self):
         mids = np.arange(0.9, 1.06 + 1e-9, 0.004)
         r = synthetic_result(mids, lambda x: np.tanh((x - 1.0) / 0.01))
-        lo, hi = auto_fit_range(r, Signature.DERIVATIVE_EXTREMUM)
+        lo, hi = auto_fit_range(r)
         assert lo == pytest.approx(0.95, abs=1e-9)
         assert hi == pytest.approx(1.05, abs=1e-9)
 
     def test_centers_on_interior_minimum(self):
         mids = np.arange(0.9, 1.06 + 1e-9, 0.004)
-        r = synthetic_result(mids, lambda x: (x - 1.004) ** 2)
-        lo, hi = auto_fit_range(r, Signature.MINIMUM, fit_half=0.03)
+        r = synthetic_result(mids, lambda x: (x - 1.004) ** 2, dist=UNIFORM)
+        lo, hi = auto_fit_range(r, fit_half=0.03)
         assert lo == pytest.approx(1.004 - 0.03, abs=1e-9)
         assert hi == pytest.approx(1.004 + 0.03, abs=1e-9)
 
@@ -216,7 +228,7 @@ class TestAutoFitRange:
             return np.tanh((x - 1.0) / 0.01) + 50.0 * np.clip(0.905 - x, 0.0, None)
 
         r = synthetic_result(mids, f)
-        lo, hi = auto_fit_range(r, Signature.DERIVATIVE_EXTREMUM)
+        lo, hi = auto_fit_range(r)
         assert lo == pytest.approx(0.95, abs=0.02)
 
     def test_too_few_interior_points(self):
@@ -225,13 +237,13 @@ class TestAutoFitRange:
             mids, lambda x: x, lambda_range=(0.985, 1.015)
         )
         with pytest.raises(NoTransitionError):
-            auto_fit_range(r, Signature.DERIVATIVE_EXTREMUM)
+            auto_fit_range(r)
 
     def test_no_window_with_enough_neighbours(self):
         mids = np.arange(0.9, 1.06 + 1e-9, 0.004)
         r = synthetic_result(mids, lambda x: np.tanh((x - 1.0) / 0.01))
         with pytest.raises(NoTransitionError, match="enough neighbours"):
-            auto_fit_range(r, Signature.DERIVATIVE_EXTREMUM, smooth_half=1e-3)
+            auto_fit_range(r, smooth_half=1e-3)
 
 
 SIZES = [14, 20, 24, 30, 34, 40]

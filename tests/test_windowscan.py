@@ -426,6 +426,30 @@ class TestScanChains:
         with pytest.raises(ConfigurationError, match="requires the infinite lattice"):
             scan_chains(base, [14, 20])
 
+    # one walk serves every config on the first one's gamma, temperature and
+    # range, so configs that differ in more than their chain would be counted
+    # wrong; the infinite lattice and a chain differ in their kernel too
+    @pytest.mark.parametrize("change", [
+        {"gamma": 0.5},
+        {"t_tilde": 2e-3},
+        {"lambda_range": (0.9, 1.12)},
+        {"samples_per_window": 2000},
+        {"metric": Metric.BHATTACHARYA},
+        {"n_sites": None},
+    ], ids=["gamma", "t_tilde", "range", "samples", "metric", "lattice"])
+    def test_configs_that_differ_beyond_the_chain_rejected(self, change):
+        a = ScanConfig(Observable.MZ, 1.0, (0.9, 1.1), samples_per_window=1000, t_tilde=1e-3,
+                       n_sites=14)
+        for configs in ([a, replace(a, **change)], [replace(a, **change), a]):
+            with pytest.raises(ConfigurationError, match="differ in n_sites alone"):
+                window_histograms(configs)
+
+    def test_chains_at_a_gamma_the_lattice_rejects(self):
+        # |gamma| < 1e-30 is a chain's alone at T = 0; the comparison builds no config
+        base = small_config(gamma=1e-31)
+        configs = [base, replace(base, n_sites=12)]
+        assert window_histograms(configs)[1].shape == (2, 21, 9)
+
 
 def _shifted_grid(seed):
     """The benchmark's --lambda at a seed: the default range shifted by a

@@ -768,6 +768,31 @@ class TestKernelDomain:
         got = _DOMAIN_KERNELS[kernel]([-big, big], gamma, t_tilde, n_sites)
         assert np.all(np.isfinite(got))
 
+    # past the bound the thermal kernels gave inf or NaN and the T = 0 kernel
+    # warned of overflow; a finite lambda there is rejected with the configs'
+    # message, and a NaN beside it is passed over
+    @pytest.mark.parametrize("kernel, lam, t_tilde, n_sites", [
+        ("mz_infinite", 17647129953124.582, 1e-3, None),
+        ("dmz_dT", 17647129953124.582, 1e-3, None),
+        ("mz_and_correlators", 1e100, 0.0, None),
+        ("mz_finite", -2e12, 0.0, 8),
+        ("mz_finite", 2e12, 1e-3, 8),
+    ])
+    def test_lambda_past_the_bound_rejected(self, kernel, lam, t_tilde, n_sites):
+        with pytest.raises(ConfigurationError) as want:
+            xy_exact.check_model(1.0, lambdas=[lam])
+        with pytest.raises(ConfigurationError) as got:
+            _DOMAIN_KERNELS[kernel]([0.9, math.nan, lam], 1.0, t_tilde, n_sites)
+        assert str(got.value) == str(want.value)
+
+    def test_lambda_checked_once_per_call(self, monkeypatch):
+        checked = []
+        check = xy_exact.check_model
+        monkeypatch.setattr(xy_exact, "check_model",
+                            lambda *a: checked.append(len(a[3])) or check(*a))
+        mz_finite_many([0.9, math.nan, 1.1], 1.0, [8, 14, 20])
+        assert checked == [2, 0, 0]
+
     def test_least_temperature_is_the_zero_temperature_limit(self):
         # at the least t_tilde, L / (2 t_tilde) overflows to inf, whose tanh
         # is 1; under the suite's error::RuntimeWarning that must not warn
