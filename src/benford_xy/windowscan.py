@@ -228,7 +228,11 @@ def evaluate(configs: list[ScanConfig], lams: np.ndarray) -> np.ndarray:
         return g_minus
     if obs is Observable.CYY:
         return g_plus
-    return mz * mz - g_minus * g_plus
+    # Czz = Mz^2 - G(-1) G(+1), in place on the kernel's own rows
+    mz *= mz
+    g_minus *= g_plus
+    mz -= g_minus
+    return mz
 
 
 def window_centers(config: ScanConfig) -> np.ndarray:

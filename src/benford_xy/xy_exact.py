@@ -482,9 +482,10 @@ _KC_FLOOR = 1e-30
 _T0_GAMMA_MAX = 1e20
 
 
-def _cel(kc: np.ndarray, p: np.ndarray, derivative: bool):
-    """X = cel(kc, p, 1, 0), its derivative dX/dp (None unless derivative is
-    true), and K(kc).
+def _cel(kc: np.ndarray, p: np.ndarray, x: np.ndarray, dx: np.ndarray | None,
+         k: np.ndarray) -> None:
+    """Write X = cel(kc, p, 1, 0) into x, its derivative dX/dp into dx
+    (unless dx is None), and K(kc) into k; kc and p are only read.
 
     Bulirsch's complete elliptic integral is
         cel(kc, p, a, b) = int_0^{pi/2} (a cos^2 t + b sin^2 t) dt
@@ -500,45 +501,100 @@ def _cel(kc: np.ndarray, p: np.ndarray, derivative: bool):
     array. Only G(+-1) need dX/dp; when asked for, it is carried through
     every step by the chain rule, from the step's old a, b and s, so X, K
     and the exit have the same bits either way.
+
+    The iterates and the step's temporaries are work arrays allocated once
+    per call and updated in place; the samples that go on past the
+    checkpoint move to the front of each.
     """
-    s = np.sqrt(p)
-    a, b, m, e = np.ones_like(kc), np.zeros_like(kc), np.ones_like(kc), kc
-    da = db = ds = None
-    if derivative:
-        ds, da, db = 0.5 / s, np.zeros_like(kc), np.zeros_like(kc)
+    # a, b, s, m and the iterates kc and e, the step's temporaries g and t,
+    # then da, db, ds and a third temporary u when dX/dp is carried. One
+    # array each, not one block, so that each stays under the CLI's 1 MiB
+    # mmap threshold up to 131 071 samples and the heap serves it again the
+    # next call: a block mapped and faulted in anew each call ran 20 000
+    # samples slower than fresh temporaries did
+    n = kc.size
+    work = [np.ones(n), np.zeros(n), np.sqrt(p), np.ones(n), kc.copy(), kc.copy(),
+            np.empty(n), np.empty(n)]
+    if dx is not None:
+        work += [np.zeros(n), np.zeros(n), np.divide(0.5, work[2]), np.empty(n)]
+    a, b, s, m, kc, e, g, t, *deriv = work
+    da, db, ds, u = deriv or (None,) * 4
     for step in range(1, _CEL_STEPS + 1):
-        g = e / s
-        if derivative:
-            dg = -g * ds / s
-            da, db = da + (db - b * ds / s) / s, 2.0 * (db + da * g + a * dg)
-            ds = ds + dg
-        a, b = a + b / s, 2.0 * (b + a * g)
-        s = s + g
-        m, kc = m + kc, 2.0 * np.sqrt(e)
-        e = kc * m
+        np.divide(e, s, out=g)
+        if dx is not None:
+            # t = (db - b ds / s) / s, the gain of da, from the old db
+            np.multiply(b, ds, out=t)
+            t /= s
+            np.subtract(db, t, out=t)
+            t /= s
+            # db = 2 (db + da g + a dg), from the old da
+            np.multiply(da, g, out=u)
+            db += u
+            da += t
+            # t = g ds / s is -dg, dg the derivative of g in p, so a dg and
+            # ds + dg are taken as - a t and ds - t
+            np.multiply(g, ds, out=t)
+            t /= s
+            ds -= t
+            t *= a
+            db -= t
+            db *= 2.0
+        # a = a + b / s and b = 2 (b + a g), each from the other's old value
+        # and the old s
+        np.divide(b, s, out=t)
+        s += g
+        g *= a
+        a += t
+        b += g
+        b *= 2.0
+        m += kc
+        np.sqrt(e, out=kc)
+        kc *= 2.0
+        np.multiply(kc, m, out=e)
         if step == _CEL_CHECKPOINT:
-            out = _cel_finish(step, a, b, s, m, da, db, ds)
-            slow = np.flatnonzero((np.abs(kc - m) > _CEL_TOL * m)
-                                  | (np.abs(s - m) > _CEL_TOL * m))
+            _cel_finish(step, a, b, s, m, da, db, ds, x, dx, k, g, t)
+            np.multiply(m, _CEL_TOL, out=g)
+            np.subtract(kc, m, out=t)
+            far = np.abs(t, out=t) > g
+            np.subtract(s, m, out=t)
+            far |= np.abs(t, out=t) > g
+            slow = np.flatnonzero(far)
             if not slow.size:
-                return out
-            a, b, s, m, kc, e = (v[slow] for v in (a, b, s, m, kc, e))
-            if derivative:
-                da, db, ds = da[slow], db[slow], ds[slow]
-    for o, v in zip(out, _cel_finish(_CEL_STEPS, a, b, s, m, da, db, ds)):
+                return
+            for v in work:
+                v[: slow.size] = v[slow]
+            work = [v[: slow.size] for v in work]
+            a, b, s, m, kc, e, g, t, *deriv = work
+            da, db, ds, u = deriv or (None,) * 4
+    # the slow samples' X, dX/dp and K, in arrays free after the last step;
+    # kc and e serve as the finish's scratch
+    tail = (g, None, t) if dx is None else (g, t, u)
+    _cel_finish(_CEL_STEPS, a, b, s, m, da, db, ds, *tail, kc, e)
+    for o, v in zip((x, dx, k), tail):
         if o is not None:
             o[slow] = v
-    return out
 
 
-def _cel_finish(steps: int, a, b, s, m, da, db, ds):
-    """X, dX/dp (None unless ds is carried) and K from the cel iterates after
-    the given number of steps."""
-    scale = 0.5 * math.pi / (m * (m + s))
-    x = (a * m + b) * scale
-    dx = None if ds is None else (da * m + db - (a * m + b) * ds / (m + s)) * scale
+def _cel_finish(steps: int, a, b, s, m, da, db, ds, x, dx, k, ms, r) -> None:
+    """Write X, dX/dp (unless dx is None) and K from the cel iterates after
+    the given number of steps into x, dx and k; ms and r are scratch."""
+    np.add(m, s, out=ms)
+    # the scale 0.5 pi / (m (m + s)), in k until K replaces it
+    np.multiply(m, ms, out=k)
+    np.divide(0.5 * math.pi, k, out=k)
+    np.multiply(a, m, out=x)
+    x += b
+    if dx is not None:
+        # ((da m + db) - (a m + b) ds / (m + s)) scale
+        np.multiply(x, ds, out=r)
+        r /= ms
+        np.multiply(da, m, out=dx)
+        dx += db
+        dx -= r
+        dx *= k
+    x *= k
     # m is 2**steps times the arithmetic-geometric mean of 1 and kc
-    return x, dx, math.pi * 2.0 ** (steps - 1) / m
+    np.divide(math.pi * 2.0 ** (steps - 1), m, out=k)
 
 
 def mz_and_correlators_many(lams, gamma: float, *, correlators: bool = True) -> np.ndarray:
@@ -563,27 +619,75 @@ def mz_and_correlators_many(lams, gamma: float, *, correlators: bool = True) -> 
     diverge logarithmically at lambda = +-1, where kc = 0; X, M and Y stay
     finite there, so the divergent parts have cancelled analytically. Every
     step is elementwise: a value does not depend on the rest of the array.
+    A lambda that is not finite gives NaN.
+
+    The call runs on five work arrays and the rows of its result, each
+    allocated once and updated in place (and _cel on its own); every value
+    takes the operations of the formulas above, in their order.
     """
     lam = np.atleast_1d(np.asarray(lams, dtype=float))
-    check_model(gamma, lambdas=lam[np.isfinite(lam)])
+    finite = np.isfinite(lam)
+    check_model(gamma, lambdas=lam[finite])
+    if not finite.all():
+        # inf would meet inf / inf in p; NaN goes through every step quietly
+        lam = np.where(finite, lam, math.nan)
     outside = np.abs(lam) > 1.0
-    b = np.abs((1.0 - lam) * (1.0 + lam))
-    e = np.where(outside, b, 0.0)
-    n = 1.0 + e
-    a = gamma * gamma + e
-    p = n / a
-    kc2 = b / a
-    x, dx, k = _cel(np.maximum(np.sqrt(kc2), _KC_FLOOR), p, correlators)
-    y = kc2 * (k - x) / p
-    oy = np.where(outside, y, 0.0)
-    h = 2.0 / (math.pi * np.sqrt(a))
-    mz = h * lam * (x + oy)
+    # five work arrays, each named for its main value: b comes before kc^2
+    # in its array, a before h, and n and a n before q; e's then holds kc for
+    # _cel, and o Y
+    kc2, p, h, q, e = (np.empty(lam.size) for _ in range(5))
+    np.subtract(1.0, lam, out=kc2)
+    np.add(1.0, lam, out=e)
+    kc2 *= e
+    np.abs(kc2, out=kc2)
+    e.fill(0.0)
+    np.copyto(e, kc2, where=outside)
+    np.add(1.0, e, out=q)
+    np.add(gamma * gamma, e, out=h)
+    np.divide(q, h, out=p)
+    kc2 /= h
+    if correlators:
+        # -2 lambda^2 / (a n), which turns dX/dp into q M
+        q *= h
+        np.multiply(-2.0, lam, out=e)
+        e *= lam
+        np.divide(e, q, out=q)
+    np.sqrt(h, out=h)
+    h *= math.pi
+    np.divide(2.0, h, out=h)
+    np.sqrt(kc2, out=e)
+    np.maximum(e, _KC_FLOOR, out=e)
+    if correlators:
+        out = np.empty((3, lam.size))
+        x, dx, y = out
+    else:
+        out = x = np.empty(lam.size)
+        dx, y = None, q
+    _cel(e, p, x, dx, y)
+    # Y = kc^2 (K - X) / p over K, and o Y
+    y -= x
+    y *= kc2
+    y /= p
+    e.fill(0.0)
+    np.copyto(e, y, where=outside)
+    if correlators:
+        # o Y - X, before X turns into Mz
+        np.subtract(e, x, out=kc2)
+    np.multiply(h, lam, out=p)
+    x += e
+    x *= p
     if not correlators:
-        return mz
-    qm = (-2.0 * lam * lam / (a * n)) * dx
-    s = h * (y + qm)
-    even = h * (oy - x + qm)
-    return np.stack([mz, even - gamma * s, even + gamma * s])
+        return out
+    # q M, then S over Y, and A over o Y - X
+    q *= dx
+    y += q
+    y *= h
+    kc2 += q
+    kc2 *= h
+    y *= gamma
+    np.subtract(kc2, y, out=dx)
+    np.add(kc2, y, out=y)
+    return out
 
 
 # The unit roundoff of float64.
@@ -625,7 +729,10 @@ def mz_rises(lam_lo: float, lam_hi: float, spacing: float, gamma: float,
       a product or quotient the sum of its factors' plus u, a root half its
       argument's plus u (Higham, sec. 3.1-3.4). Counted operation by
       operation, X and K lie within 1216u and 19.2u of what exact arithmetic
-      gives after ten cel steps, and within 294u and 12.6u after five.
+      gives after ten cel steps, and within 294u and 12.6u after five. The
+      kernel runs in place on work arrays, but each value still takes these
+      operations, on the same operands and in the same order, so the count
+      holds for the in-place form.
     - K - X. Where |lambda| > 1, Mz = h lambda (X + Y), Y = kc^2 (K - X) / p
       and h = 2 / (pi sqrt(a)). K - X > 0 may cancel, but |h lambda| X,
       |h lambda| Y and |h lambda| kc^2 K / p <= sqrt(1 - 1/lambda^2) are

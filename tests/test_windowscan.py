@@ -355,6 +355,24 @@ class TestScan:
         want = xy_exact.mz_and_correlators_many(lams, config.gamma)[row]
         assert np.array_equal(windowscan.evaluate([config], lams), want)
 
+    def test_czz_windows_match_fresh_products(self, monkeypatch):
+        # evaluate forms Czz in place on the kernel's rows; each window it
+        # hands the walk for its buffer must be Mz^2 - G(-1) G(+1) formed
+        # from fresh arrays
+        config = small_config(observable=Observable.CZZ, n_sites=None)
+        points = []
+
+        def spy(configs, lams):
+            got = evaluate(configs, lams)
+            mz, g_minus, g_plus = xy_exact.mz_and_correlators_many(lams, config.gamma)
+            assert np.array_equal(got, mz * mz - g_minus * g_plus)
+            points.append(lams.size)
+            return got
+
+        monkeypatch.setattr(windowscan, "evaluate", spy)
+        window_histograms([config])
+        assert sum(points) == 2000
+
     def test_thermal_scan_runs(self):
         r = scan(small_config(t_tilde=0.02, n_sites=None, samples_per_window=50))
         assert r.deltas.size == 21

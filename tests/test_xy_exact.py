@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -200,6 +201,33 @@ def _ground_lambdas(gamma: float) -> list[float]:
     return near + [-2.0, -1.0, 0.0, 0.5, 1.0, 50.0, 0.9 * circle, circle, 0.5 * (circle + 1.0)]
 
 
+# lambda = +-1 exactly, 1 -+ 1e-14, |lambda| > 1 out to the bound, and the
+# 10 000-point lattice through lambda = 1
+_PINNED_LAMBDAS = np.concatenate([
+    [-1e12, -2.0, -1.0, 0.0, 1.0 - 1e-14, 1.0, 1.0 + 1e-14, 2.0, 50.0, 1e12],
+    1.0 + 1e-4 * np.arange(-5000, 5000)])
+
+# gamma: SHA-256 of mz_and_correlators_many(_PINNED_LAMBDAS, gamma).tobytes()
+# and of mz_infinite_many(_PINNED_LAMBDAS, gamma).tobytes(), as the kernel
+# gave them when it took a fresh array for every operation
+_PINNED_BITS = {
+    1e-30: ("9a4ba7fe3b3da52fc3770100a7fafabdf9da1d969e0e0570612dc5a74bb678b5",
+            "4424be404fc3e5bf92f36bb63215e5c2783948859bc94d705b32b6aa07c37ad7"),
+    0.1: ("db734c7907fff7375ab126f1f882f109f8675fe35f41a4d920a50e4d1b8ec77b",
+          "013c2b630f265385de4e0567cff14067475a608127e467927ef78eadaf205ad7"),
+    0.5: ("0a57275d4a6cb5ffd3b1d00f1cb782a8bf4af42c7a9f1bf6a91122a6bc20c993",
+          "2c065f4613190b8d2fd69b25d9a073558e87a170277bd8e27a9481fd3ebc0aa9"),
+    1.0: ("77e9b2a8fa5645df62aeaa1c121aa2a8916a137f5ce45ee79f4baf24cf7ed721",
+          "8ec2df63840c4aaea84cc89548f98af5c853bf3811bf574fe236a6582bc73b80"),
+    3.0: ("b9d68ce4984fd341f545ff0f1a8f98175cd1ab77ec7f5f040f6f0fef3d3ab620",
+          "0285571fa59e858818f3e06be385125fbcc022662da751b8f7ee562e6584676a"),
+    30.0: ("cba840228b45a19d41b0b23b790b9cbc453672bb6607cf6e11c01c409994958c",
+           "40051ba1902d6aa021b8b57ff649deff9a3cbd452f15685236687c0e1ea328e8"),
+    1e20: ("4def52da1fb7d5409c379ad34634938ecd82896f76932409e64be0cdbd7497ed",
+           "86e5a2e9d78d4a368a9a8cdba93400c8d9f6cd75be35fb6e89a577fb1c8d1c75"),
+}
+
+
 class TestGroundState:
     # the closed-form T = 0 kernel, mz_and_correlators_many
 
@@ -257,6 +285,28 @@ class TestGroundState:
         assert np.max(np.abs(early - full)[:, ~same], initial=0.0) <= 2e-15
         assert 0 < np.count_nonzero(~same)
         assert same[np.isin(lams, [-1.0, 1.0, 1.0 - 1e-14, 1.0 + 1e-14])].all()
+
+    @pytest.mark.parametrize("gamma", list(_PINNED_BITS))
+    def test_bits_pinned(self, gamma):
+        # the kernel runs in place on its work arrays with the operations,
+        # in the order, of the formulas in its docstring: no bit may move
+        rows = xy_exact.mz_and_correlators_many(_PINNED_LAMBDAS, gamma)
+        mz = xy_exact.mz_infinite_many(_PINNED_LAMBDAS, gamma)
+        assert (hashlib.sha256(rows.tobytes()).hexdigest(),
+                hashlib.sha256(mz.tobytes()).hexdigest()) == _PINNED_BITS[gamma]
+
+    @pytest.mark.parametrize("correlators", [True, False])
+    def test_no_aliasing(self, correlators):
+        # the kernel writes its work arrays, never its lambda; each call
+        # returns an array of its own
+        lams = np.array(_PINNED_LAMBDAS)
+        lams.flags.writeable = False
+        first = xy_exact.mz_and_correlators_many(lams, 0.5, correlators=correlators)
+        second = xy_exact.mz_and_correlators_many(lams, 0.5, correlators=correlators)
+        assert np.array_equal(lams, _PINNED_LAMBDAS)
+        assert not np.shares_memory(first, lams)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
 
     def test_ising_matches_agm_closed_forms(self):
         lams = [0.2, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 + 1e-6, 1.001, 1.5, 3.0, 10.0]
@@ -784,6 +834,17 @@ class TestKernelDomain:
         with pytest.raises(ConfigurationError) as got:
             _DOMAIN_KERNELS[kernel]([0.9, math.nan, lam], 1.0, t_tilde, n_sites)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_lambda_not_finite_gives_nan_quietly(self, bad):
+        # inf met inf / inf and warned; now, as NaN, it gives NaN in every
+        # row under the suite's error::RuntimeWarning, and the finite lambda
+        # beside it keeps its bits
+        rows = xy_exact.mz_and_correlators_many([bad, 0.5], 1.0)
+        assert np.isnan(rows[:, 0]).all()
+        assert np.array_equal(rows[:, 1:], xy_exact.mz_and_correlators_many([0.5], 1.0))
+        mz = xy_exact.mz_infinite_many([bad, 0.5], 1.0)
+        assert np.isnan(mz[0]) and mz[1] == rows[0, 1]
 
     def test_lambda_checked_once_per_call(self, monkeypatch):
         checked = []
