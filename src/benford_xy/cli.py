@@ -305,7 +305,8 @@ def cmd_scan(args) -> int:
     _finish(
         args,
         _config_echo(config) | {"degenerate_windows": result.degenerate_windows},
-        {"scan": (["lambda_mid", "delta"], np.column_stack((result.lambdas, result.deltas)))},
+        {"scan": (["lambda_mid", "delta"],
+                  np.column_stack((result.lambdas, result.deltas)).tolist())},
         {},
     )
     return EXIT_OK

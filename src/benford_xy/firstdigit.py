@@ -14,13 +14,12 @@ batch once: if the batch is monotone, it counts every window from the
 positions of the digit thresholds d * 10**k, in raw values, found by
 bisection, and leaves to digits_of only the values next to a threshold;
 otherwise each window goes through histogram. rising_counts counts windows
-of a sequence known to rise strictly without the array: it reads the
-sequence through a function, and finds each threshold's position by a
-search that reads a few values. The two share the counting from positions
-(_threshold_counts). Either way each row equals
-histogram(rescale_unit(window)). A digit histogram is such a row of 9
-counts wherever it appears; histogram counts the digits report's values
-into one.
+of a sequence known to rise strictly without the array: one search places
+each threshold, reading the sequence through a function at a few values
+next to it. The two share the counting from positions (_threshold_counts).
+Either way each row equals histogram(rescale_unit(window)). A digit
+histogram is such a row of 9 counts wherever it appears; histogram counts
+the digits report's values into one.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
 
     The windows are counted together. If the batch never falls, one
     _threshold_counts call counts its windows that are not flat, with one
-    np.searchsorted placing every band edge; if it never rises, the same
+    np.searchsorted placing every threshold; if it never rises, the same
     call counts them on the batch read reversed. Windows of a batch that
     does both, and those that _threshold_counts leaves, go through histogram.
     """
@@ -167,8 +166,10 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
             up = long[a[e[long] - 1] > a[s[long]]]  # flat windows keep a zero row
             lo, stop = a[s[up]], e[up]
             first = np.searchsorted(a, lo, side="right")  # first positive r of each window
-            rows[up] = _threshold_counts(a.__getitem__, lo, a[first], a[stop - 1], first, stop,
-                                         lambda edges, keep: np.searchsorted(a, edges))
+            rows[up] = _threshold_counts(
+                lo, a[first], a[stop - 1], first, stop, a.take,
+                lambda x, w: (p := np.clip(np.searchsorted(a, x), first[w], stop[w]),
+                              a.take(p, mode="clip")))
             other = up[~rows[up].any(axis=1)]
     for i in other:
         try:
@@ -178,7 +179,7 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
     return rows
 
 
-def _threshold_counts(value_at, lo, after, hi, first, e, positions) -> np.ndarray:
+def _threshold_counts(lo, after, hi, first, e, value_at, crossings) -> np.ndarray:
     """histogram(rescale_unit(window)) of non-flat windows of a non-decreasing
     sequence, as (W x 9) rows, counted from where the sequence crosses the
     digit thresholds; a zero row for a window whose smallest positive
@@ -188,11 +189,9 @@ def _threshold_counts(value_at, lo, after, hi, first, e, positions) -> np.ndarra
     Window i ends before index e[i]; lo[i] and hi[i] are its least and
     largest values, and after[i] its first value above lo[i], at index
     first[i]. value_at(indices) reads the sequence at an integer array of
-    indices. positions(edges, keep) gives, for each band edge of the windows
-    keep (one row each), the index of the first value at or above it, as
-    np.searchsorted over the whole sequence would; an edge at or below
-    after, or above hi, may get any index at or below first, or at or above
-    e.
+    indices. crossings(x, w) gives, for raw values x in the windows w (rows
+    of keep, broadcast against x), the first index from first to e whose
+    value is at or above x (e if none), and that value (any value at e).
 
     A window's rescaled values r = (b - lo) / scale are sorted: its exact
     zeros are a prefix, and the values between two digit thresholds d * 10**k
@@ -200,8 +199,10 @@ def _threshold_counts(value_at, lo, after, hi, first, e, positions) -> np.ndarra
     lo + t * scale, by a band of half-width _MARGIN * t * scale plus
     _ULPS * max(|lo|, |hi|), wider than the rounding of lo + t * scale and
     of r. The runs between bands are counted from the band edges' positions
-    alone; only values inside a band are read, and get their r, and digits_of
-    in one call, so the counts equal histogram's by construction.
+    alone; only values inside a band get their r, and digits_of in one call,
+    so the counts equal histogram's by construction. A band's lower edge
+    comes with the value there, which places its upper edge too unless it
+    lies in the band; only a band's other values, which are rare, are read.
     """
     scale = hi - lo
     mag = np.maximum(np.abs(lo), np.abs(hi))
@@ -222,32 +223,42 @@ def _threshold_counts(value_at, lo, after, hi, first, e, positions) -> np.ndarra
     off = t * scale[:, None]
     level = lo[:, None] + off  # the thresholds in raw values
     half = off * _MARGIN + (_ULPS * mag)[:, None]
-    # band edges in order: below t[0], above t[0], below t[1], ..., below t[-1]
-    edges = np.empty((w, 2 * t.size - 1))
-    np.subtract(level, half, out=edges[:, 0::2])
-    np.add(level[:, :-1], half[:, :-1], out=edges[:, 1::2])
-    pos = positions(edges, keep)
-    # clipped to the positive values of each window; the running maximum
-    # merges bands that overlap, so the runs between edges partition them
-    np.maximum(pos, first[:, None], out=pos)
-    np.minimum(pos, e[:, None], out=pos)
-    np.maximum.accumulate(pos, axis=1, out=pos)
-    # values pos[:, 2j + 1] .. pos[:, 2j + 2] - 1 lie clear of thresholds j
-    # and j + 1, so their digit is that of threshold j
-    counts = (pos[:, 2::2] - pos[:, 1::2]).reshape(w, -1, 9).sum(axis=1)
-    # the bands: values pos[:, 2j] .. pos[:, 2j + 1] - 1 next to threshold j,
-    # and pos[:, -1] .. e - 1 next to 1.0; their values, read band by band
-    band_len = (np.column_stack([pos[:, 1::2], e]) - pos[:, 0::2]).ravel()
-    band = np.repeat(np.arange(band_len.size), band_len)
-    at = np.arange(band.size) + (pos[:, 0::2].ravel() - np.cumsum(band_len) + band_len)[band]
+    # band j holds values start[:, j] .. end[:, j] - 1, and the band next to
+    # 1.0 runs to the window's end; a band ends where it starts unless the
+    # value at its lower edge lies in it
+    cross, at = crossings(level - half, keep[:, None])
+    start, end = cross.copy(), cross[:, :-1].copy()
+    above = level[:, :-1] + half[:, :-1]
+    held = np.flatnonzero(at[:, :-1] < above)
+    if held.size:
+        end.ravel()[held] = crossings(above.ravel()[held], keep[held // (t.size - 1)])[0]
+    if (start[:, 1:] < end).any():
+        # the running maximum merges bands that overlap, so that the runs
+        # between bands partition the values
+        np.maximum.accumulate(end, axis=1, out=end)
+        np.maximum(start[:, 1:], end, out=start[:, 1:])
+    # values end[:, j] .. start[:, j + 1] - 1 lie clear of thresholds j and
+    # j + 1, so their digit is that of threshold j; summed over the decades
+    counts = np.einsum("ijk->ik", (start[:, 1:] - end).reshape(w, -1, 9))
+    size = np.column_stack([end, e]) - start
+    band = np.flatnonzero(size)
+    n = size.ravel()[band]
+    of = np.repeat(np.arange(band.size), n)
+    idx = np.arange(of.size) + (start.ravel()[band] - np.cumsum(n) + n)[of]
+    band = band[of]
+    # a band's first value came with its crossing, unless a merge moved it
+    b = at.ravel()[band]
+    unread = idx != cross.ravel()[band]
+    if unread.any():
+        b[unread] = value_at(idx[unread])
     row = band // t.size
-    rise = value_at(at) - lo[row]
+    rise = b - lo[row]
     top = band % t.size == t.size - 1
     # the top band holds the exact 1.0 (digit 1), where b - lo rounds to the
     # scale, and values within the band below it, which are > 0.9 (digit 9)
     ones = np.bincount(row[top & (rise == scale[row])], minlength=w)
     counts[:, 0] += ones
-    counts[:, 8] += e - pos[:, -1] - ones
+    counts[:, 8] += e - start[:, -1] - ones
     near = ~top
     if near.any():
         d = digits_of(rise[near] / scale[row[near]])
@@ -261,19 +272,14 @@ def rising_counts(value_at, starts, stops) -> np.ndarray:
     sequence that rises strictly, read by value_at(indices) only where a
     count needs it: row i equals unit_histograms' row of the same window.
 
-    The windows of one call are read together:
-    - first at their ends, the index after each start, and the multiples of
-      one coarse step (about _COARSE_POINTS of them a window), which
-      overlapping windows share;
-    - then each band edge of _threshold_counts that lies inside a window is
-      placed between two neighbouring indices, from the coarse points around
-      it (_narrow). An edge above a threshold needs no search of its own
-      unless a value lies in the band, which is rare;
-    - last, the values inside the bands.
-    The first call of value_at reads each of its indices once, in ascending
-    order; later calls may read an index twice, which is rare. A window of
-    fewer than 2 values gets a zero row; one that threshold counting leaves
-    goes through histogram.
+    The windows of one call are read together: first at their ends, the
+    index after each start, and the multiples of one coarse step (about
+    _COARSE_POINTS a window), which overlapping windows share, in one sorted
+    call without repeats; then by one search (_narrow) that places the lower
+    edge of each band of _threshold_counts inside a window and reads the
+    value there, all that _threshold_counts reads unless a band holds a
+    second value (rare). A window of fewer than 2 values gets a zero row;
+    one that threshold counting leaves goes through histogram.
     """
     starts = np.asarray(starts, dtype=np.intp)
     stops = np.asarray(stops, dtype=np.intp)
@@ -283,10 +289,11 @@ def rising_counts(value_at, starts, stops) -> np.ndarray:
         return rows
     s, e = starts[up], stops[up]
 
-    # the multiples of step in [s, e), with no window left without a point
+    # the multiples of step in [s, e), each window adding those past the
+    # windows before it, with no window left without a point
     step = max(1, int((e - s).max()) // _COARSE_POINTS)
-    c0 = -(-s // step) * step
-    n = (e - 1 - c0) // step + 1
+    c0 = -(-np.maximum(s, np.maximum.accumulate(np.append(0, e[:-1]))) // step) * step
+    n = np.maximum(0, (e - 1 - c0) // step + 1)
     grid = np.repeat(c0 - step * (np.cumsum(n) - n), n) + step * np.arange(n.sum())
     known = np.sort(np.concatenate([grid, s, s + 1, e - 1]))
     known = known[np.append(True, known[1:] != known[:-1])]
@@ -294,64 +301,56 @@ def rising_counts(value_at, starts, stops) -> np.ndarray:
     lo, after, hi = f[np.searchsorted(known, np.stack([s, s + 1, e - 1]))]
 
     def crossings(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The first index of window w at or above each x, from s + 1 up
-        to e, and the value there (inf at e)."""
+        """First index of window w at or above each x, s + 1 to e, and its value (inf at e)."""
         low = x <= after[w]
         pos = np.where(low, s[w] + 1, e[w])
         val = np.where(low, after[w], math.inf)
-        inside = ~low & (x <= hi[w])
-        # f[j - 1] < x <= f[j], at indices in the window, whose own s + 1 and
-        # e - 1 are known
-        j = np.searchsorted(f, x[inside])
-        pos[inside], val[inside] = _narrow(value_at, x[inside], known[j - 1], known[j],
-                                           f[j - 1], f[j])
+        # the window's own s + 1 and e - 1 are known, so a search stays inside it
+        inside = np.flatnonzero(~low & (x <= hi[w]))
+        pos.ravel()[inside], val.ravel()[inside] = _narrow(value_at, x.ravel()[inside], known, f)
         return pos, val
 
-    def positions(edges: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        w = np.broadcast_to(keep[:, None], edges[:, 0::2].shape)
-        pos = np.empty(edges.shape, dtype=np.intp)
-        pos[:, 0::2], val = crossings(edges[:, 0::2], w)
-        # an edge above a threshold has the index of the edge below it,
-        # unless a value lies in the band between them
-        pos[:, 1::2] = pos[:, 0:-1:2]
-        band = val[:, :-1] < edges[:, 1::2]
-        pos[:, 1::2][band] = crossings(edges[:, 1::2][band], w[:, :-1][band])[0]
-        return pos
-
-    rows[up] = _threshold_counts(value_at, lo, after, hi, s + 1, e, positions)
+    rows[up] = _threshold_counts(lo, after, hi, s + 1, e, value_at, crossings)
     for i in up[~rows[up].any(axis=1)]:
         rows[i] = histogram(rescale_unit(value_at(np.arange(starts[i], stops[i]))))
     return rows
 
 
-def _narrow(value_at, x, a, b, fa, fb) -> tuple[np.ndarray, np.ndarray]:
+def _narrow(value_at, x, known, f) -> tuple[np.ndarray, np.ndarray]:
     """The first index at or above each x of a sequence that rises strictly,
-    read by value_at(indices), and the value there, from brackets of
-    indices a < b with values fa < x <= fb.
+    read by value_at(indices), and the value there, from its values f at
+    the sorted indices known, with f[0] < x <= f[-1].
 
-    Each bracket is narrowed by regula falsi, bisecting on every third step.
-    A guess is read with the index below it, so that a guess on the crossing
-    ends the search in one step.
+    The first guess interpolates the known values linearly; a guess that
+    misses narrows the bracket of its two known neighbours, which regula
+    falsi narrows further, bisecting on every third step. A guess is read
+    with the index below it, so that a guess on the crossing ends its search.
     """
-    todo = np.flatnonzero(b - a > 1)
-    rounds = 0
-    while todo.size:
-        ta, tb, tfa, tfb, tx = a[todo], b[todo], fa[todo], fb[todo], x[todo]
-        if rounds % 3 == 2:
-            guess = (ta + tb + 1) // 2
-        else:
-            guess = ta + np.ceil((tx - tfa) / (tfb - tfa) * (tb - ta)).astype(np.intp)
-        guess = np.clip(guess, ta + 1, tb)
+    guess = np.minimum(np.ceil(np.interp(x, f, known)), known[-1]).astype(np.intp)
+    pos, val = np.empty(x.size, dtype=np.intp), np.empty(x.size)
+    todo, rounds = slice(None), 0  # every search, at first
+    while guess.size:
         below, at = value_at(np.concatenate([guess - 1, guess])).reshape(2, -1)
-        # x lies at or below guess - 1, above guess, or between the two
-        under, over = below >= tx, at < tx
-        a[todo] = np.where(over, guess, np.where(under, ta, guess - 1))
-        fa[todo] = np.where(over, at, np.where(under, tfa, below))
-        b[todo] = np.where(under, guess - 1, np.where(over, tb, guess))
-        fb[todo] = np.where(under, below, np.where(over, tfb, at))
-        todo = todo[b[todo] - a[todo] > 1]
+        pos[todo], val[todo] = guess, at
+        # x lies at or below guess - 1, above guess, or between the two; a
+        # guess that misses lies inside the bracket, as its values show
+        under = below >= x
+        go = np.flatnonzero(under | (at < x))
+        if rounds:
+            todo, a, b, fa, fb = todo[go], a[go], b[go], fa[go], fb[go]
+        else:
+            j = np.searchsorted(f, x[go])
+            todo, a, b, fa, fb = go, known[j - 1], known[j], f[j - 1], f[j]
+        x, guess, below, at, under = x[go], guess[go], below[go], at[go], under[go]
+        a, b = np.where(under, a, guess), np.where(under, guess - 1, b)
+        fa, fb = np.where(under, fa, at), np.where(under, below, fb)
+        pos[todo], val[todo] = b, fb
+        go = b - a > 1
+        todo, x, a, b, fa, fb = todo[go], x[go], a[go], b[go], fa[go], fb[go]
         rounds += 1
-    return b, fb
+        step = (b - a) / 2 if rounds % 3 == 2 else (x - fa) / (fb - fa) * (b - a)
+        guess = np.clip(a + np.ceil(step).astype(np.intp), a + 1, b)
+    return pos, val
 
 
 def probabilities(dist: ReferenceDistribution) -> np.ndarray:

@@ -64,7 +64,7 @@ _RISING_WINDOWS = 256
 # at least min(_CROSSING_STRIDE, samples // 10) points per grid step: placing
 # one threshold costs about what walking tens to hundreds of points costs, so on
 # coarser lattices the walk is faster.
-_CROSSING_STRIDE = 200
+_CROSSING_STRIDE = 150
 
 
 def check_lattice(steps: float, step: float, width: float, samples: int) -> None:

@@ -565,6 +565,41 @@ class TestRisingCounts:
         # the proof holds on the values themselves
         assert (np.diff(values, axis=1) > 0).all()
 
+    @pytest.mark.parametrize(
+        "run, gamma, calls, lambdas, bound",
+        [("scale", 0.1, [3] * 6, 103_740, 104_892),
+         ("scale", 0.5, [3] * 6, 99_780, 100_898),
+         ("scan", 1.0, [5], 16_875, 17_072)],
+        ids=["scale-gamma0.1", "scale-gamma0.5", "scan-gamma1"],
+    )
+    def test_reads_of_the_default_runs(self, monkeypatch, run, gamma, calls, lambdas, bound):
+        # every call of value_at reads some lambda not read before, at most 3
+        # calls a chain; the bound is what a search read that placed both
+        # edges of every band and then re-read the band values in a last call
+        n_list = cli.build_parser().parse_args(["scale"]).n_list if run == "scale" else [None]
+        base = ScanConfig(Observable.MZ, gamma, (0.8, 1.2))
+        configs = [replace(base, n_sites=n) for n in n_list]
+        reads = []
+
+        def spy(value_at, starts, stops):
+            seen, sizes = set(), []
+            reads.append(sizes)
+
+            def read(k):
+                assert not seen.issuperset(k.tolist())
+                seen.update(k.tolist())
+                sizes.append(k.size)
+                return value_at(k)
+
+            return rising_counts(read, starts, stops)
+
+        monkeypatch.setattr(windowscan, "rising_counts", spy)
+        got = window_histograms(configs)[1]
+        monkeypatch.undo()
+        assert got.tobytes() == _walked(configs)[0].tobytes()
+        assert [len(sizes) for sizes in reads] == calls
+        assert sum(map(sum, reads)) == lambdas < bound
+
     @staticmethod
     def kernel_calls(monkeypatch, configs):
         """window_histograms(configs) and the (chains, lambda count) of each
@@ -647,6 +682,18 @@ class TestRisingCounts:
         # 200 samples: the crossings from 200 // 10 = 20 points a grid step
         config = ScanConfig(Observable.MZ, 1.0, (0.8, 1.2), lambda_step=step,
                             samples_per_window=200)
+        assert config.lattice.stride == stride
+        counts, rising, walked = self.paths(monkeypatch, config)
+        assert (rising, walked) == (crossings, not crossings)
+        assert counts.tobytes() == _walked([config])[0].tobytes()
+
+    @pytest.mark.parametrize("step, stride, crossings",
+                             [(2.5e-4, 125, False), (3e-4, 150, True)])
+    def test_stride_rule_at_the_default_samples(self, monkeypatch, step, stride, crossings):
+        # 10 000 samples: the crossings from 150 points a grid step, where
+        # they were about 25 % faster than the walk; at 125 the two were
+        # within about 15 % of each other
+        config = ScanConfig(Observable.MZ, 1.0, (0.8, 1.2), lambda_step=step)
         assert config.lattice.stride == stride
         counts, rising, walked = self.paths(monkeypatch, config)
         assert (rising, walked) == (crossings, not crossings)

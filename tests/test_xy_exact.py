@@ -141,6 +141,27 @@ class TestMzInfinite:
         warm = mz_infinite(ModelParams(gamma=1.0, lam=1.0, t_tilde=0.5))
         assert 0.0 < warm < cold
 
+    @pytest.mark.parametrize("gamma", [0.01, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("t_tilde", [1e-4, 1e-3])
+    def test_thermal_equals_ground_state_where_tanh_saturates(self, gamma, t_tilde):
+        # where min over phi of L / (2 t_tilde) exceeds 19, tanh is 1 to
+        # rounding at every phi, so the thermal quadrature must give the T = 0
+        # closed form. The worst case is 3.3e-13 (gamma = 1, lambda = 1.05);
+        # from gamma = 1.2 it misses 1e-12 (4.3e-12 at lambda = 1.05)
+        def least_gap(lam):
+            # L^2 is quadratic in cos(phi), stationary at lam / (1 - gamma^2)
+            c = lam / (1.0 - gamma * gamma) if gamma != 1.0 else math.inf
+            phis = [0.0, math.pi] + ([math.acos(c)] if abs(c) < 1.0 else [])
+            return min(dispersion(lam, gamma, phi) for phi in phis)
+
+        lams = [s * v for v in (3.0, 2.0, 1.5, 1.1, 1.06, 1.05, 0.95, 0.9) for s in (1.0, -1.0)]
+        lams = np.array([lam for lam in lams + [-0.5, -0.09, 0.0, 0.3, 0.7]
+                         if least_gap(lam) / (2.0 * t_tilde) > 19.0])
+        assert lams.size >= 12
+        cold = xy_exact.mz_infinite_many(lams, gamma)
+        warm = xy_exact.mz_infinite_many(lams, gamma, t_tilde)
+        assert np.max(np.abs(warm - cold)) <= 1e-12
+
 
 def _graded_reference(lam: float, gamma: float, order: int = 32) -> np.ndarray:
     """(Mz, G(-1), G(+1)) at T = 0 by order-point Gauss-Legendre panels, 64
