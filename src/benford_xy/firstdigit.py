@@ -10,16 +10,16 @@ not depend on locale or repr behaviour.
 unit_histograms is the window pipeline's digit stage: it counts a batch of
 windows of one array at once into a (windows x 9) int64 matrix, one row of
 digit counts per window and a zero row per degenerate window. It tests the
-batch once: if the batch is monotone, it counts every window from the
-positions of the digit thresholds d * 10**k, in raw values, found by
-bisection, and leaves to digits_of only the values next to a threshold;
-otherwise each window goes through histogram. rising_counts counts windows
-of a sequence known to rise strictly without the array: one search places
-each threshold, reading the sequence through a function at a few values
-next to it. The two share the counting from positions (_threshold_counts).
-Either way each row equals histogram(rescale_unit(window)). A digit
-histogram is such a row of 9 counts wherever it appears; histogram counts
-the digits report's values into one.
+batch once: a monotone batch goes to rising_counts, read reversed if it
+never rises; otherwise each window goes through histogram. rising_counts
+counts the windows of any sequence that never falls, read through a
+function (np.take of the batch, or a kernel proved to rise), from the
+positions of the digit thresholds d * 10**k in raw values: one search
+(_narrow) places each threshold, reading the sequence at a few values next
+to it, and digits_of sees only the values next to a threshold. Either way
+each row equals histogram(rescale_unit(window)). A digit histogram is such
+a row of 9 counts wherever it appears; histogram counts the digits report's
+values into one.
 """
 
 from __future__ import annotations
@@ -143,35 +143,22 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
     where it finds a non-finite window. A window that is not degenerate
     rescales its maximum to exactly 1.0, a digit 1, so its row is not zero.
 
-    The windows are counted together. If the batch never falls, one
-    _threshold_counts call counts its windows that are not flat, with one
-    np.searchsorted placing every threshold; if it never rises, the same
-    call counts them on the batch read reversed. Windows of a batch that
-    does both, and those that _threshold_counts leaves, go through histogram.
+    The windows are counted together. A finite batch that never falls is
+    counted by one rising_counts call reading it through np.take; one that
+    never rises, by the same call on the batch reversed. Windows of a batch
+    that does both, or that holds a non-finite value, go through histogram.
     """
     a = np.asarray(values, dtype=float).ravel()
     s = np.asarray(starts, dtype=np.intp)
     e = np.asarray(stops, dtype=np.intp)
-    rows = np.zeros((s.size, 9), dtype=np.int64)
-    # windows left to histogram(rescale_unit(...)), which raises DomainError
-    # on the non-finite ones and DegenerateWindowError (a zero row) on short ones
-    other = range(s.size)
     if np.isfinite(a).all():
-        falls = (a[1:] < a[:-1]).any()
-        if falls and not (a[1:] > a[:-1]).any():
+        if not (a[1:] < a[:-1]).any():
+            return rising_counts(a.take, s, e)
+        if not (a[1:] > a[:-1]).any():
             # read reversed, the batch never falls; each window holds the same values
-            a, s, e, falls = a[::-1].copy(), a.size - e, a.size - s, False
-        if not falls:
-            long = np.flatnonzero(e - s >= 2)
-            up = long[a[e[long] - 1] > a[s[long]]]  # flat windows keep a zero row
-            lo, stop = a[s[up]], e[up]
-            first = np.searchsorted(a, lo, side="right")  # first positive r of each window
-            rows[up] = _threshold_counts(
-                lo, a[first], a[stop - 1], first, stop, a.take,
-                lambda x, w: (p := np.clip(np.searchsorted(a, x), first[w], stop[w]),
-                              a.take(p, mode="clip")))
-            other = up[~rows[up].any(axis=1)]
-    for i in other:
+            return rising_counts(a[::-1].copy().take, a.size - e, a.size - s)
+    rows = np.zeros((s.size, 9), dtype=np.int64)
+    for i in range(s.size):
         try:
             rows[i] = histogram(rescale_unit(a[s[i] : e[i]]))
         except DegenerateWindowError:
@@ -179,42 +166,79 @@ def unit_histograms(values, starts, stops) -> np.ndarray:
     return rows
 
 
-def _threshold_counts(lo, after, hi, first, e, value_at, crossings) -> np.ndarray:
-    """histogram(rescale_unit(window)) of non-flat windows of a non-decreasing
-    sequence, as (W x 9) rows, counted from where the sequence crosses the
-    digit thresholds; a zero row for a window whose smallest positive
-    rescaled value is below 1e-300, or whose values all lie below 1e-290 in
-    magnitude.
+def rising_counts(value_at, starts, stops) -> np.ndarray:
+    """(W x 9) int64 digit counts of windows [starts[i], stops[i]) of a
+    sequence that never falls, read by value_at(indices) only where a count
+    needs it: row i is histogram(rescale_unit(w)) of window w, or zeros where
+    w is flat or holds fewer than 2 values.
 
-    Window i ends before index e[i]; lo[i] and hi[i] are its least and
-    largest values, and after[i] its first value above lo[i], at index
-    first[i]. value_at(indices) reads the sequence at an integer array of
-    indices. crossings(x, w) gives, for raw values x in the windows w (rows
-    of keep, broadcast against x), the first index from first to e whose
-    value is at or above x (e if none), and that value (any value at e).
-
-    A window's rescaled values r = (b - lo) / scale are sorted: its exact
-    zeros are a prefix, and the values between two digit thresholds d * 10**k
-    are one run. Each threshold t is bracketed in raw values, around
-    lo + t * scale, by a band of half-width _MARGIN * t * scale plus
-    _ULPS * max(|lo|, |hi|), wider than the rounding of lo + t * scale and
-    of r. The runs between bands are counted from the band edges' positions
-    alone; only values inside a band get their r, and digits_of in one call,
-    so the counts equal histogram's by construction. A band's lower edge
-    comes with the value there, which places its upper edge too unless it
-    lies in the band; only a band's other values, which are rare, are read.
+    The windows of one call are read together: first at their ends, the
+    index after each start, and the multiples of one coarse step (about
+    _COARSE_POINTS a window), which overlapping windows share, in one sorted
+    call without repeats. A window's rescaled values r = (b - lo) / scale are
+    sorted: its exact zeros are a prefix, and the values between two digit
+    thresholds d * 10**k are one run. Each threshold t is bracketed in raw
+    values, around lo + t * scale, by a band of half-width
+    _MARGIN * t * scale plus _ULPS * max(|lo|, |hi|), wider than the rounding
+    of lo + t * scale and of r. One search (_narrow) places each band's
+    lower edge, and the first value above lo of a window that starts on a
+    run of equal values, and reads the value there; that value places the
+    band's upper edge too unless it lies in the band. The runs between bands
+    are counted from the edges alone; only values inside a band get their r,
+    and digits_of in one call, so the counts equal histogram's by
+    construction, and only a band's further values (rare) are read again. A
+    window whose smallest positive r is below 1e-300, or whose values all
+    lie below 1e-290 in magnitude, goes through histogram.
     """
+    starts = np.asarray(starts, dtype=np.intp)
+    stops = np.asarray(stops, dtype=np.intp)
+    rows = np.zeros((starts.size, 9), dtype=np.int64)
+    win = np.flatnonzero(stops - starts >= 2)
+    if not win.size:
+        return rows
+    s, e = starts[win], stops[win]
+
+    # the multiples of step in [s, e), each window adding those past the
+    # windows before it, with no window left without a point
+    step = max(1, int((e - s).max()) // _COARSE_POINTS)
+    c0 = -(-np.maximum(s, np.maximum.accumulate(np.append(0, e[:-1]))) // step) * step
+    n = np.maximum(0, (e - 1 - c0) // step + 1)
+    grid = np.repeat(c0 - step * (np.cumsum(n) - n), n) + step * np.arange(n.sum())
+    known = np.sort(np.concatenate([grid, s, s + 1, e - 1]))
+    known = known[np.append(True, known[1:] != known[:-1])]
+    f = value_at(known)
+    lo, after, hi = f[np.searchsorted(known, np.stack([s, s + 1, e - 1]))]
+    up = hi > lo  # flat windows keep a zero row
+    win, e, first, lo, after, hi = (v[up] for v in (win, e, s + 1, lo, after, hi))
+    # the first value above lo, which the search finds on a run of equal values
+    run = np.flatnonzero(after == lo)
+    if run.size:
+        first[run], after[run] = _narrow(value_at, np.nextafter(lo[run], math.inf), known, f)
     scale = hi - lo
     mag = np.maximum(np.abs(lo), np.abs(hi))
     r0 = (after - lo) / scale
     # thresholds this small approach the subnormals and lose precision; an
-    # infinite scale gives r0 = 0 and leaves the window to histogram
-    keep = np.flatnonzero((r0 >= 1e-300) & (mag >= 1e-290))
-    rows = np.zeros((lo.size, 9), dtype=np.int64)
-    if not keep.size:
+    # infinite scale gives r0 = 0
+    keep = (r0 >= 1e-300) & (mag >= 1e-290)
+    for i in win[~keep]:
+        rows[i] = histogram(rescale_unit(value_at(np.arange(starts[i], stops[i]))))
+    if not keep.any():
         return rows
-    lo, scale, mag, first, e = lo[keep], scale[keep], mag[keep], first[keep], e[keep]
-    w = keep.size
+    win, e, first, lo, after, hi, scale, mag = (
+        v[keep] for v in (win, e, first, lo, after, hi, scale, mag))
+    w = win.size
+
+    def crossing(x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First index of window i at or above each x, first to e, and its value (inf at e)."""
+        low = x <= after[i]
+        pos = np.where(low, first[i], e[i])
+        val = np.where(low, after[i], math.inf)
+        # the values up to first are at most after and the one at e - 1 is hi,
+        # so a search ends inside the window
+        inside = np.flatnonzero(~low & (x <= hi[i]))
+        pos.ravel()[inside], val.ravel()[inside] = _narrow(value_at, x.ravel()[inside], known, f)
+        return pos, val
+
     # from the decade one below the smallest positive value, so that no value
     # lies below the first threshold even if floor(log10) is one too high;
     # the last threshold is 1.0, the largest value
@@ -226,12 +250,12 @@ def _threshold_counts(lo, after, hi, first, e, value_at, crossings) -> np.ndarra
     # band j holds values start[:, j] .. end[:, j] - 1, and the band next to
     # 1.0 runs to the window's end; a band ends where it starts unless the
     # value at its lower edge lies in it
-    cross, at = crossings(level - half, keep[:, None])
+    cross, at = crossing(level - half, np.arange(w)[:, None])
     start, end = cross.copy(), cross[:, :-1].copy()
     above = level[:, :-1] + half[:, :-1]
     held = np.flatnonzero(at[:, :-1] < above)
     if held.size:
-        end.ravel()[held] = crossings(above.ravel()[held], keep[held // (t.size - 1)])[0]
+        end.ravel()[held] = crossing(above.ravel()[held], held // (t.size - 1))[0]
     if (start[:, 1:] < end).any():
         # the running maximum merges bands that overlap, so that the runs
         # between bands partition the values
@@ -263,67 +287,21 @@ def _threshold_counts(lo, after, hi, first, e, value_at, crossings) -> np.ndarra
     if near.any():
         d = digits_of(rise[near] / scale[row[near]])
         counts += np.bincount(row[near] * 9 + d - 1, minlength=9 * w).reshape(w, 9)
-    rows[keep] = counts
-    return rows
-
-
-def rising_counts(value_at, starts, stops) -> np.ndarray:
-    """(W x 9) int64 digit counts of windows [starts[i], stops[i]) of a
-    sequence that rises strictly, read by value_at(indices) only where a
-    count needs it: row i equals unit_histograms' row of the same window.
-
-    The windows of one call are read together: first at their ends, the
-    index after each start, and the multiples of one coarse step (about
-    _COARSE_POINTS a window), which overlapping windows share, in one sorted
-    call without repeats; then by one search (_narrow) that places the lower
-    edge of each band of _threshold_counts inside a window and reads the
-    value there, all that _threshold_counts reads unless a band holds a
-    second value (rare). A window of fewer than 2 values gets a zero row;
-    one that threshold counting leaves goes through histogram.
-    """
-    starts = np.asarray(starts, dtype=np.intp)
-    stops = np.asarray(stops, dtype=np.intp)
-    rows = np.zeros((starts.size, 9), dtype=np.int64)
-    up = np.flatnonzero(stops - starts >= 2)
-    if not up.size:
-        return rows
-    s, e = starts[up], stops[up]
-
-    # the multiples of step in [s, e), each window adding those past the
-    # windows before it, with no window left without a point
-    step = max(1, int((e - s).max()) // _COARSE_POINTS)
-    c0 = -(-np.maximum(s, np.maximum.accumulate(np.append(0, e[:-1]))) // step) * step
-    n = np.maximum(0, (e - 1 - c0) // step + 1)
-    grid = np.repeat(c0 - step * (np.cumsum(n) - n), n) + step * np.arange(n.sum())
-    known = np.sort(np.concatenate([grid, s, s + 1, e - 1]))
-    known = known[np.append(True, known[1:] != known[:-1])]
-    f = value_at(known)
-    lo, after, hi = f[np.searchsorted(known, np.stack([s, s + 1, e - 1]))]
-
-    def crossings(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First index of window w at or above each x, s + 1 to e, and its value (inf at e)."""
-        low = x <= after[w]
-        pos = np.where(low, s[w] + 1, e[w])
-        val = np.where(low, after[w], math.inf)
-        # the window's own s + 1 and e - 1 are known, so a search stays inside it
-        inside = np.flatnonzero(~low & (x <= hi[w]))
-        pos.ravel()[inside], val.ravel()[inside] = _narrow(value_at, x.ravel()[inside], known, f)
-        return pos, val
-
-    rows[up] = _threshold_counts(lo, after, hi, s + 1, e, value_at, crossings)
-    for i in up[~rows[up].any(axis=1)]:
-        rows[i] = histogram(rescale_unit(value_at(np.arange(starts[i], stops[i]))))
+    rows[win] = counts
     return rows
 
 
 def _narrow(value_at, x, known, f) -> tuple[np.ndarray, np.ndarray]:
-    """The first index at or above each x of a sequence that rises strictly,
+    """The first index at or above each x of a sequence that never falls,
     read by value_at(indices), and the value there, from its values f at
     the sorted indices known, with f[0] < x <= f[-1].
 
     The first guess interpolates the known values linearly; a guess that
-    misses narrows the bracket of its two known neighbours, which regula
-    falsi narrows further, bisecting on every third step. A guess is read
+    misses replaces an end of the bracket [a, b] of its two known
+    neighbours, which regula falsi narrows further, bisecting on every third
+    step. The bracket keeps f(a) < x <= f(b), so no step divides by zero,
+    and np.interp, which lands where f[i] <= x < f[i + 1], never lands
+    between two equal values. A guess is read
     with the index below it, so that a guess on the crossing ends its search.
     """
     guess = np.minimum(np.ceil(np.interp(x, f, known)), known[-1]).astype(np.intp)
@@ -333,7 +311,7 @@ def _narrow(value_at, x, known, f) -> tuple[np.ndarray, np.ndarray]:
         below, at = value_at(np.concatenate([guess - 1, guess])).reshape(2, -1)
         pos[todo], val[todo] = guess, at
         # x lies at or below guess - 1, above guess, or between the two; a
-        # guess that misses lies inside the bracket, as its values show
+        # guess that misses moves an end of the bracket, as its values show
         under = below >= x
         go = np.flatnonzero(under | (at < x))
         if rounds:

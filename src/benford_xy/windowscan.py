@@ -61,7 +61,7 @@ _KEPT_WINDOWS = 3
 _RISING_WINDOWS = 256
 
 # window_histograms counts a rising row from its crossings only on a lattice of
-# at least min(_CROSSING_STRIDE, samples // 10) points per grid step: placing
+# at least min(_CROSSING_STRIDE, samples // 20) points per grid step: placing
 # one threshold costs about what walking tens to hundreds of points costs, so on
 # coarser lattices the walk is faster.
 _CROSSING_STRIDE = 150
@@ -250,7 +250,7 @@ def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray
 
     Window i holds the points of config.lattice that lie inside the scan
     range; its midpoint is that of [center -+ width / 2] clipped to the range.
-    On a lattice of at least min(_CROSSING_STRIDE, samples // 10) points per
+    On a lattice of at least min(_CROSSING_STRIDE, samples // 20) points per
     grid step, an Mz config whose values xy_exact.mz_rises proves to rise
     strictly over the range (at T = 0, a chain or the infinite lattice) is
     counted by firstdigit.rising_counts, row by row, _RISING_WINDOWS windows
@@ -277,7 +277,7 @@ def window_histograms(configs: list[ScanConfig]) -> tuple[np.ndarray, np.ndarray
     k_lo = bisect.bisect_left(every, a, key=point)
     k_hi = bisect.bisect_right(every, b, key=point)
 
-    fine = lattice.stride >= min(_CROSSING_STRIDE, lattice.samples // 10)
+    fine = lattice.stride >= min(_CROSSING_STRIDE, lattice.samples // 20)
     rising = np.array([fine and c.observable is Observable.MZ and xy_exact.mz_rises(
         a, b, lattice.spacing, c.gamma, c.t_tilde, c.n_sites) for c in configs])
     walked = [c for c, r in zip(configs, rising) if not r]

@@ -131,7 +131,7 @@ def _row(values):
 def _near_thresholds(k_min, ulps):
     """Sorted values in [0, 1] holding each d * 10**k (k_min <= k < 0) and 1,
     the points ulps either side of them, and the same around the edges of the
-    margin inside which the bisection defers to digits_of."""
+    margin inside which the threshold count defers to digits_of."""
     points = {0.0, 1.0}
     for k in range(k_min, 1):
         for d in range(1, 10 if k < 0 else 2):
@@ -404,9 +404,9 @@ class TestBatchedCounts:
 
 
 class TestRisingCounts:
-    """rising_counts reads a strictly rising sequence only where a count
+    """rising_counts reads a sequence that never falls only where a count
     needs it; each row must equal histogram(rescale_unit(w)) of its window
-    w, and be zero if w has fewer than 2 values."""
+    w, and be zero if w is flat or has fewer than 2 values."""
 
     @staticmethod
     def counted(values, starts, stops):
@@ -449,6 +449,23 @@ class TestRisingCounts:
         assert rows[:2] == [[0] * 9] * 2
         assert rows[2:] == [_reference(values[a:b]) for a, b in zip(starts[2:], stops[2:])]
 
+    def test_sequence_that_never_falls(self, monkeypatch):
+        # each value three times, and a flat stretch of 703 equal values from
+        # index 3000: windows start inside runs, lie on the stretch, start on
+        # it, or hold 0 or 1 values; each is counted from its thresholds
+        values = np.repeat(np.exp(np.linspace(-3.0, 3.0, 2000)), 3)
+        values = np.insert(values, 3000, np.full(700, values[3000]))
+        starts = np.concatenate([np.arange(0, 6500, 97), [5, 6, 3100]])
+        stops = np.concatenate([np.minimum(starts[:-3] + 500, values.size), [5, 7, 3600]])
+        calls = []
+        monkeypatch.setattr(firstdigit, "histogram", lambda v: calls.append(v.size) or histogram(v))
+        rows = firstdigit.rising_counts(values.take, starts, stops).tolist()
+        assert calls == []
+        monkeypatch.undo()
+        assert rows == [_reference(values[a:b]) for a, b in zip(starts, stops)]
+        assert rows[-3:] == [[0] * 9] * 3
+        assert sum(values[a] == values[a + 1] for a in starts[:-3]) > 20
+
     def test_windows_of_tiny_values_go_through_histogram(self, monkeypatch):
         # below 1e-290 the thresholds near the subnormals lose bits
         values = 1e-295 * np.linspace(1.0, 2.0, 500)
@@ -466,9 +483,10 @@ def _default_chains(gamma):
 
 
 # The runs the benchmark measures: each batch of the lattice walk's windows is
-# monotone, which is what lets unit_histograms test a batch once and bisect it
-# whole; Mz at T = 0, of the lattice or of scale's chains, is counted from its
-# crossings instead, all 201 windows of a row in one rising_counts call
+# monotone, which is what lets unit_histograms test a batch once and count it
+# whole through rising_counts; Mz at T = 0, of the lattice or of scale's
+# chains, is counted from its crossings instead, all 201 windows of a row in
+# one rising_counts call
 @pytest.mark.parametrize(
     "run, crossings",
     [

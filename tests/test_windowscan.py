@@ -341,6 +341,30 @@ class TestScan:
             counts = histogram(rescale_unit(values))
             assert delta == violations(counts, config.dist, config.metric)[0]
 
+    def test_windows_of_falling_and_mixed_batches_match_per_window_evaluation(self, monkeypatch):
+        # Cyy at gamma = 0.5 rises in 5 of the walk's batches, falls in 1 and
+        # does both in 1: the reversed read and the window-by-window count
+        # both see kernel data
+        config = ScanConfig(Observable.CYY, 0.5, (0.8, 1.2), samples_per_window=2000)
+        lattice, (a, b) = config.lattice, config.lambda_range
+        batches = []
+        count = windowscan.unit_histograms
+
+        def spy(values, starts, stops):
+            d = np.diff(values)
+            batches.append("rises" if (d >= 0).all() else "falls" if (d <= 0).all() else "both")
+            return count(values, starts, stops)
+
+        monkeypatch.setattr(windowscan, "unit_histograms", spy)
+        result = scan(config)
+        assert sorted(batches) == ["both", "falls"] + ["rises"] * 5
+        assert result.degenerate_windows.size == 0 and result.deltas.size == 201
+        for i, delta in enumerate(result.deltas):
+            lams = a + lattice.at(i * lattice.stride + np.arange(lattice.samples))
+            values = windowscan.evaluate([config], lams[(lams >= a) & (lams <= b)])
+            counts = histogram(rescale_unit(values))
+            assert delta == violations(counts, config.dist, config.metric)[0]
+
     def test_correlator_scan_runs(self):
         for observable in (Observable.CXX, Observable.CYY, Observable.CZZ):
             r = scan(small_config(observable=observable, n_sites=None))
@@ -668,8 +692,8 @@ class TestRisingCounts:
     @pytest.mark.parametrize("n_sites", [None, 20])
     def test_coarse_lattice_takes_the_walk(self, monkeypatch, n_sites):
         # --lambda 0.8:1.2:0.0001 puts 50 lattice points in a grid step, fewer
-        # than min(200, samples // 10): the walk is the faster path there,
-        # though the proof holds
+        # than min(_CROSSING_STRIDE, samples // 20) = 150: the walk is the
+        # faster path there, though the proof holds
         config = ScanConfig(Observable.MZ, 1.0, (0.8, 1.2), lambda_step=1e-4, n_sites=n_sites)
         assert config.lattice.stride == 50
         assert xy_exact.mz_rises(0.8, 1.2, config.lattice.spacing, 1.0)
@@ -679,9 +703,22 @@ class TestRisingCounts:
     @pytest.mark.parametrize("step, stride, crossings",
                              [(2e-4, 2, False), (2e-3, 20, True)])
     def test_stride_rule_at_few_samples(self, monkeypatch, step, stride, crossings):
-        # 200 samples: the crossings from 200 // 10 = 20 points a grid step
+        # 200 samples: the crossings from 200 // 20 = 10 points a grid step
         config = ScanConfig(Observable.MZ, 1.0, (0.8, 1.2), lambda_step=step,
                             samples_per_window=200)
+        assert config.lattice.stride == stride
+        counts, rising, walked = self.paths(monkeypatch, config)
+        assert (rising, walked) == (crossings, not crossings)
+        assert counts.tobytes() == _walked([config])[0].tobytes()
+
+    @pytest.mark.parametrize("step, stride, crossings",
+                             [(6e-4, 30, False), (1e-3, 50, True)])
+    def test_stride_rule_at_1000_samples(self, monkeypatch, step, stride, crossings):
+        # 1000 samples: the crossings from 1000 // 20 = 50 points a grid
+        # step, where they were about 20 % faster than the walk; at 30 the
+        # walk was the faster path
+        config = ScanConfig(Observable.MZ, 1.0, (0.8, 1.2), lambda_step=step,
+                            samples_per_window=1000)
         assert config.lattice.stride == stride
         counts, rising, walked = self.paths(monkeypatch, config)
         assert (rising, walked) == (crossings, not crossings)
